@@ -23,6 +23,7 @@ from .errors import (
     CommutativityRequired,
     ConfigError,
     ConsecutiveJumpComponents,
+    CouplingMismatch,
     EmptyIndex,
     InsufficientLevels,
     IntervalOutOfRange,
@@ -39,6 +40,7 @@ from .errors import (
     StateOutOfRange,
     StepTooLargeForChain,
     SwitchTaylorError,
+    TruncatedNoiseFile,
     UnknownFixture,
     UnknownRegime,
     UnknownScheme,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CouplingMismatch,
     InsufficientLevels,
     InvalidGrid,
     NonFiniteState,
@@ -299,7 +300,11 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
         k = int(idx) % n_fine
         lhs = dw[n_fine][slot, k]
         rhs = dw[n_ref][slot, k * stride_f : (k + 1) * stride_f].sum(axis=0)
-        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12), "coarse/reference increments diverged"
+        if not np.allclose(lhs, rhs, rtol=0.0, atol=1e-12):
+            raise CouplingMismatch(
+                "path %d: window %d of the %d-step level differs from the sum of "
+                "the reference increments it spans" % (idx, k, n_fine)
+            )
 
     tables = {L: _combine_records(rec_parts[L], m) for L in wanted}
 

@@ -65,6 +65,11 @@ class NotAGridTime(SwitchTaylorError):
     pass
 
 
+class TruncatedNoiseFile(SwitchTaylorError):
+    """A noise file ends before the sizes its header declares."""
+    pass
+
+
 # ---------------------------------------------------------------------------
 # models and operators
 
@@ -126,6 +131,11 @@ class InsufficientLevels(SwitchTaylorError):
 
 class NonPositiveError(SwitchTaylorError):
     """A mean-square error estimate is zero or negative; no slope to fit."""
+    pass
+
+
+class CouplingMismatch(SwitchTaylorError):
+    """A coarse window's increment differs from the reference increments it spans."""
     pass
 
 

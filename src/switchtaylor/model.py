@@ -14,6 +14,14 @@ derivatives, evaluated in batch: states of shape (B, d) and a regime label
 per row.  Everything here is regime-wise; the jump structure enters only
 through which regimes the schemes evaluate at.
 
+The operators are built from the coefficient jet (b, Db, D^2 b, sigma,
+D sigma, D^2 sigma): one private builder per operator takes those arrays and
+contracts them, so a caller that evaluates the jet once can build every
+operator from it.  The kernels in ``schemes`` do that once per call at the
+window-start regime.  The public ``op_*`` functions evaluate what their
+operator needs and delegate to the same builders, as do ``apply_word`` and
+``check_commutativity``.
+
 ``apply_word`` applies the operator word of an integral label to a single
 coefficient entry.  Supported words: the empty word, (0), (a), and (a1, a2)
 with Wiener letters; longer or mixed words would need third derivatives and
@@ -238,34 +246,73 @@ def eval_diffusion(model: ModelSpec, x, regime: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# operators built from coefficient jet arrays
+#
+# Matrix-matrix contractions use stacked matmul; contractions against a
+# single vector keep the two-operand einsum, which measures faster at these
+# sizes.
+
+
+def _covariance(sig):
+    # (sigma sigma^T)[.., p, q]; matmul on a transposed view measures twice
+    # as slow as on a contiguous copy
+    return sig @ np.ascontiguousarray(sig.transpose(0, 2, 1))
+
+
+def _time_drift(b, db, hb, cov):
+    return np.einsum("bp,bkp->bk", b, db) + 0.5 * np.einsum("bpq,bkpq->bk", cov, hb)
+
+
+def _noise_drift(db, sig):
+    return db @ sig
+
+
+def _time_diffusion(b, dsig, hsig, cov):
+    return np.einsum("bp,bkjp->bkj", b, dsig) + 0.5 * np.einsum("bpq,bkjpq->bkj", cov, hsig)
+
+
+def _noise_diffusion(dsig, sig_op):
+    B, d, m = dsig.shape[:3]
+    return (dsig.reshape(B, d * m, d) @ sig_op).reshape(B, d, m, m)
+
+
+def _noise_noise_diffusion(sig, dsig, hsig, lj):
+    # chain rule: D sigma contracted with L^a sigma = D sigma . sigma;
+    # curvature: D^2 sigma contracted with sigma[p, a] sigma[q, c]
+    B, d, m = dsig.shape[:3]
+    chain_rule = dsig.reshape(B, d * m, d) @ lj.reshape(B, d, m * m)
+    pairs = sig[:, :, None, :, None] * sig[:, None, :, None, :]
+    curvature = hsig.reshape(B, d * m, d * d) @ pairs.reshape(B, d * d, m * m)
+    return (chain_rule + curvature).reshape(B, d, m, m, m)
+
+
+# ---------------------------------------------------------------------------
 # batched operator actions
 
 
 def op_time_drift(coeffs: CoefficientSet, X, regimes):
     """Time operator applied to every drift entry; shape (B, d)."""
-    b = coeffs.drift(X, regimes)
-    db = coeffs.drift_gradient(X, regimes)
-    hb = coeffs.drift_hessian(X, regimes)
-    sig = coeffs.diffusion(X, regimes)
-    a_mat = np.einsum("bpj,bqj->bpq", sig, sig)
-    return np.einsum("bp,bkp->bk", b, db) + 0.5 * np.einsum("bpq,bkpq->bk", a_mat, hb)
+    return _time_drift(
+        coeffs.drift(X, regimes),
+        coeffs.drift_gradient(X, regimes),
+        coeffs.drift_hessian(X, regimes),
+        _covariance(coeffs.diffusion(X, regimes)),
+    )
 
 
 def op_noise_drift(coeffs: CoefficientSet, X, regimes):
     """Noise operators applied to the drift; shape (B, d, m), last axis = a."""
-    sig = coeffs.diffusion(X, regimes)
-    db = coeffs.drift_gradient(X, regimes)
-    return np.einsum("bpa,bkp->bka", sig, db)
+    return _noise_drift(coeffs.drift_gradient(X, regimes), coeffs.diffusion(X, regimes))
 
 
 def op_time_diffusion(coeffs: CoefficientSet, X, regimes):
     """Time operator applied to every diffusion entry; shape (B, d, m)."""
-    b = coeffs.drift(X, regimes)
-    dsig = coeffs.diffusion_gradient(X, regimes)
-    hsig = coeffs.diffusion_hessian(X, regimes)
-    sig = coeffs.diffusion(X, regimes)
-    a_mat = np.einsum("bpj,bqj->bpq", sig, sig)
-    return np.einsum("bp,bkjp->bkj", b, dsig) + 0.5 * np.einsum("bpq,bkjpq->bkj", a_mat, hsig)
+    return _time_diffusion(
+        coeffs.drift(X, regimes),
+        coeffs.diffusion_gradient(X, regimes),
+        coeffs.diffusion_hessian(X, regimes),
+        _covariance(coeffs.diffusion(X, regimes)),
+    )
 
 
 def op_noise_diffusion(coeffs: CoefficientSet, X, regimes, op_regimes=None):
@@ -276,9 +323,8 @@ def op_noise_diffusion(coeffs: CoefficientSet, X, regimes, op_regimes=None):
     coefficients are taken at those regimes while the target entry stays at
     ``regimes``; the one-jump correction terms need that split.
     """
-    dsig = coeffs.diffusion_gradient(X, regimes)
     sig_op = coeffs.diffusion(X, regimes if op_regimes is None else op_regimes)
-    return np.einsum("bpa,bkjp->bkja", sig_op, dsig)
+    return _noise_diffusion(coeffs.diffusion_gradient(X, regimes), sig_op)
 
 
 def op_noise_noise_diffusion(coeffs: CoefficientSet, X, regimes):
@@ -290,9 +336,7 @@ def op_noise_noise_diffusion(coeffs: CoefficientSet, X, regimes):
     sig = coeffs.diffusion(X, regimes)
     dsig = coeffs.diffusion_gradient(X, regimes)
     hsig = coeffs.diffusion_hessian(X, regimes)
-    chain_rule = np.einsum("bqc,bpaq,bkjp->bkjac", sig, dsig, dsig)
-    curvature = np.einsum("bqc,bpa,bkjpq->bkjac", sig, sig, hsig)
-    return chain_rule + curvature
+    return _noise_noise_diffusion(sig, dsig, hsig, _noise_diffusion(dsig, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +494,10 @@ def check_commutativity(model: ModelSpec, points=None) -> CommutativityReport:
     gap2 = 0.0
     for regime in range(1, model.m0 + 1):
         R = np.full(points.shape[0], regime)
-        t1 = op_noise_diffusion(coeffs, points, R)
+        sig = coeffs.diffusion(points, R)
+        dsig = coeffs.diffusion_gradient(points, R)
+        t1 = _noise_diffusion(dsig, sig)
         gap1 = max(gap1, float(np.abs(t1 - t1.transpose(0, 1, 3, 2)).max()))
-        t2 = op_noise_noise_diffusion(coeffs, points, R)
+        t2 = _noise_noise_diffusion(sig, dsig, coeffs.diffusion_hessian(points, R), t1)
         gap2 = max(gap2, float(np.abs(t2 - t2.transpose(0, 1, 2, 4, 3)).max()))
     return CommutativityReport(gap1, gap2, points.shape[0] * model.m0)

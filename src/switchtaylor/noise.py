@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntervalOutOfRange, InvalidGrid, NotAGridTime
+from .errors import IntervalOutOfRange, InvalidGrid, NotAGridTime, TruncatedNoiseFile
 from .markov_chain import ChainPath
 
 __all__ = [
@@ -303,12 +303,25 @@ def load_noise(file) -> NoisePath:
         file = open(file, "rb")
         close = True
     try:
-        n_times, m = _HEADER.unpack(file.read(_HEADER.size))
-        times = np.frombuffer(file.read(8 * n_times), dtype="<f8")
+        n_times, m = _HEADER.unpack(_read_exactly(file, _HEADER.size, "header"))
+        if n_times < 2:
+            raise InvalidGrid(
+                "noise file declares %d grid times, a path needs at least 2" % n_times
+            )
+        times = np.frombuffer(_read_exactly(file, 8 * n_times, "grid times"), dtype="<f8")
         n = n_times - 1
-        dw = np.frombuffer(file.read(8 * n * m), dtype="<f8").reshape(n, m)
-        dz = np.frombuffer(file.read(8 * n * m), dtype="<f8").reshape(n, m)
+        dw = np.frombuffer(_read_exactly(file, 8 * n * m, "dW"), dtype="<f8").reshape(n, m)
+        dz = np.frombuffer(_read_exactly(file, 8 * n * m, "dZ"), dtype="<f8").reshape(n, m)
     finally:
         if close:
             file.close()
     return NoisePath(times.copy(), dw.copy(), dz.copy())
+
+
+def _read_exactly(file, size: int, part: str) -> bytes:
+    data = file.read(size)
+    if len(data) != size:
+        raise TruncatedNoiseFile(
+            "noise file ends inside the %s: expected %d bytes, got %d" % (part, size, len(data))
+        )
+    return data

@@ -21,6 +21,14 @@ Kernels are batched: states (B, d), regimes (B,), increments (B, m), with
 jump data carried sparsely via batch-row indices.  The single-path helpers
 and the convergence engine call the same kernels, so there is one stepping
 implementation to validate.
+
+Each kernel call evaluates the coefficient jet once, at the window-start
+regime, and builds its operators from it with the builders of ``model``.
+The 1.5 map needs the full jet (b, Db, D^2 b, sigma, D sigma, D^2 sigma),
+the 1.0 map b, sigma and D sigma.  Rows whose window holds a switch add a
+partial jet at the first switched regime (b, sigma and D sigma on those rows
+only) and, for the 1.5 map, sigma at the second switched regime on rows with
+two or more switches.
 """
 
 from __future__ import annotations
@@ -40,7 +48,19 @@ from .errors import (
 from .markov_chain import ChainPath
 from .model import (
     ModelSpec,
+    _covariance,
+    _noise_diffusion,
+    _noise_drift,
+    _noise_noise_diffusion,
+    _time_diffusion,
+    _time_drift,
     check_commutativity,
+)
+
+# The kernels build operators from one coefficient jet and call none of the
+# public op_* functions; their names stay reachable here because the
+# benchmark's tracer (perfbench/layers.py) looks them up on this module.
+from .model import (  # noqa: F401
     op_noise_diffusion,
     op_noise_drift,
     op_noise_noise_diffusion,
@@ -217,7 +237,7 @@ def _euler_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
 def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
     b = coeffs.drift(y, regimes)
     sig = coeffs.diffusion(y, regimes)
-    lj = op_noise_diffusion(coeffs, y, regimes)
+    lj = _noise_diffusion(coeffs.diffusion_gradient(y, regimes), sig)
     out = y + b * h + np.einsum("bkj,bj->bk", sig, dw)
     out += 0.5 * np.einsum("bkja,bja->bk", lj, _pair_weight(dw, h))
     if jumps is not None and jumps.rows.size:
@@ -234,13 +254,19 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
     if dz is None:
         raise InvalidGrid("the 1.5 scheme needs the time integrals of the noise")
     m = dw.shape[1]
+    # the coefficient jet at the window-start regime, evaluated once
     b = coeffs.drift(y, regimes)
+    db = coeffs.drift_gradient(y, regimes)
+    hb = coeffs.drift_hessian(y, regimes)
     sig = coeffs.diffusion(y, regimes)
-    l0b = op_time_drift(coeffs, y, regimes)
-    ljb = op_noise_drift(coeffs, y, regimes)
-    l0s = op_time_diffusion(coeffs, y, regimes)
-    ljs = op_noise_diffusion(coeffs, y, regimes)
-    ljjs = op_noise_noise_diffusion(coeffs, y, regimes)
+    dsig = coeffs.diffusion_gradient(y, regimes)
+    hsig = coeffs.diffusion_hessian(y, regimes)
+    cov = _covariance(sig)
+    l0b = _time_drift(b, db, hb, cov)
+    ljb = _noise_drift(db, sig)
+    l0s = _time_diffusion(b, dsig, hsig, cov)
+    ljs = _noise_diffusion(dsig, sig)
+    ljjs = _noise_noise_diffusion(sig, dsig, hsig, ljs)
 
     out = y + b * h + 0.5 * l0b * (h * h)
     out += np.einsum("bka,ba->bk", ljb, dz)
@@ -253,23 +279,26 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
         return out
 
     # first-switch corrections cover the stretch up to the second switch or
-    # the window end; a window with one switch uses the full remainder
+    # the window end; a window with one switch uses the full remainder.
+    # The switched regime needs b, sigma and D sigma on the switch rows only.
     rows = jumps.rows
     yk = y[rows]
-    reg0 = np.asarray(regimes)[rows]
     reg1 = jumps.reg1
     w1 = jumps.w1
+    sig0 = sig[rows]
+    sig1 = coeffs.diffusion(yk, reg1)
+    dsig1 = coeffs.diffusion_gradient(yk, reg1)
     more = jumps.counts >= 2
     w_cut = np.where(more[:, None], jumps.w2, dw[rows])
     tail = w_cut - w1
     remain = np.where(more, jumps.dt2, h) - jumps.dt1
     out[rows] += (coeffs.drift(yk, reg1) - b[rows]) * remain[:, None]
-    out[rows] += np.einsum("bkj,bj->bk", coeffs.diffusion(yk, reg1) - sig[rows], tail)
+    out[rows] += np.einsum("bkj,bj->bk", sig1 - sig0, tail)
     # switched target, operator coefficients frozen at the start regime
-    lj_mixed = op_noise_diffusion(coeffs, yk, reg1, op_regimes=reg0)
+    lj_mixed = _noise_diffusion(dsig1, sig0)
     out[rows] += np.einsum("bkja,ba,bj->bk", lj_mixed - ljs[rows], w1, tail)
     # both operator and target switched; weight from the covered stretch
-    lj_after = op_noise_diffusion(coeffs, yk, reg1)
+    lj_after = _noise_diffusion(dsig1, sig1)
     tail_quad = tail[:, :, None] * tail[:, None, :]
     idx = np.arange(m)
     tail_quad[:, idx, idx] -= remain[:, None]
@@ -477,7 +506,7 @@ def integrate(
 def write_trajectory_csv(traj: Trajectory, file) -> None:
     """Rows (t, Y^1..Y^d, regime) at full float precision."""
     close = False
-    if isinstance(file, (str, bytes)):
+    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
         file = open(file, "w")
         close = True
     try:

@@ -11,6 +11,7 @@ from switchtaylor import (
     GeneratorMatrix,
     LevelResult,
     ModelSpec,
+    NoisePath,
     ScalarLinearCoefficients,
     fit_order,
     fixture,
@@ -20,6 +21,7 @@ from switchtaylor import (
 )
 from switchtaylor.errors import (
     CommutativityRequired,
+    CouplingMismatch,
     InsufficientLevels,
     InvalidGrid,
     NonPositiveError,
@@ -43,6 +45,24 @@ def small_plan(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentPlan(**kwargs)
+
+
+def test_coupling_check_names_path_and_window(monkeypatch):
+    # perturb the first window of every coarse aggregation; the spot check
+    # of path 0 reads window 0 of the finest coarse level
+    plan = small_plan()
+    original = NoisePath.step_aggregates
+
+    def perturbed(self, edges):
+        dw, dz = original(self, edges)
+        if len(edges) - 1 < plan.reference_steps:
+            dw = dw.copy()
+            dw[0] += 1e-6
+        return dw, dz
+
+    monkeypatch.setattr(NoisePath, "step_aggregates", perturbed)
+    with pytest.raises(CouplingMismatch, match="path 0: window 0 of the 4-step level"):
+        run(plan)
 
 
 def zero_model():

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 import pytest
 
 from switchtaylor import markov_chain as mc
 from switchtaylor import noise
-from switchtaylor.errors import IntervalOutOfRange, InvalidGrid, NotAGridTime
+from switchtaylor.errors import (
+    IntervalOutOfRange,
+    InvalidGrid,
+    NotAGridTime,
+    TruncatedNoiseFile,
+)
 
 
 def test_grid_spec_validation():
@@ -188,3 +194,21 @@ def test_dump_and_load_round_trip():
     m = int.from_bytes(raw[8:16], "little")
     assert n_times == p.times.size and m == p.m
     assert len(raw) == 16 + 8 * (n_times + 2 * (n_times - 1) * m)
+
+
+@pytest.mark.parametrize(
+    "part, cut",
+    [("header", 10), ("grid times", 16 + 12), ("dZ", -4)],
+)
+def test_load_rejects_truncated_files(part, cut):
+    p, _, _ = _path_with_jumps(31)
+    buf = io.BytesIO()
+    noise.dump_noise(p, buf)
+    raw = buf.getvalue()
+    with pytest.raises(TruncatedNoiseFile, match="inside the %s: expected" % part):
+        noise.load_noise(io.BytesIO(raw[:cut]))
+
+
+def test_load_rejects_a_header_without_intervals():
+    with pytest.raises(InvalidGrid, match="declares 0 grid times"):
+        noise.load_noise(io.BytesIO(struct.pack("<QQ", 0, 1)))

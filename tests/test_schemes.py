@@ -483,6 +483,16 @@ class TestIntegrateOutputs:
             assert float(y_str) == traj.states[i, 0]
             assert int(r_str) == traj.regimes[i]
 
+    def test_csv_accepts_a_path(self, tmp_path):
+        chain = crafted_chain([0.4], [2])
+        noise = noise_for(chain)
+        traj = integrate(LIN, "euler", chain, noise, GridSpec(0.0, 1.0, 4).finest_times())
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        target = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, target)
+        assert target.read_text() == buf.getvalue()
+
     def test_registry_metadata(self):
         assert SCHEMES["euler"].strong_order == 0.5
         assert SCHEMES["milstein"].strong_order == 1.0
