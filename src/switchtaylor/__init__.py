@@ -6,13 +6,14 @@ The package provides, in dependency order:
   kept/remainder index sets for orders 0.5, 1.0 and 1.5.
 - ``markov_chain``: finite-state continuous-time chains, their paths and the
   jump-count martingale statistics.
-- ``noise``: Wiener increments together with their time integrals on nested
-  dyadic grids merged with chain jump times.
+- ``noise``: Wiener increments together with their time integrals on a
+  uniform grid merged with chain jump times.
 - ``model``: regime-dependent drift/diffusion coefficients, the associated
   differential operators, and built-in model fixtures.
 - ``schemes``: explicit one-step maps of strong order 0.5 (euler), 1.0
-  (milstein) and 1.5 (taylor15) with regime-switch corrections, and a path
-  integrator.
+  (milstein) and 1.5 (taylor15) with regime-switch corrections, the one
+  batched stepping loop that applies them along a grid, and the switch
+  records they consume.
 - ``convergence``: coupled coarse/reference experiments that estimate the
   strong order on a model, with reproducible seeding.
 - ``cli``: the ``switchtaylor`` command line front end.
@@ -24,6 +25,7 @@ from .errors import (
     ConfigError,
     ConsecutiveJumpComponents,
     CouplingMismatch,
+    DimensionMismatch,
     EmptyIndex,
     InsufficientLevels,
     IntervalOutOfRange,
@@ -45,6 +47,7 @@ from .errors import (
     UnknownRegime,
     UnknownScheme,
     UnsupportedWordLength,
+    ValidationError,
 )
 from .fixtures import (
     DiagonalLinearCoefficients,
@@ -91,6 +94,7 @@ from .noise import (
 )
 from .schemes import (
     SCHEMES,
+    JumpRecords,
     SchemeInfo,
     StepWindow,
     Trajectory,
@@ -98,6 +102,8 @@ from .schemes import (
     get_scheme,
     integrate,
     jump_records,
+    march,
+    merge_records,
     require_commutativity,
     step_euler,
     step_milstein,

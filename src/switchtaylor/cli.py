@@ -36,29 +36,17 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .convergence import ExperimentPlan, run as run_study
+from .convergence import ExperimentPlan, _is_dyadic, run as run_study
 from .errors import (
-    CommutativityRequired,
     ConfigError,
-    ConsecutiveJumpComponents,
-    EmptyIndex,
-    InsufficientLevels,
-    IntervalOutOfRange,
-    InvalidComponent,
-    InvalidGamma,
-    InvalidGenerator,
     InvalidGrid,
-    NonFiniteInput,
-    NotAGridTime,
     ReferenceNotFiner,
-    SameStatePair,
     StateOutOfRange,
     StepTooLargeForChain,
     SwitchTaylorError,
     UnknownFixture,
-    UnknownRegime,
     UnknownScheme,
-    UnsupportedWordLength,
+    ValidationError,
 )
 from .fixtures import ScalarLinearCoefficients, fixture
 from .markov_chain import GeneratorMatrix, count_jumps, pair_jump_martingale, sample_path
@@ -68,30 +56,6 @@ from .noise import GridSpec, build_noise
 from .schemes import integrate, write_trajectory_csv
 
 __all__ = ["run", "main"]
-
-# errors that mean the input was wrong rather than the run failing
-_VALIDATION_ERRORS = (
-    ConfigError,
-    CommutativityRequired,
-    ConsecutiveJumpComponents,
-    EmptyIndex,
-    InsufficientLevels,
-    IntervalOutOfRange,
-    InvalidComponent,
-    InvalidGamma,
-    InvalidGenerator,
-    InvalidGrid,
-    NonFiniteInput,
-    NotAGridTime,
-    ReferenceNotFiner,
-    SameStatePair,
-    StateOutOfRange,
-    StepTooLargeForChain,
-    UnknownFixture,
-    UnknownRegime,
-    UnknownScheme,
-    UnsupportedWordLength,
-)
 
 _INLINE_KEYS = ("drift_rates", "diffusion_rates", "generator", "x0")
 
@@ -148,10 +112,6 @@ def _as_matrix(cfg: dict, key: str) -> list:
             cleaned.append(float(item))
         rows.append(cleaned)
     return rows
-
-
-def _is_dyadic(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _as_levels(cfg: dict, key: str = "levels") -> tuple:
@@ -413,10 +373,7 @@ def _cmd_convergence(args) -> int:
     out = _output_dir(cfg)
     plan = _build_plan(cfg, model, schemes, seed)
 
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError("threads: must be at least 1, got %d" % threads)
-    reports = run_study(plan, threads=threads)
+    reports = run_study(plan)
 
     for name in plan.schemes:
         report = reports[name]
@@ -466,9 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="run a strong order study")
     p_conv.add_argument("--config", required=True, help="run configuration file")
-    p_conv.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: available cores)"
-    )
     p_conv.set_defaults(func=_cmd_convergence)
     return parser
 
@@ -481,7 +435,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except SwitchTaylorError as exc:

@@ -11,21 +11,24 @@ reference, and the empirical order is the least-squares slope of
 log2(sqrt(mean error)) against log2(h).
 
 Reproducibility: path i derives its generators from SeedSequence((seed, i)),
-so path values are independent of batching; paths are processed in fixed
-batches of BATCH_PATHS and batch partials are combined by pairwise tree
-summation, so results are bit-identical for any thread count.  Changing
-BATCH_PATHS itself may move sums by rounding, which is why it is a module
-constant and not a knob.
+so path values are independent of batching; paths are processed one fixed
+batch of BATCH_PATHS after another in one thread, and batch partials are
+combined by pairwise tree summation.  Changing BATCH_PATHS itself may move
+sums by rounding, which is why it is a module constant and not a knob.  A
+thread pool over the batches was measured slower than one thread on every
+study the benchmark runs, so there is none.
 
-Within a batch all paths step together: one kernel call per time step on a
-(batch, d) state block.  On a single core this beats per-path stepping by
-roughly the batch width, which is what makes 10^4-path studies affordable.
+Within a batch all paths step together through ``schemes.march``: one kernel
+call per time step on a (batch, d) state block, with the switch records of
+the batch merged into one table.  On a single core this beats per-path
+stepping by roughly the batch width, which is what makes 10^4-path studies
+affordable.  A state that leaves the finite range stops the study with an
+error naming the pass, the level, the step and the path's seed index.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +46,10 @@ from .markov_chain import sample_path
 from .model import ModelSpec, check_commutativity
 from .noise import GridSpec, build_noise
 from .schemes import (
-    SCHEMES,
-    JumpData,
     get_scheme,
     jump_records,
+    march,
+    merge_records,
     require_commutativity,
 )
 
@@ -218,48 +221,6 @@ def fit_order(rows):
 # the batched engine
 
 
-def _combine_records(parts, m):
-    """Merge per-path jump records into step-sorted batch tables."""
-    rows = []
-    names = ("steps", "counts", "dt1", "reg1", "w1", "dt2", "reg2", "w2", "w3")
-    fields = {name: [] for name in names}
-    for slot, rec in parts:
-        if rec.steps.size == 0:
-            continue
-        rows.append(np.full(rec.steps.size, slot, dtype=np.intp))
-        for name in fields:
-            fields[name].append(getattr(rec, name))
-    if not rows:
-        return None
-    rows = np.concatenate(rows)
-    merged = {name: np.concatenate(vals) for name, vals in fields.items()}
-    order = np.argsort(merged["steps"], kind="stable")
-    table = {name: merged[name][order] for name in names}
-    table["rows"] = rows[order]
-    return table
-
-
-def _slice_records(table, step: int) -> JumpData | None:
-    if table is None:
-        return None
-    lo = int(np.searchsorted(table["steps"], step))
-    hi = int(np.searchsorted(table["steps"], step, side="right"))
-    if lo == hi:
-        return None
-    sel = slice(lo, hi)
-    return JumpData(
-        rows=table["rows"][sel],
-        counts=table["counts"][sel],
-        dt1=table["dt1"][sel],
-        reg1=table["reg1"][sel],
-        w1=table["w1"][sel],
-        dt2=table["dt2"][sel],
-        reg2=table["reg2"][sel],
-        w2=table["w2"][sel],
-        w3=table["w3"][sel],
-    )
-
-
 def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
     """Process one fixed batch of path indices; return per-(scheme, level)
     accumulators [error sum, error square sum, path count, then the summed
@@ -277,7 +238,7 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
     dw = {L: np.empty((P, L, m)) for L in wanted}
     dz = {L: np.empty((P, L, m)) for L in wanted}
     regs = {L: np.empty((P, L), dtype=np.int64) for L in wanted}
-    rec_parts = {L: [] for L in wanted}
+    records = {L: [] for L in wanted}
 
     for slot, idx in enumerate(indices):
         seq = np.random.SeedSequence((plan.seed, int(idx)))
@@ -294,7 +255,7 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
             times_l = ref_times[:: n_ref // L]
             dw[L][slot], dz[L][slot] = noise.step_aggregates(times_l)
             regs[L][slot] = chain.states_at(times_l[:-1])
-            rec_parts[L].append((slot, jump_records(chain, noise, times_l)))
+            records[L].append(jump_records(chain, noise, times_l))
         # coupling spot check: one coarse window per path must hold exactly
         # the sum of the reference increments it spans
         k = int(idx) % n_fine
@@ -306,26 +267,29 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
                 "the reference increments it spans" % (idx, k, n_fine)
             )
 
-    tables = {L: _combine_records(rec_parts[L], m) for L in wanted}
+    tables = {L: merge_records(records[L]) for L in wanted}
+
+    def steps(kernel, L, what):
+        # march over level L; a non-finite state names the pass, the level,
+        # the step and the seed index of the first bad path
+        y0 = np.tile(model.x0, (P, 1))
+        hs = np.full(L, plan.t_end / L)
+        try:
+            yield from march(kernel, coeffs, y0, regs[L], hs, dw[L], dz[L], tables[L])
+        except NonFiniteState as exc:
+            raise NonFiniteState(
+                "%s at level %d left the finite range at step %d on path %d "
+                "(seed index i of SeedSequence((seed, i)))"
+                % (what, L, exc.step, indices[exc.row]),
+                step=exc.step,
+                row=exc.row,
+            ) from None
 
     # reference pass, keeping states on the finest tested grid
-    ref_kernel = get_scheme(ref_scheme).kernel
-    y = np.tile(model.x0, (P, 1))
     ref_keep = np.empty((P, n_fine + 1, d))
-    ref_keep[:, 0] = y
-    h_ref = plan.t_end / n_ref
-    for n in range(n_ref):
-        y = ref_kernel(
-            coeffs,
-            y,
-            regs[n_ref][:, n],
-            h_ref,
-            dw[n_ref][:, n],
-            dz[n_ref][:, n],
-            _slice_records(tables[n_ref], n),
-        )
-        if not np.isfinite(y).all():
-            raise NonFiniteState("reference pass left the finite range at step %d" % n)
+    ref_keep[:, 0] = model.x0
+    ref_kernel = get_scheme(ref_scheme).kernel
+    for n, y in steps(ref_kernel, n_ref, "reference pass (%s)" % ref_scheme):
         if (n + 1) % stride_f == 0:
             ref_keep[:, (n + 1) // stride_f] = y
 
@@ -339,24 +303,9 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
             # every level is read at the same time set; a level below it is
             # nested in that grid and keeps every step
             stride_cmp = max(L // n_cmp, 1)
-            h = plan.t_end / L
-            y = np.tile(model.x0, (P, 1))
             err = np.zeros(P)
             moment_sums = np.zeros(L // stride_cmp)
-            for n in range(L):
-                y = kernel(
-                    coeffs,
-                    y,
-                    regs[L][:, n],
-                    h,
-                    dw[L][:, n],
-                    dz[L][:, n],
-                    _slice_records(tables[L], n),
-                )
-                if not np.isfinite(y).all():
-                    raise NonFiniteState(
-                        "scheme %s left the finite range at level %d step %d" % (name, L, n)
-                    )
+            for n, y in steps(kernel, L, "scheme %s" % name):
                 diff = y - ref_keep[:, (n + 1) * stride_rel]
                 err = np.maximum(err, np.einsum("bk,bk->b", diff, diff))
                 if (n + 1) % stride_cmp == 0:
@@ -381,7 +330,7 @@ def _tree_reduce(parts):
     return items[0]
 
 
-def _run_engine(plan, levels, schemes, threads):
+def _run_engine(plan, levels, schemes):
     for name in schemes:
         require_commutativity(plan.model, get_scheme(name).commutativity_order)
     ref_scheme = reference_scheme_for(plan.model)
@@ -390,16 +339,10 @@ def _run_engine(plan, levels, schemes, threads):
         range(lo, min(lo + BATCH_PATHS, plan.paths))
         for lo in range(0, plan.paths, BATCH_PATHS)
     ]
-
-    def worker(indices):
-        return _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices)
-
-    if threads <= 1 or len(batches) == 1:
-        parts = [worker(b) for b in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, batches))
-    return _tree_reduce(parts)
+    return _tree_reduce(
+        _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices)
+        for indices in batches
+    )
 
 
 def _stats(acc):
@@ -419,6 +362,7 @@ def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None, th
     The level may be any power of two up to the reference count (it does not
     have to be in the plan's coarse list), so a level equal to the reference
     reproduces the reference integrator and returns exactly zero.
+    ``threads`` is accepted for existing callers and has no effect.
     """
     level = int(level)
     if not _is_dyadic(level):
@@ -430,7 +374,7 @@ def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None, th
     plan._check_step(level)
     if scheme is None:
         scheme = plan.schemes[0]
-    acc = _run_engine(plan, [level], [scheme], threads)
+    acc = _run_engine(plan, [level], [scheme])
     mean, stderr, _ = _stats(acc[(scheme, level)])
     return mean, stderr
 
@@ -440,9 +384,10 @@ def run(plan: ExperimentPlan, threads: int = 1) -> dict:
 
     The recorded runtime is the wall time of the whole study (the schemes
     share every path, so per-scheme attribution is not meaningful).
+    ``threads`` is accepted for existing callers and has no effect.
     """
     started = time.perf_counter()
-    acc = _run_engine(plan, list(plan.coarse_steps), list(plan.schemes), threads)
+    acc = _run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
     elapsed = time.perf_counter() - started
     reports = {}
     for name in plan.schemes:

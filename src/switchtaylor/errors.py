@@ -6,25 +6,33 @@ class SwitchTaylorError(Exception):
     pass
 
 
+class ValidationError(SwitchTaylorError):
+    """The input was wrong, as opposed to a run failing on valid input.
+
+    The command line exits with status 1 for these and 2 for other errors.
+    """
+    pass
+
+
 # ---------------------------------------------------------------------------
 # multi-index calculus
 
-class InvalidComponent(SwitchTaylorError):
+class InvalidComponent(ValidationError):
     """A word component is outside the alphabet it is validated against."""
     pass
 
 
-class ConsecutiveJumpComponents(SwitchTaylorError):
+class ConsecutiveJumpComponents(ValidationError):
     """Two jump-count components appear next to each other in a word."""
     pass
 
 
-class EmptyIndex(SwitchTaylorError):
+class EmptyIndex(ValidationError):
     """The empty word was passed where a nonempty word is required."""
     pass
 
 
-class InvalidGamma(SwitchTaylorError):
+class InvalidGamma(ValidationError):
     """Scheme order is not a supported positive half-integer."""
     pass
 
@@ -32,22 +40,22 @@ class InvalidGamma(SwitchTaylorError):
 # ---------------------------------------------------------------------------
 # Markov chain
 
-class InvalidGenerator(SwitchTaylorError):
+class InvalidGenerator(ValidationError):
     """Matrix is not a valid CTMC generator."""
     pass
 
 
-class StateOutOfRange(SwitchTaylorError):
+class StateOutOfRange(ValidationError):
     """Chain state outside 1..m0."""
     pass
 
 
-class SameStatePair(SwitchTaylorError):
+class SameStatePair(ValidationError):
     """Jump-count statistics require two distinct states."""
     pass
 
 
-class IntervalOutOfRange(SwitchTaylorError):
+class IntervalOutOfRange(ValidationError):
     """Query interval is not inside the sampled path's time span."""
     pass
 
@@ -55,12 +63,12 @@ class IntervalOutOfRange(SwitchTaylorError):
 # ---------------------------------------------------------------------------
 # driving noise
 
-class InvalidGrid(SwitchTaylorError):
+class InvalidGrid(ValidationError):
     """Grid description is inconsistent."""
     pass
 
 
-class NotAGridTime(SwitchTaylorError):
+class NotAGridTime(ValidationError):
     """A query time is not a grid point of the sampled noise path."""
     pass
 
@@ -73,22 +81,27 @@ class TruncatedNoiseFile(SwitchTaylorError):
 # ---------------------------------------------------------------------------
 # models and operators
 
-class UnknownRegime(SwitchTaylorError):
+class UnknownRegime(ValidationError):
     """Regime label outside 1..m0."""
     pass
 
 
-class NonFiniteInput(SwitchTaylorError):
+class NonFiniteInput(ValidationError):
     """State vector contains NaN or infinity."""
     pass
 
 
-class UnsupportedWordLength(SwitchTaylorError):
+class DimensionMismatch(ValidationError):
+    """An array or index does not fit the model's dimensions."""
+    pass
+
+
+class UnsupportedWordLength(ValidationError):
     """Operator word outside the supported catalogue."""
     pass
 
 
-class UnknownFixture(SwitchTaylorError):
+class UnknownFixture(ValidationError):
     """No built-in model registered under the requested name."""
     pass
 
@@ -96,35 +109,42 @@ class UnknownFixture(SwitchTaylorError):
 # ---------------------------------------------------------------------------
 # schemes
 
-class UnknownScheme(SwitchTaylorError):
+class UnknownScheme(ValidationError):
     """No scheme registered under the requested name."""
     pass
 
 
-class CommutativityRequired(SwitchTaylorError):
+class CommutativityRequired(ValidationError):
     """Closed-form scheme applied to a model whose noise columns do not commute."""
     pass
 
 
 class NonFiniteState(SwitchTaylorError):
-    """Integration produced NaN or infinity."""
-    pass
+    """Integration produced NaN or infinity.
+
+    ``step`` and ``row`` locate the first bad state in a batch when known.
+    """
+
+    def __init__(self, message, step=None, row=None):
+        super().__init__(message)
+        self.step = step
+        self.row = row
 
 
 # ---------------------------------------------------------------------------
 # convergence studies
 
-class ReferenceNotFiner(SwitchTaylorError):
+class ReferenceNotFiner(ValidationError):
     """Reference resolution does not dominate the coarse levels."""
     pass
 
 
-class StepTooLargeForChain(SwitchTaylorError):
+class StepTooLargeForChain(ValidationError):
     """Step size exceeds the stability bound 1/(2 qmax) of the chain."""
     pass
 
 
-class InsufficientLevels(SwitchTaylorError):
+class InsufficientLevels(ValidationError):
     """Too few resolution levels to fit a convergence order."""
     pass
 
@@ -142,6 +162,6 @@ class CouplingMismatch(SwitchTaylorError):
 # ---------------------------------------------------------------------------
 # configuration / CLI
 
-class ConfigError(SwitchTaylorError):
+class ConfigError(ValidationError):
     """Run configuration file or command line argument is invalid."""
     pass

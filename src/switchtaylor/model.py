@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidComponent,
     NonFiniteInput,
     UnknownRegime,
@@ -197,7 +198,7 @@ class ModelSpec:
     def __post_init__(self):
         x0 = np.array(self.x0, dtype=float).reshape(-1)
         if x0.size != self.coefficients.d:
-            raise NonFiniteInput(
+            raise DimensionMismatch(
                 "x0 has %d entries, coefficients expect %d" % (x0.size, self.coefficients.d)
             )
         if not np.isfinite(x0).all():
@@ -225,7 +226,7 @@ class ModelSpec:
 def _check_point(model: ModelSpec, x, regime: int):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != model.d:
-        raise NonFiniteInput("state has %d entries, expected %d" % (x.size, model.d))
+        raise DimensionMismatch("state has %d entries, expected %d" % (x.size, model.d))
     if not np.isfinite(x).all():
         raise NonFiniteInput("state contains NaN or infinity")
     if not (1 <= regime <= model.m0):
@@ -370,11 +371,13 @@ def apply_word(
     if kind == "drift":
         k = target[1] - 1
         if not (0 <= k < model.d):
-            raise NonFiniteInput("drift entry %r outside 1..%d" % (target[1], model.d))
+            raise DimensionMismatch("drift entry %r outside 1..%d" % (target[1], model.d))
     elif kind == "diffusion":
         k, j = target[1] - 1, target[2] - 1
         if not (0 <= k < model.d) or not (0 <= j < model.m):
-            raise NonFiniteInput("diffusion entry %r outside range" % (target[1:],))
+            raise DimensionMismatch(
+                "diffusion entry %r outside 1..%d x 1..%d" % (target[1:], model.d, model.m)
+            )
     else:
         raise UnsupportedWordLength("unknown target %r" % (kind,))
 
@@ -486,7 +489,11 @@ def check_commutativity(model: ModelSpec, points=None) -> CommutativityReport:
     """
     if points is None:
         points = default_probe_points(model)
-    points = np.asarray(points, dtype=float).reshape(-1, model.d)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != model.d:
+        raise DimensionMismatch(
+            "probe points have shape %s, expected (n, %d)" % (points.shape, model.d)
+        )
     if not np.isfinite(points).all():
         raise NonFiniteInput("probe points must be finite")
     coeffs = model.coefficients

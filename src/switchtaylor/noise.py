@@ -1,4 +1,4 @@
-"""Wiener increments and their running time integrals on nested grids.
+"""Wiener increments and their running time integrals on a grid.
 
 A noise path stores, per grid interval of length delta and per dimension, the
 Wiener increment dW and the integral dZ of the Wiener excursion over the
@@ -50,56 +50,28 @@ _SQRT3 = np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A family of nested dyadic grids on [t0, t_end].
+    """A uniform grid of ``n`` intervals on [t0, t_end].
 
-    The base grid has ``base_steps`` uniform intervals; level ``e`` refines
-    each base interval into ``refinement ** e`` parts.  ``levels`` lists the
-    refinement exponents in use; an empty tuple means the base grid only.
-    Level times are strided slices of the finest grid, so shared points are
-    equal bitwise, not merely approximately.
+    Coarser grids are strided slices of ``finest_times()``, so shared points
+    are equal bitwise, not merely approximately.
     """
 
     t0: float
     t_end: float
-    base_steps: int
-    refinement: int = 2
-    levels: tuple = ()
+    n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(e) for e in self.levels))
         if not (np.isfinite(self.t0) and np.isfinite(self.t_end) and self.t0 < self.t_end):
             raise InvalidGrid("need finite t0 < t_end")
-        if int(self.base_steps) != self.base_steps or self.base_steps < 1:
-            raise InvalidGrid("base_steps must be a positive integer")
-        r = int(self.refinement)
-        if r != self.refinement or r < 2 or (r & (r - 1)) != 0:
-            raise InvalidGrid("refinement must be a power of two, at least 2")
-        if any(e < 0 for e in self.levels):
-            raise InvalidGrid("refinement exponents must be nonnegative")
-        object.__setattr__(self, "base_steps", int(self.base_steps))
-        object.__setattr__(self, "refinement", r)
-
-    @property
-    def max_exponent(self) -> int:
-        return max(self.levels) if self.levels else 0
-
-    def steps_at(self, exponent: int) -> int:
-        """Interval count of the grid refined ``exponent`` times."""
-        return self.base_steps * self.refinement**exponent
+        if int(self.n) != self.n or self.n < 1:
+            raise InvalidGrid("the interval count must be a positive integer")
+        object.__setattr__(self, "n", int(self.n))
 
     def finest_times(self) -> np.ndarray:
-        n = self.steps_at(self.max_exponent)
         span = self.t_end - self.t0
-        times = self.t0 + span * np.arange(n + 1) / n
+        times = self.t0 + span * np.arange(self.n + 1) / self.n
         times[-1] = self.t_end
         return times
-
-    def times_at(self, exponent: int) -> np.ndarray:
-        """Grid times at one level, sliced from the finest grid."""
-        if exponent < 0 or exponent > self.max_exponent:
-            raise InvalidGrid("exponent %r outside 0..%d" % (exponent, self.max_exponent))
-        stride = self.refinement ** (self.max_exponent - exponent)
-        return self.finest_times()[::stride]
 
 
 def sample_increments(deltas, m: int, rng: np.random.Generator):
@@ -249,16 +221,16 @@ def build_noise(
     m: int,
     rng: np.random.Generator,
 ) -> NoisePath:
-    """Sample a noise path on the finest grid merged with chain jump times.
+    """Sample a noise path on a grid merged with chain jump times.
 
     Args:
-      grid: nested dyadic grid family; its finest level carries the samples.
+      grid: the uniform grid that carries the samples.
       chain: path whose jump times are inserted as grid points, or None.
       m: number of Wiener dimensions.
       rng: numpy Generator.
 
     Returns:
-      NoisePath whose grid contains every finest dyadic time and every jump
+      NoisePath whose grid contains every time of ``grid`` and every jump
       time, so jump times can be queried exactly.
     """
     times = grid.finest_times()

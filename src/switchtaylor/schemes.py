@@ -18,9 +18,11 @@ the diffusion columns exchange; ``require_commutativity`` probes the needed
 identities and refuses models that break them (scalar noise always passes).
 
 Kernels are batched: states (B, d), regimes (B,), increments (B, m), with
-jump data carried sparsely via batch-row indices.  The single-path helpers
-and the convergence engine call the same kernels, so there is one stepping
-implementation to validate.
+switch data carried sparsely by one record type, ``JumpRecords``, keyed by
+``step * width + row``.  ``march`` is the one loop that applies a kernel
+along a grid: ``integrate``, the single-step helpers and both passes of the
+convergence engine run through it, so there is one stepping implementation
+to validate.
 
 Each kernel call evaluates the coefficient jet once, at the window-start
 regime, and builds its operators from it with the builders of ``model``.
@@ -33,7 +35,7 @@ two or more switches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -71,14 +73,16 @@ from .noise import NoisePath
 
 __all__ = [
     "COMMUTATIVITY_TOL",
+    "JumpRecords",
     "JumpData",
-    "StepJumpRecords",
     "StepWindow",
     "SchemeInfo",
     "SCHEMES",
     "get_scheme",
     "require_commutativity",
     "jump_records",
+    "merge_records",
+    "march",
     "build_step_window",
     "step_euler",
     "step_milstein",
@@ -92,15 +96,18 @@ COMMUTATIVITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class JumpData:
-    """Sparse per-window switch data for one batched kernel call.
+class JumpRecords:
+    """Sparse switch records of a run of windows, for one path or a batch.
 
-    Arrays share length K, one entry per batch row whose window contains at
-    least one switch.  Offsets are relative to the window start; ``w1``,
-    ``w2`` and ``w3`` hold W(tau) - W(window start), shape (K, m).
-    Second-switch fields are zero filled where ``counts`` < 2, and ``w3``
-    where ``counts`` < 3.  The third switch only caps the reach of the
-    second-switch correction, so its time and regime are not kept.
+    Arrays share length K, one entry per (window, path row) pair whose
+    window contains at least one switch, sorted by the flat key
+    ``rows = step * width + row`` for a batch of ``width`` paths.  A record
+    of one path keys by window index alone, and the slice handed to a kernel
+    for one step keys by batch row alone.  Offsets are relative to the
+    window start; ``w1``, ``w2`` and ``w3`` hold W(tau) - W(window start),
+    shape (K, m).  Second-switch fields are zero filled where ``counts`` < 2,
+    and ``w3`` where ``counts`` < 3.  The third switch only caps the reach of
+    the second-switch correction, so its time and regime are not kept.
     """
 
     rows: np.ndarray
@@ -113,52 +120,40 @@ class JumpData:
     w2: np.ndarray
     w3: np.ndarray
 
-
-@dataclass(frozen=True)
-class StepJumpRecords:
-    """Flat switch records for a whole edge sequence, sorted by step index.
-
-    ``steps[i]`` is the window (edges[steps[i]], edges[steps[i] + 1]] the
-    record belongs to; remaining fields are as in JumpData.
-    """
-
-    steps: np.ndarray
-    counts: np.ndarray
-    dt1: np.ndarray
-    reg1: np.ndarray
-    w1: np.ndarray
-    dt2: np.ndarray
-    reg2: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-
-    def slice_step(self, step: int, row: int = 0) -> JumpData | None:
-        """JumpData for one window, batch row ``row``; None when jump free."""
-        lo = int(np.searchsorted(self.steps, step))
-        hi = int(np.searchsorted(self.steps, step, side="right"))
+    def at_step(self, step: int, width: int = 1) -> JumpRecords | None:
+        """The records of one step of a ``width``-path table, keyed by batch
+        row; None when no row switches in that step."""
+        lo, hi = np.searchsorted(self.rows, (step * width, (step + 1) * width))
         if lo == hi:
             return None
-        sel = slice(lo, hi)
-        return JumpData(
-            rows=np.full(hi - lo, row, dtype=np.intp),
-            counts=self.counts[sel],
-            dt1=self.dt1[sel],
-            reg1=self.reg1[sel],
-            w1=self.w1[sel],
-            dt2=self.dt2[sel],
-            reg2=self.reg2[sel],
-            w2=self.w2[sel],
-            w3=self.w3[sel],
-        )
+        part = {f.name: getattr(self, f.name)[lo:hi] for f in fields(self)}
+        part["rows"] = part["rows"] - step * width
+        return JumpRecords(**part)
 
 
-def jump_records(chain: ChainPath, noise: NoisePath, edges) -> StepJumpRecords:
+JumpData = JumpRecords
+
+
+def merge_records(parts) -> JumpRecords:
+    """One batch table from the per-path records of its paths, in row order."""
+    width = len(parts)
+    keys = np.concatenate([rec.rows * width + row for row, rec in enumerate(parts)])
+    order = np.argsort(keys, kind="stable")
+    merged = {
+        f.name: np.concatenate([getattr(rec, f.name) for rec in parts])[order]
+        for f in fields(JumpRecords)
+    }
+    merged["rows"] = keys[order]
+    return JumpRecords(**merged)
+
+
+def jump_records(chain: ChainPath, noise: NoisePath, edges) -> JumpRecords:
     """Locate chain switches inside each window of an edge sequence.
 
     Edges must be increasing grid times of the noise path.  A switch at time
-    tau is assigned to the window (edges[i], edges[i+1]] containing it; the
-    first two switches per window are recorded in full, the third by its
-    Wiener offset alone.
+    tau is assigned to the window (edges[i], edges[i+1]] containing it, and
+    the record's ``rows`` holds the window index i; the first two switches
+    per window are recorded in full, the third by its Wiener offset alone.
     """
     edges = np.asarray(edges, dtype=float).reshape(-1)
     jt = chain.jump_times
@@ -166,8 +161,8 @@ def jump_records(chain: ChainPath, noise: NoisePath, edges) -> StepJumpRecords:
     jt = jt[inside]
     empty = np.empty(0)
     if jt.size == 0:
-        return StepJumpRecords(
-            steps=np.empty(0, dtype=np.intp),
+        return JumpRecords(
+            rows=np.empty(0, dtype=np.intp),
             counts=np.empty(0, dtype=np.int64),
             dt1=empty,
             reg1=np.empty(0, dtype=np.int64),
@@ -192,8 +187,8 @@ def jump_records(chain: ChainPath, noise: NoisePath, edges) -> StepJumpRecords:
     w1 = noise.w_many(tau1) - w_start
     w2 = np.where(has2[:, None], noise.w_many(tau2) - w_start, 0.0)
     w3 = np.where(has3[:, None], noise.w_many(tau3) - w_start, 0.0)
-    return StepJumpRecords(
-        steps=steps.astype(np.intp),
+    return JumpRecords(
+        rows=steps.astype(np.intp),
         counts=counts.astype(np.int64),
         dt1=tau1 - starts,
         reg1=reg1.astype(np.int64),
@@ -359,7 +354,34 @@ def require_commutativity(
 
 
 # ---------------------------------------------------------------------------
-# single-path stepping
+# stepping
+
+
+def march(kernel, coeffs, y0, regimes, hs, dw, dz, table):
+    """Apply a one-step map along a grid to a batch of P paths at once.
+
+    ``y0`` is (P, d), ``regimes`` (P, n) the regimes at the window starts,
+    ``hs`` the n step sizes, ``dw`` and ``dz`` (P, n, m) and ``table`` the
+    JumpRecords of the batch keyed by ``step * P + row``, or None when no
+    path switches.  Yields (n, y) with the (P, d) states after each step.
+
+    Raises:
+      NonFiniteState: a state left the finite range; its ``step`` and ``row``
+        locate the first bad row of the first bad step.
+    """
+    width = y0.shape[0]
+    y = y0
+    for n in range(regimes.shape[1]):
+        jumps = None if table is None else table.at_step(n, width)
+        y = kernel(coeffs, y, regimes[:, n], hs[n], dw[:, n], dz[:, n], jumps)
+        if not np.isfinite(y).all():
+            row = int(np.argmin(np.isfinite(y).all(axis=1)))
+            raise NonFiniteState(
+                "state left the finite range at step %d on batch row %d" % (n, row),
+                step=n,
+                row=row,
+            )
+        yield n, y
 
 
 @dataclass(frozen=True)
@@ -371,7 +393,7 @@ class StepWindow:
     regime: int
     dw: np.ndarray
     dz: np.ndarray
-    jumps: JumpData | None
+    jumps: JumpRecords | None
 
     @property
     def h(self) -> float:
@@ -385,14 +407,13 @@ def build_step_window(chain: ChainPath, noise: NoisePath, s: float, t: float) ->
     """
     if not (s < t):
         raise IntervalOutOfRange("need s < t, got (%r, %r)" % (s, t))
-    records = jump_records(chain, noise, np.array([s, t]))
     return StepWindow(
         t_start=float(s),
         t_end=float(t),
         regime=int(chain.state_at(s)),
         dw=noise.increment_w(s, t),
         dz=noise.time_integral_w(s, t),
-        jumps=records.slice_step(0),
+        jumps=jump_records(chain, noise, np.array([s, t])).at_step(0),
     )
 
 
@@ -400,19 +421,16 @@ def _step(model: ModelSpec, name: str, y, window: StepWindow) -> np.ndarray:
     info = get_scheme(name)
     require_commutativity(model, info.commutativity_order)
     y = np.asarray(y, dtype=float).reshape(1, model.d)
-    out = info.kernel(
+    ((_, out),) = march(
+        info.kernel,
         model.coefficients,
         y,
-        np.array([window.regime]),
-        window.h,
-        window.dw[None, :],
-        window.dz[None, :],
+        np.array([[window.regime]]),
+        [window.h],
+        window.dw[None, None],
+        window.dz[None, None],
         window.jumps,
     )
-    if not np.isfinite(out).all():
-        raise NonFiniteState(
-            "state left the finite range over (%g, %g]" % (window.t_start, window.t_end)
-        )
     return out[0]
 
 
@@ -453,7 +471,7 @@ def integrate(
     noise: NoisePath,
     times,
 ) -> Trajectory:
-    """Run a one-step map along a grid of times.
+    """Run a one-step map along a grid of times: ``march`` on one path.
 
     ``times`` must be increasing grid times of the noise path inside the
     chain's span; the state starts at the model's start point and the chain
@@ -470,30 +488,20 @@ def integrate(
             % (times[0], times[-1], chain.t0, chain.t_end)
         )
     dw, dz = noise.step_aggregates(times)
-    records = jump_records(chain, noise, times)
-    start_regimes = chain.states_at(times[:-1])
-
-    n_steps = times.size - 1
-    states = np.empty((n_steps + 1, model.d))
+    states = np.empty((times.size, model.d))
     states[0] = model.x0
-    coeffs = model.coefficients
-    for n in range(n_steps):
-        h = float(times[n + 1] - times[n])
-        y = states[n][None, :]
-        out = info.kernel(
-            coeffs,
-            y,
-            start_regimes[n : n + 1],
-            h,
-            dw[n][None, :],
-            dz[n][None, :],
-            records.slice_step(n),
-        )
-        if not np.isfinite(out).all():
-            raise NonFiniteState(
-                "state left the finite range over (%g, %g]" % (times[n], times[n + 1])
-            )
-        states[n + 1] = out[0]
+    steps = march(
+        info.kernel,
+        model.coefficients,
+        states[:1],
+        chain.states_at(times[:-1])[None, :],
+        np.diff(times),
+        dw[None],
+        dz[None],
+        jump_records(chain, noise, times),
+    )
+    for n, y in steps:
+        states[n + 1] = y[0]
     return Trajectory(
         scheme=scheme,
         model_name=model.name,

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from switchtaylor import build_scheme_sets, sets_as_dict
+from switchtaylor import build_scheme_sets, cli, errors, sets_as_dict
 from switchtaylor.cli import run
 
 
@@ -187,14 +187,14 @@ class TestConvergence:
             assert dat_lines[0].startswith("#")
             assert len(dat_lines) == 4
 
-    def test_outputs_are_byte_reproducible_across_threads(self, tmp_path):
+    def test_outputs_are_byte_reproducible_across_runs(self, tmp_path):
         cfg_a = base_cfg(tmp_path, outdir="a")
         cfg_b = write_cfg(
             tmp_path / "runb.cfg",
             (tmp_path / "run.cfg").read_text().replace(str(tmp_path / "a"), str(tmp_path / "b")),
         )
-        assert run(["convergence", "--config", cfg_a, "--threads", "1"]) == 0
-        assert run(["convergence", "--config", cfg_b, "--threads", "4"]) == 0
+        assert run(["convergence", "--config", cfg_a]) == 0
+        assert run(["convergence", "--config", cfg_b]) == 0
         for name in ("convergence_euler.csv", "convergence_taylor15.csv", "loglog_milstein.dat"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -276,6 +276,61 @@ class TestValidationExitCodes:
         assert run([]) == 1
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+# every package error, split by the exit status the command line gives it:
+# 1 when the input was wrong, 2 when a run on valid input failed
+VALIDATION_ERRORS = {
+    "ValidationError",
+    "ConfigError",
+    "CommutativityRequired",
+    "ConsecutiveJumpComponents",
+    "DimensionMismatch",
+    "EmptyIndex",
+    "InsufficientLevels",
+    "IntervalOutOfRange",
+    "InvalidComponent",
+    "InvalidGamma",
+    "InvalidGenerator",
+    "InvalidGrid",
+    "NonFiniteInput",
+    "NotAGridTime",
+    "ReferenceNotFiner",
+    "SameStatePair",
+    "StateOutOfRange",
+    "StepTooLargeForChain",
+    "UnknownFixture",
+    "UnknownRegime",
+    "UnknownScheme",
+    "UnsupportedWordLength",
+}
+RUNTIME_ERRORS = {
+    "SwitchTaylorError",
+    "CouplingMismatch",
+    "NonFiniteState",
+    "NonPositiveError",
+    "TruncatedNoiseFile",
+}
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    found = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.SwitchTaylorError)
+    }
+    assert found == VALIDATION_ERRORS | RUNTIME_ERRORS
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_ERRORS | RUNTIME_ERRORS))
+def test_error_class_exit_code(name, monkeypatch, capsys):
+    def fail(args):
+        raise getattr(errors, name)("planted failure")
+
+    monkeypatch.setattr(cli, "_cmd_sets", fail)
+    status = run(["sets", "--gamma", "1.0", "--m", "1"])
+    assert status == (1 if name in VALIDATION_ERRORS else 2)
+    assert "error: planted failure" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -9,6 +9,7 @@ from switchtaylor import (
     ConvergenceReport,
     ExperimentPlan,
     GeneratorMatrix,
+    GridSpec,
     LevelResult,
     ModelSpec,
     NoisePath,
@@ -17,6 +18,7 @@ from switchtaylor import (
     fixture,
     reference_scheme_for,
     run,
+    sample_path,
     strong_error,
 )
 from switchtaylor.errors import (
@@ -24,6 +26,7 @@ from switchtaylor.errors import (
     CouplingMismatch,
     InsufficientLevels,
     InvalidGrid,
+    NonFiniteState,
     NonPositiveError,
     ReferenceNotFiner,
     StepTooLargeForChain,
@@ -63,6 +66,39 @@ def test_coupling_check_names_path_and_window(monkeypatch):
     monkeypatch.setattr(NoisePath, "step_aggregates", perturbed)
     with pytest.raises(CouplingMismatch, match="path 0: window 0 of the 4-step level"):
         run(plan)
+
+
+def test_nonfinite_path_names_pass_level_step_and_seed_index():
+    # regime 2 has an infinite drift: a path leaves the finite range in the
+    # reference window that holds its first switch, and a path that never
+    # switches stays finite
+    model = ModelSpec(
+        name="blowup",
+        generator=GeneratorMatrix([[-0.5, 0.5], [0.5, -0.5]]),
+        coefficients=ScalarLinearCoefficients(a=[-1.0, np.inf], c=[0.3, 0.3]),
+        x0=[1.0],
+    )
+    plan = small_plan(model=model, paths=8, seed=3)
+    edges = GridSpec(0.0, plan.t_end, plan.reference_steps).finest_times()
+    first_switch_step = {}
+    for i in range(plan.paths):
+        chain_seed, _ = np.random.SeedSequence((plan.seed, i)).spawn(2)
+        chain = sample_path(
+            model.generator, 1, 0.0, plan.t_end, np.random.default_rng(chain_seed)
+        )
+        if chain.jump_count:
+            first_switch_step[i] = int(np.searchsorted(edges, chain.jump_times[0])) - 1
+    assert 0 < len(first_switch_step) < plan.paths
+    step = min(first_switch_step.values())
+    path = min(i for i, s in first_switch_step.items() if s == step)
+    assert path > 0
+    with pytest.raises(NonFiniteState) as info:
+        run(plan)
+    assert str(info.value).startswith(
+        "reference pass (taylor15) at level 64 left the finite range at step %d on path %d "
+        "(seed index i of SeedSequence((seed, i)))" % (step, path)
+    )
+    assert (info.value.step, info.value.row) == (step, path)
 
 
 def zero_model():

@@ -8,6 +8,7 @@ import pytest
 from switchtaylor import (
     CallableCoefficients,
     CoefficientSet,
+    DimensionMismatch,
     GeneratorMatrix,
     InvalidComponent,
     ModelSpec,
@@ -270,6 +271,12 @@ class TestCommutativityProbe:
         with pytest.raises(NonFiniteInput):
             check_commutativity(LIN, points=np.array([[np.nan]]))
 
+    def test_rejects_wrong_sized_points(self):
+        mod = fixture("diagonal3")
+        for shape in [(1, 3), (2, 3), (4,)]:
+            with pytest.raises(DimensionMismatch, match=r"expected \(n, 2\)"):
+                check_commutativity(mod, points=np.ones(shape))
+
 
 class TestModelValidation:
     def test_eval_helpers(self):
@@ -279,17 +286,21 @@ class TestModelValidation:
     def test_bad_inputs(self):
         with pytest.raises(NonFiniteInput):
             eval_drift(LIN, [np.nan], 1)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DimensionMismatch, match="2 entries, expected 1"):
             eval_drift(LIN, [1.0, 2.0], 1)
         with pytest.raises(UnknownRegime):
             eval_drift(LIN, [1.0], 0)
         with pytest.raises(UnknownRegime):
             eval_diffusion(LIN, [1.0], 3)
+        with pytest.raises(DimensionMismatch, match="outside 1..1"):
+            apply_word(LIN, word(), ("drift", 2), [1.0], 1)
+        with pytest.raises(DimensionMismatch, match="outside 1..1 x 1..1"):
+            apply_word(LIN, word(), ("diffusion", 1, 2), [1.0], 1)
 
     def test_model_spec_guards(self):
         gen = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         co = LIN.coefficients
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DimensionMismatch, match="2 entries, coefficients expect 1"):
             ModelSpec("bad", gen, co, x0=[1.0, 2.0])
         with pytest.raises(NonFiniteInput):
             ModelSpec("bad", gen, co, x0=[np.inf])

@@ -24,23 +24,21 @@ def test_grid_spec_validation():
     with pytest.raises(InvalidGrid):
         noise.GridSpec(0.0, 1.0, 0)
     with pytest.raises(InvalidGrid):
-        noise.GridSpec(0.0, 1.0, 4, refinement=3)
+        noise.GridSpec(0.0, 1.0, 2.5)
     with pytest.raises(InvalidGrid):
-        noise.GridSpec(0.0, 1.0, 4, levels=(-1,))
-    g = noise.GridSpec(0.0, 1.0, 4, refinement=2, levels=(0, 2))
-    assert g.steps_at(0) == 4
-    assert g.steps_at(2) == 16
-    assert g.max_exponent == 2
+        noise.GridSpec(0.0, np.inf, 4)
+    g = noise.GridSpec(0.0, 1.0, 16.0)
+    assert g.n == 16 and isinstance(g.n, int)
+    assert g.finest_times().size == 17
 
 
 def test_grid_nesting_is_bitwise():
-    g = noise.GridSpec(0.0, 1.0, 3, refinement=4, levels=(0, 1, 2))
-    fine = g.times_at(2)
-    for e in (0, 1):
-        coarse = g.times_at(e)
-        assert np.isin(coarse, fine).all()
+    fine = noise.GridSpec(0.0, 1.0, 48).finest_times()
+    for n in (3, 12):
+        # a strided slice of the fine grid is the coarse grid itself
+        coarse = noise.GridSpec(0.0, 1.0, n).finest_times()
+        np.testing.assert_array_equal(fine[:: 48 // n], coarse)
     assert fine[0] == 0.0 and fine[-1] == 1.0
-    # empty level list means the base grid only
     base = noise.GridSpec(0.0, 2.0, 5)
     assert base.finest_times().size == 6
 
@@ -86,7 +84,7 @@ def test_time_integral_law_against_riemann_composition():
 
 
 def _path_with_jumps(seed=11):
-    grid = noise.GridSpec(0.0, 1.0, 8, levels=(0, 3))
+    grid = noise.GridSpec(0.0, 1.0, 64)
     chain = mc.ChainPath(0.0, 1.0, 1, np.array([0.21, 0.55, 0.9]), np.array([2, 1, 2]))
     rng = np.random.default_rng(seed)
     return noise.build_noise(grid, chain, 2, rng), grid, chain
@@ -96,7 +94,7 @@ def test_build_noise_merges_jump_times():
     p, grid, chain = _path_with_jumps()
     for tau in chain.jump_times:
         assert p.times[p.grid_index(tau)] == tau
-    fine = grid.times_at(3)
+    fine = grid.finest_times()
     assert np.isin(fine, p.times).all()
     assert p.times.size == fine.size + chain.jump_times.size
     assert p.m == 2

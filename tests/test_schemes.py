@@ -249,7 +249,7 @@ class TestJumpRecords:
         noise = noise_for(chain, seed=2)
         edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         rec = jump_records(chain, noise, edges)
-        assert rec.steps.tolist() == [0, 1, 3]
+        assert rec.rows.tolist() == [0, 1, 3]
         assert rec.counts.tolist() == [1, 3, 1]
         # boundary switch at 0.25 belongs to the window ending there
         assert rec.dt1[0] == pytest.approx(0.25)
@@ -269,8 +269,8 @@ class TestJumpRecords:
         chain = crafted_chain([], [])
         noise = noise_for(chain)
         rec = jump_records(chain, noise, np.array([0.0, 0.5, 1.0]))
-        assert rec.steps.size == 0
-        assert rec.slice_step(0) is None
+        assert rec.rows.size == 0
+        assert rec.at_step(0) is None
 
 
 class TestBatchedMatchesSingle:
