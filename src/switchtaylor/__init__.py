@@ -96,18 +96,13 @@ from .schemes import (
     SCHEMES,
     JumpRecords,
     SchemeInfo,
-    StepWindow,
     Trajectory,
-    build_step_window,
     get_scheme,
     integrate,
     jump_records,
     march,
     merge_records,
     require_commutativity,
-    step_euler,
-    step_milstein,
-    step_taylor15,
     write_trajectory_csv,
 )
 from .convergence import (

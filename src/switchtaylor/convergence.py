@@ -28,6 +28,7 @@ error naming the pass, the level, the step and the path's seed index.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -74,11 +75,18 @@ def _is_dyadic(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _count(value, what: str) -> int:
+    # sizes are integers; a float such as 8.5 would be truncated silently
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidGrid("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A strong-order study: which schemes, which levels, how many paths.
 
-    Levels are step counts over [0, t_end]; all must be powers of two so
+    Levels are integer step counts over [0, t_end]; all must be powers of two so
     every coarse grid nests in the reference grid.  The reference must be at
     least 16 times finer than the finest tested level, and every step size
     (reference included) must stay below 1/(2 qmax) of the chain generator.
@@ -101,13 +109,17 @@ class ExperimentPlan:
         for name in schemes:
             get_scheme(name)
         object.__setattr__(self, "schemes", schemes)
-        steps = tuple(sorted(set(int(n) for n in self.coarse_steps)))
+        steps = tuple(sorted(set(_count(n, "coarse step count") for n in self.coarse_steps)))
         if not steps:
             raise InvalidGrid("need at least one coarse level")
+        object.__setattr__(self, "coarse_steps", steps)
+        object.__setattr__(
+            self, "reference_steps", _count(self.reference_steps, "reference step count")
+        )
+        object.__setattr__(self, "paths", _count(self.paths, "path count"))
         for n in steps + (self.reference_steps,):
             if not _is_dyadic(n):
                 raise InvalidGrid("step counts must be powers of two, got %r" % (n,))
-        object.__setattr__(self, "coarse_steps", steps)
         if self.reference_steps < _REFERENCE_FACTOR * steps[-1]:
             raise ReferenceNotFiner(
                 "reference %d is not %dx finer than level %d"
@@ -356,15 +368,14 @@ def _stats(acc):
     return float(mean), stderr, float(acc[3:].max() / count)
 
 
-def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None, threads: int = 1):
+def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None):
     """Mean and standard error of the sup-squared gap at one level.
 
     The level may be any power of two up to the reference count (it does not
     have to be in the plan's coarse list), so a level equal to the reference
     reproduces the reference integrator and returns exactly zero.
-    ``threads`` is accepted for existing callers and has no effect.
     """
-    level = int(level)
+    level = _count(level, "level")
     if not _is_dyadic(level):
         raise InvalidGrid("level must be a power of two, got %r" % (level,))
     if level > plan.reference_steps:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownFixture
+from .errors import DimensionMismatch, UnknownFixture
 from .markov_chain import GeneratorMatrix
 from .model import CoefficientSet, ModelSpec
 
@@ -87,7 +87,9 @@ class DiagonalLinearCoefficients(CoefficientSet):
         a = np.asarray(self.a, dtype=float)
         c = np.asarray(self.c, dtype=float)
         if a.ndim != 2 or a.shape != c.shape:
-            raise ValueError("rate tables must share shape (m0, d)")
+            raise DimensionMismatch(
+                "rate tables must share shape (m0, d), got %s and %s" % (a.shape, c.shape)
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", a.shape[1])

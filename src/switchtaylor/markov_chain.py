@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import opened
 from .errors import (
     IntervalOutOfRange,
     InvalidGenerator,
@@ -116,7 +117,7 @@ class ChainPath:
                 raise IntervalOutOfRange("jump times must be strictly increasing")
             if times[0] <= self.t0 or times[-1] > self.t_end:
                 raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
-        if self.initial_state < 1:
+        if self.initial_state < 1 or (states < 1).any():
             raise StateOutOfRange("states are labelled from 1")
         times.setflags(write=False)
         states.setflags(write=False)
@@ -283,15 +284,8 @@ def write_chain_csv(path: ChainPath, file) -> None:
 
     ``file`` may be a filesystem path or a writable text file object.
     """
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w")
-        close = True
-    try:
-        file.write("time,state\n")
-        file.write("%.17g,%d\n" % (path.t0, path.initial_state))
+    with opened(file, "w") as out:
+        out.write("time,state\n")
+        out.write("%.17g,%d\n" % (path.t0, path.initial_state))
         for tau, state in zip(path.jump_times, path.states_after):
-            file.write("%.17g,%d\n" % (tau, state))
-    finally:
-        if close:
-            file.close()
+            out.write("%.17g,%d\n" % (tau, state))

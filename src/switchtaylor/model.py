@@ -100,6 +100,16 @@ class CoefficientSet:
         raise NotImplementedError
 
 
+def _evaluate(fn, x, regime, shape):
+    # one call of a per-point coefficient function, checked against its shape
+    value = np.asarray(fn(x, regime), dtype=float)
+    if value.size != np.prod(shape, dtype=int):
+        raise DimensionMismatch(
+            "coefficient function returned %d values, expected shape %s" % (value.size, shape)
+        )
+    return value.reshape(shape)
+
+
 class CallableCoefficients(CoefficientSet):
     """Coefficient set built from plain per-point callables.
 
@@ -122,7 +132,7 @@ class CallableCoefficients(CoefficientSet):
     def _rows(self, fn, X, regimes, shape):
         out = np.empty((X.shape[0],) + shape)
         for i in range(X.shape[0]):
-            out[i] = np.asarray(fn(X[i], int(regimes[i])), dtype=float).reshape(shape)
+            out[i] = _evaluate(fn, X[i], int(regimes[i]), shape)
         return out
 
     def drift(self, X, regimes):
@@ -140,8 +150,8 @@ class CallableCoefficients(CoefficientSet):
             for p in range(self.d):
                 e = np.zeros(self.d)
                 e[p] = h[p]
-                hi = np.asarray(fn(x + e, r), dtype=float).reshape(shape)
-                lo = np.asarray(fn(x - e, r), dtype=float).reshape(shape)
+                hi = _evaluate(fn, x + e, r, shape)
+                lo = _evaluate(fn, x - e, r, shape)
                 out[i, ..., p] = (hi - lo) / (2.0 * h[p])
         return out
 
@@ -151,22 +161,22 @@ class CallableCoefficients(CoefficientSet):
             x = X[i]
             r = int(regimes[i])
             h = self._steps(x)
-            f0 = np.asarray(fn(x, r), dtype=float).reshape(shape)
+            f0 = _evaluate(fn, x, r, shape)
             for p in range(self.d):
                 ep = np.zeros(self.d)
                 ep[p] = h[p]
                 for q in range(p, self.d):
                     if p == q:
-                        hi = np.asarray(fn(x + 2 * ep, r), dtype=float).reshape(shape)
-                        lo = np.asarray(fn(x - 2 * ep, r), dtype=float).reshape(shape)
+                        hi = _evaluate(fn, x + 2 * ep, r, shape)
+                        lo = _evaluate(fn, x - 2 * ep, r, shape)
                         val = (hi - 2.0 * f0 + lo) / (4.0 * h[p] * h[p])
                     else:
                         eq = np.zeros(self.d)
                         eq[q] = h[q]
-                        pp = np.asarray(fn(x + ep + eq, r), dtype=float).reshape(shape)
-                        pm = np.asarray(fn(x + ep - eq, r), dtype=float).reshape(shape)
-                        mp = np.asarray(fn(x - ep + eq, r), dtype=float).reshape(shape)
-                        mm = np.asarray(fn(x - ep - eq, r), dtype=float).reshape(shape)
+                        pp = _evaluate(fn, x + ep + eq, r, shape)
+                        pm = _evaluate(fn, x + ep - eq, r, shape)
+                        mp = _evaluate(fn, x - ep + eq, r, shape)
+                        mm = _evaluate(fn, x - ep - eq, r, shape)
                         val = (pp - pm - mp + mm) / (4.0 * h[p] * h[q])
                     out[i, ..., p, q] = val
                     out[i, ..., q, p] = val
@@ -207,6 +217,7 @@ class ModelSpec:
             raise UnknownRegime(
                 "initial regime %r outside 1..%d" % (self.initial_regime, self.generator.m0)
             )
+        _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
 
@@ -221,6 +232,26 @@ class ModelSpec:
     @property
     def m0(self) -> int:
         return self.generator.m0
+
+
+def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
+    # drift and diffusion once per regime at x0, so that per-regime tables
+    # too short for the generator fail here and not inside a scheme
+    d, m = coeffs.d, coeffs.m
+    X = np.tile(x0, (m0, 1))
+    regimes = np.arange(1, m0 + 1)
+    try:
+        shapes = (coeffs.drift(X, regimes).shape, coeffs.diffusion(X, regimes).shape)
+    except IndexError as exc:
+        raise DimensionMismatch(
+            "coefficients cannot be evaluated in all %d regimes of the generator: %s"
+            % (m0, exc)
+        ) from exc
+    if shapes != ((m0, d), (m0, d, m)):
+        raise DimensionMismatch(
+            "drift and diffusion at %d regimes have shapes %s and %s, expected %s and %s"
+            % (m0, shapes[0], shapes[1], (m0, d), (m0, d, m))
+        )
 
 
 def _check_point(model: ModelSpec, x, regime: int):

@@ -20,10 +20,12 @@ for bridge corrections later.  Sampling order is fixed: one draw of shape
 (intervals, dimensions, 2) filled in C order.
 
 Increments over coarser spans are exact sums of the stored fine data;
-``increment_w`` and ``time_integral_w`` compose them through precomputed
-prefix sums, so the nesting identities hold to floating-point accumulation
-accuracy (about 1e-12 over thousands of intervals) with no discretization
-error.
+``step_aggregates`` composes them through precomputed prefix sums, so the
+nesting identities hold to floating-point accumulation accuracy (about 1e-12
+over thousands of intervals) with no discretization error.  It holds the one
+formula for dW and dZ over a window; the scalar queries ``increment_w``,
+``time_integral_w``, ``w_at`` and ``grid_index`` are views of it, of
+``w_many`` and of ``grid_indices``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import opened
 from .errors import IntervalOutOfRange, InvalidGrid, NotAGridTime, TruncatedNoiseFile
 from .markov_chain import ChainPath
 
@@ -136,49 +139,8 @@ class NoisePath:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def grid_index(self, t: float) -> int:
-        """Index of t in the grid; raises NotAGridTime when absent."""
-        i = int(np.searchsorted(self.times, t))
-        if i == self.times.size or self.times[i] != t:
-            raise NotAGridTime("%r is not a grid time of this path" % (t,))
-        return i
-
-    def w_at(self, t: float, j: int | None = None):
-        """W(t) - W(t0) at a grid time; one dimension when j is given (1-based)."""
-        w = self._w[self.grid_index(t)]
-        return w if j is None else float(w[j - 1])
-
-    def increment_w(self, s: float, t: float, j: int | None = None):
-        """W(t) - W(s) over grid times s <= t."""
-        lo, hi = self._span(s, t)
-        out = self._w[hi] - self._w[lo]
-        return out if j is None else float(out[j - 1])
-
-    def time_integral_w(self, s: float, t: float, j: int | None = None):
-        """Integral over (s, t) of W(u) - W(s) du, for grid times s <= t.
-
-        Composes exactly across splits: the value over (s, t) equals the value
-        over (s, u) plus the value over (u, t) plus (W(u) - W(s)) (t - u).
-        """
-        lo, hi = self._span(s, t)
-        out = (
-            self._zsum[hi]
-            - self._zsum[lo]
-            + self._wdt[hi]
-            - self._wdt[lo]
-            - self._w[lo] * (self.times[hi] - self.times[lo])
-        )
-        return out if j is None else float(out[j - 1])
-
-    def _span(self, s: float, t: float):
-        lo = self.grid_index(s)
-        hi = self.grid_index(t)
-        if hi < lo:
-            raise IntervalOutOfRange("need s <= t, got (%r, %r)" % (s, t))
-        return lo, hi
-
     def grid_indices(self, times) -> np.ndarray:
-        """Vectorized grid_index; every entry must be a grid time."""
+        """Grid indices of an array of times; every entry must be a grid time."""
         times = np.asarray(times, dtype=float).reshape(-1)
         idx = np.searchsorted(self.times, times)
         clipped = np.minimum(idx, self.times.size - 1)
@@ -213,6 +175,33 @@ class NoisePath:
             - self._w[lo] * (self.times[hi] - self.times[lo])[:, None]
         )
         return dw, dz
+
+    # scalar queries: views of the array queries above
+
+    def grid_index(self, t: float) -> int:
+        """Index of t in the grid; raises NotAGridTime when absent."""
+        return int(self.grid_indices(t)[0])
+
+    def w_at(self, t: float, j: int | None = None):
+        """W(t) - W(t0) at a grid time; one dimension when j is given (1-based)."""
+        return _component(self.w_many(t)[0], j)
+
+    def increment_w(self, s: float, t: float, j: int | None = None):
+        """W(t) - W(s) over grid times s <= t."""
+        return _component(self.step_aggregates((s, t))[0][0], j)
+
+    def time_integral_w(self, s: float, t: float, j: int | None = None):
+        """Integral over (s, t) of W(u) - W(s) du, for grid times s <= t.
+
+        Composes exactly across splits: the value over (s, t) equals the value
+        over (s, u) plus the value over (u, t) plus (W(u) - W(s)) (t - u).
+        """
+        return _component(self.step_aggregates((s, t))[1][0], j)
+
+
+def _component(values: np.ndarray, j: int | None):
+    # all dimensions, or dimension j (1-based) as a float
+    return values if j is None else float(values[j - 1])
 
 
 def build_noise(
@@ -254,39 +243,25 @@ def dump_noise(path: NoisePath, file) -> None:
     Layout: two uint64 (grid time count, dimensions), the grid times, then
     dW and dZ row major.
     """
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "wb")
-        close = True
-    try:
-        file.write(_HEADER.pack(path.times.size, path.m))
-        file.write(np.ascontiguousarray(path.times, dtype="<f8").tobytes())
-        file.write(np.ascontiguousarray(path.dw, dtype="<f8").tobytes())
-        file.write(np.ascontiguousarray(path.dz, dtype="<f8").tobytes())
-    finally:
-        if close:
-            file.close()
+    with opened(file, "wb") as out:
+        out.write(_HEADER.pack(path.times.size, path.m))
+        out.write(np.ascontiguousarray(path.times, dtype="<f8").tobytes())
+        out.write(np.ascontiguousarray(path.dw, dtype="<f8").tobytes())
+        out.write(np.ascontiguousarray(path.dz, dtype="<f8").tobytes())
 
 
 def load_noise(file) -> NoisePath:
     """Read a path written by dump_noise."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "rb")
-        close = True
-    try:
-        n_times, m = _HEADER.unpack(_read_exactly(file, _HEADER.size, "header"))
+    with opened(file, "rb") as src:
+        n_times, m = _HEADER.unpack(_read_exactly(src, _HEADER.size, "header"))
         if n_times < 2:
             raise InvalidGrid(
                 "noise file declares %d grid times, a path needs at least 2" % n_times
             )
-        times = np.frombuffer(_read_exactly(file, 8 * n_times, "grid times"), dtype="<f8")
+        times = np.frombuffer(_read_exactly(src, 8 * n_times, "grid times"), dtype="<f8")
         n = n_times - 1
-        dw = np.frombuffer(_read_exactly(file, 8 * n * m, "dW"), dtype="<f8").reshape(n, m)
-        dz = np.frombuffer(_read_exactly(file, 8 * n * m, "dZ"), dtype="<f8").reshape(n, m)
-    finally:
-        if close:
-            file.close()
+        dw = np.frombuffer(_read_exactly(src, 8 * n * m, "dW"), dtype="<f8").reshape(n, m)
+        dz = np.frombuffer(_read_exactly(src, 8 * n * m, "dZ"), dtype="<f8").reshape(n, m)
     return NoisePath(times.copy(), dw.copy(), dz.copy())
 
 

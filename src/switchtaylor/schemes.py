@@ -20,9 +20,10 @@ identities and refuses models that break them (scalar noise always passes).
 Kernels are batched: states (B, d), regimes (B,), increments (B, m), with
 switch data carried sparsely by one record type, ``JumpRecords``, keyed by
 ``step * width + row``.  ``march`` is the one loop that applies a kernel
-along a grid: ``integrate``, the single-step helpers and both passes of the
-convergence engine run through it, so there is one stepping implementation
-to validate.
+along a grid: ``integrate`` and both passes of the convergence engine run
+through it, so there is one stepping implementation to validate.  A single
+step is ``integrate`` on the two-point grid [s, t], started from any state
+by replacing the model's ``x0``.
 
 Each kernel call evaluates the coefficient jet once, at the window-start
 regime, and builds its operators from it with the builders of ``model``.
@@ -40,11 +41,13 @@ from typing import Callable
 
 import numpy as np
 
+from ._files import opened
 from .errors import (
     CommutativityRequired,
     IntervalOutOfRange,
     InvalidGrid,
     NonFiniteState,
+    UnknownRegime,
     UnknownScheme,
 )
 from .markov_chain import ChainPath
@@ -75,7 +78,6 @@ __all__ = [
     "COMMUTATIVITY_TOL",
     "JumpRecords",
     "JumpData",
-    "StepWindow",
     "SchemeInfo",
     "SCHEMES",
     "get_scheme",
@@ -83,10 +85,6 @@ __all__ = [
     "jump_records",
     "merge_records",
     "march",
-    "build_step_window",
-    "step_euler",
-    "step_milstein",
-    "step_taylor15",
     "integrate",
     "Trajectory",
     "write_trajectory_csv",
@@ -214,12 +212,12 @@ def _pair_weight(dw, h):
 
 def _triple_weight(dw, h):
     # [.., j, a, c] = dW^j dW^a dW^c - 1{a=c, j!=a} h dW^j - 3 1{j=a=c} h dW^j
-    m = dw.shape[1]
     cubic = dw[:, :, None, None] * dw[:, None, :, None] * dw[:, None, None, :]
-    j_idx, a_idx, c_idx = np.indices((m, m, m))
-    pair = ((a_idx == c_idx) & (j_idx != a_idx)).astype(float)
-    diag = ((j_idx == a_idx) & (a_idx == c_idx)).astype(float)
-    cubic -= (h * (pair + 3.0 * diag))[None] * dw[:, :, None, None]
+    idx = np.arange(dw.shape[1])
+    # j = a = c takes one subtraction of 3 h dW^j from the bare product
+    diag = cubic[:, idx, idx, idx] - 3.0 * h * dw
+    cubic[:, :, idx, idx] -= h * dw[:, :, None]
+    cubic[:, idx, idx, idx] = diag
     return cubic
 
 
@@ -248,7 +246,6 @@ def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
 def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
     if dz is None:
         raise InvalidGrid("the 1.5 scheme needs the time integrals of the noise")
-    m = dw.shape[1]
     # the coefficient jet at the window-start regime, evaluated once
     b = coeffs.drift(y, regimes)
     db = coeffs.drift_gradient(y, regimes)
@@ -294,9 +291,7 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
     out[rows] += np.einsum("bkja,ba,bj->bk", lj_mixed - ljs[rows], w1, tail)
     # both operator and target switched; weight from the covered stretch
     lj_after = _noise_diffusion(dsig1, sig1)
-    tail_quad = tail[:, :, None] * tail[:, None, :]
-    idx = np.arange(m)
-    tail_quad[:, idx, idx] -= remain[:, None]
+    tail_quad = _pair_weight(tail, remain[:, None])
     out[rows] += 0.5 * np.einsum("bkja,bja->bk", lj_after - ljs[rows], tail_quad)
 
     if more.any():
@@ -316,15 +311,14 @@ class SchemeInfo:
 
     name: str
     strong_order: float
-    uses_time_integrals: bool
     commutativity_order: int
     kernel: Callable
 
 
 SCHEMES = {
-    "euler": SchemeInfo("euler", 0.5, False, 0, _euler_kernel),
-    "milstein": SchemeInfo("milstein", 1.0, False, 1, _milstein_kernel),
-    "taylor15": SchemeInfo("taylor15", 1.5, True, 2, _taylor15_kernel),
+    "euler": SchemeInfo("euler", 0.5, 0, _euler_kernel),
+    "milstein": SchemeInfo("milstein", 1.0, 1, _milstein_kernel),
+    "taylor15": SchemeInfo("taylor15", 1.5, 2, _taylor15_kernel),
 }
 
 
@@ -384,71 +378,6 @@ def march(kernel, coeffs, y0, regimes, hs, dw, dz, table):
         yield n, y
 
 
-@dataclass(frozen=True)
-class StepWindow:
-    """Everything a one-step map consumes over one window (t_start, t_end]."""
-
-    t_start: float
-    t_end: float
-    regime: int
-    dw: np.ndarray
-    dz: np.ndarray
-    jumps: JumpRecords | None
-
-    @property
-    def h(self) -> float:
-        return self.t_end - self.t_start
-
-
-def build_step_window(chain: ChainPath, noise: NoisePath, s: float, t: float) -> StepWindow:
-    """Assemble the window data for one step from a chain and its noise.
-
-    Both endpoints must be grid times of the noise path with s < t.
-    """
-    if not (s < t):
-        raise IntervalOutOfRange("need s < t, got (%r, %r)" % (s, t))
-    return StepWindow(
-        t_start=float(s),
-        t_end=float(t),
-        regime=int(chain.state_at(s)),
-        dw=noise.increment_w(s, t),
-        dz=noise.time_integral_w(s, t),
-        jumps=jump_records(chain, noise, np.array([s, t])).at_step(0),
-    )
-
-
-def _step(model: ModelSpec, name: str, y, window: StepWindow) -> np.ndarray:
-    info = get_scheme(name)
-    require_commutativity(model, info.commutativity_order)
-    y = np.asarray(y, dtype=float).reshape(1, model.d)
-    ((_, out),) = march(
-        info.kernel,
-        model.coefficients,
-        y,
-        np.array([[window.regime]]),
-        [window.h],
-        window.dw[None, None],
-        window.dz[None, None],
-        window.jumps,
-    )
-    return out[0]
-
-
-def step_euler(model: ModelSpec, y, window: StepWindow) -> np.ndarray:
-    """Order 0.5 step: drift and diffusion at the window-start regime."""
-    return _step(model, "euler", y, window)
-
-
-def step_milstein(model: ModelSpec, y, window: StepWindow) -> np.ndarray:
-    """Order 1.0 step: adds the pair noise term and the one-switch correction."""
-    return _step(model, "milstein", y, window)
-
-
-def step_taylor15(model: ModelSpec, y, window: StepWindow) -> np.ndarray:
-    """Order 1.5 step: full time/noise expansion with switch corrections."""
-    return _step(model, "taylor15", y, window)
-
-
 # ---------------------------------------------------------------------------
 # path integration
 
@@ -487,14 +416,21 @@ def integrate(
             "times [%g, %g] leave the chain span [%g, %g]"
             % (times[0], times[-1], chain.t0, chain.t_end)
         )
+    highest = np.max(chain.states_after, initial=chain.initial_state)
+    if highest > model.m0:
+        raise UnknownRegime(
+            "the chain enters regime %d, model %r has regimes 1..%d"
+            % (highest, model.name, model.m0)
+        )
     dw, dz = noise.step_aggregates(times)
+    regimes = chain.states_at(times)
     states = np.empty((times.size, model.d))
     states[0] = model.x0
     steps = march(
         info.kernel,
         model.coefficients,
         states[:1],
-        chain.states_at(times[:-1])[None, :],
+        regimes[None, :-1],
         np.diff(times),
         dw[None],
         dz[None],
@@ -507,24 +443,20 @@ def integrate(
         model_name=model.name,
         times=times.copy(),
         states=states,
-        regimes=chain.states_at(times).astype(np.int64),
+        regimes=regimes.astype(np.int64),
     )
 
 
 def write_trajectory_csv(traj: Trajectory, file) -> None:
-    """Rows (t, Y^1..Y^d, regime) at full float precision."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w")
-        close = True
-    try:
+    """Rows (t, Y^1..Y^d, regime) at full float precision.
+
+    ``file`` may be a filesystem path or a writable text file object.
+    """
+    with opened(file, "w") as out:
         d = traj.states.shape[1]
-        file.write("t," + ",".join("y%d" % (k + 1) for k in range(d)) + ",regime\n")
+        out.write("t," + ",".join("y%d" % (k + 1) for k in range(d)) + ",regime\n")
         for i in range(traj.times.size):
             cells = ["%.17g" % traj.times[i]]
             cells += ["%.17g" % v for v in traj.states[i]]
             cells.append("%d" % traj.regimes[i])
-            file.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            file.close()
+            out.write(",".join(cells) + "\n")

@@ -187,6 +187,13 @@ class TestPlanValidation:
         with pytest.raises(InvalidGrid):
             small_plan(coarse_steps=())
 
+    @pytest.mark.parametrize(
+        "size", [{"reference_steps": 64.0}, {"coarse_steps": (4.5,)}, {"paths": 3.5}]
+    )
+    def test_sizes_must_be_integers(self, size):
+        with pytest.raises(InvalidGrid, match="must be an integer"):
+            small_plan(**size)
+
     def test_levels_are_sorted_and_deduplicated(self):
         plan = small_plan(coarse_steps=(16, 4, 16, 8), reference_steps=256)
         assert plan.coarse_steps == (4, 8, 16)
@@ -216,6 +223,8 @@ class TestStrongError:
             strong_error(plan, 128)
         with pytest.raises(StepTooLargeForChain):
             strong_error(plan, 2)
+        with pytest.raises(InvalidGrid, match="must be an integer"):
+            strong_error(plan, 8.5)
 
     def test_errors_shrink_with_the_step(self):
         plan = small_plan(

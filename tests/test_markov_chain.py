@@ -55,6 +55,12 @@ def test_path_validation():
         mc.ChainPath(0.0, 1.0, 1, np.array([0.0]), np.array([2]))
 
 
+def test_entered_states_are_labelled_from_one():
+    # a label 0 would index the last regime's coefficient table
+    with pytest.raises(StateOutOfRange):
+        mc.ChainPath(0.0, 1.0, 1, np.array([0.4]), np.array([0]))
+
+
 def test_state_accessors_on_crafted_path():
     p = crafted_path()
     assert p.state_at(0.0) == 1

@@ -8,6 +8,7 @@ import pytest
 from switchtaylor import (
     CallableCoefficients,
     CoefficientSet,
+    DiagonalLinearCoefficients,
     DimensionMismatch,
     GeneratorMatrix,
     InvalidComponent,
@@ -306,6 +307,31 @@ class TestModelValidation:
             ModelSpec("bad", gen, co, x0=[np.inf])
         with pytest.raises(UnknownRegime):
             ModelSpec("bad", gen, co, x0=[1.0], initial_regime=3)
+
+    def test_rate_tables_must_cover_every_regime(self):
+        three = GeneratorMatrix(np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]))
+        with pytest.raises(DimensionMismatch, match="all 3 regimes"):
+            ModelSpec("short", three, LIN.coefficients, x0=[1.0])
+
+    def test_coefficient_shapes_checked_at_x0(self):
+        class FlatDiffusion(CoefficientSet):
+            d, m = 1, 1
+
+            def drift(self, X, regimes):
+                return -X
+
+            def diffusion(self, X, regimes):
+                return 0.5 * X  # (B, d), missing the Wiener axis
+
+        with pytest.raises(DimensionMismatch, match=r"\(2, 1\) and \(2, 1\), expected"):
+            ModelSpec("flat", LIN.generator, FlatDiffusion(), x0=[1.0])
+        two_columns = CallableCoefficients(lambda x, r: -x, lambda x, r: [x[0], x[0]], 1, 1)
+        with pytest.raises(DimensionMismatch, match="returned 2 values, expected shape"):
+            ModelSpec("callable", LIN.generator, two_columns, x0=[1.0])
+
+    def test_diagonal_tables_must_share_shape(self):
+        with pytest.raises(DimensionMismatch, match="share shape"):
+            DiagonalLinearCoefficients(a=[[1.0, 2.0]], c=[[1.0, 2.0, 3.0]])
 
     def test_fixture_registry(self):
         assert fixture_names() == ("additive", "diagonal3", "linear2", "noncommutative")

@@ -1,6 +1,7 @@
 """One-step maps: closed-form oracles, switch corrections, degeneration."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from switchtaylor import (
     NonFiniteState,
     NotAGridTime,
     ScalarLinearCoefficients,
+    UnknownRegime,
     UnknownScheme,
     build_noise,
     fixture,
@@ -24,13 +26,9 @@ from switchtaylor.schemes import (
     SCHEMES,
     JumpData,
     Trajectory,
-    build_step_window,
     get_scheme,
     integrate,
     jump_records,
-    step_euler,
-    step_milstein,
-    step_taylor15,
     write_trajectory_csv,
 )
 
@@ -62,6 +60,18 @@ def crafted_chain(jumps, states, t_end=1.0):
 def noise_for(chain, seed=7, base_steps=8, m=1):
     grid = GridSpec(chain.t0, chain.t_end, base_steps)
     return build_noise(grid, chain, m, np.random.default_rng(seed))
+
+
+def one_step(model, scheme, chain, noise, s, t, y):
+    # one step over [s, t] from state y: integrate on the two-point grid
+    traj = integrate(replace(model, x0=[y]), scheme, chain, noise, [s, t])
+    return traj.states[1, 0]
+
+
+def window(chain, noise, s, t):
+    # what a step over [s, t] reads: scalar dW and dZ and the switch records
+    dw, dz = noise.step_aggregates([s, t])
+    return float(dw[0, 0]), float(dz[0, 0]), jump_records(chain, noise, [s, t]).at_step(0)
 
 
 # scalar closed forms written out independently of the kernels
@@ -103,27 +113,29 @@ class TestNoJumpClosedForms:
     def setup_method(self):
         self.chain = crafted_chain([], [])
         self.noise = noise_for(self.chain)
-        self.win = build_step_window(self.chain, self.noise, 0.0, 0.125)
-        self.dw = float(self.win.dw[0])
-        self.dz = float(self.win.dz[0])
+        self.dw, self.dz, self.jumps = window(self.chain, self.noise, 0.0, 0.125)
         self.y = 1.3
 
+    def step(self, scheme):
+        return one_step(LIN, scheme, self.chain, self.noise, 0.0, 0.125, self.y)
+
     def test_window_contents(self):
-        assert self.win.h == pytest.approx(0.125)
-        assert self.win.regime == 1
-        assert self.win.jumps is None
+        traj = integrate(LIN, "euler", self.chain, self.noise, [0.0, 0.125])
+        assert np.diff(traj.times)[0] == pytest.approx(0.125)
+        assert traj.regimes[0] == 1
+        assert self.jumps is None
 
     def test_euler(self):
-        got = step_euler(LIN, [self.y], self.win)[0]
+        got = self.step("euler")
         assert got == pytest.approx(euler_scalar(self.y, A1, C1, 0.125, self.dw), rel=1e-14)
 
     def test_milstein(self):
-        got = step_milstein(LIN, [self.y], self.win)[0]
+        got = self.step("milstein")
         want = milstein_scalar(self.y, A1, C1, 0.125, self.dw)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_taylor15(self):
-        got = step_taylor15(LIN, [self.y], self.win)[0]
+        got = self.step("taylor15")
         want = taylor15_scalar(self.y, A1, C1, 0.125, self.dw, self.dz)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -132,16 +144,17 @@ class TestSingleSwitchCorrections:
     def setup_method(self):
         self.chain = crafted_chain([0.4], [2])
         self.noise = noise_for(self.chain)
-        self.win = build_step_window(self.chain, self.noise, 0.25, 0.5)
+        self.dw, self.dz, self.jumps = window(self.chain, self.noise, 0.25, 0.5)
         self.h = 0.25
-        self.dw = float(self.win.dw[0])
-        self.dz = float(self.win.dz[0])
         self.w1 = self.noise.w_at(0.4, 1) - self.noise.w_at(0.25, 1)
         self.tail = self.dw - self.w1
         self.y = 0.9
 
+    def step(self, scheme):
+        return one_step(LIN, scheme, self.chain, self.noise, 0.25, 0.5, self.y)
+
     def test_window_records_the_switch(self):
-        j = self.win.jumps
+        j = self.jumps
         assert j is not None
         assert j.counts.tolist() == [1]
         assert j.reg1.tolist() == [2]
@@ -149,13 +162,13 @@ class TestSingleSwitchCorrections:
         assert j.w1[0, 0] == pytest.approx(self.w1, rel=1e-15)
 
     def test_milstein_switch_term(self):
-        got = step_milstein(LIN, [self.y], self.win)[0]
+        got = self.step("milstein")
         want = milstein_scalar(self.y, A1, C1, self.h, self.dw)
         want += (C2 - C1) * self.y * self.tail
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_taylor15_switch_terms(self):
-        got = step_taylor15(LIN, [self.y], self.win)[0]
+        got = self.step("taylor15")
         y = self.y
         remain = 0.5 - 0.4
         want = taylor15_scalar(y, A1, C1, self.h, self.dw, self.dz)
@@ -167,7 +180,7 @@ class TestSingleSwitchCorrections:
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_euler_ignores_the_switch(self):
-        got = step_euler(LIN, [self.y], self.win)[0]
+        got = self.step("euler")
         assert got == pytest.approx(euler_scalar(self.y, A1, C1, self.h, self.dw), rel=1e-14)
 
 
@@ -175,18 +188,16 @@ class TestDoubleAndManySwitches:
     def test_two_switches_correct_each_stretch(self):
         chain = crafted_chain([0.3, 0.45], [2, 3])
         noise = noise_for(chain, seed=11)
-        win = build_step_window(chain, noise, 0.25, 0.5)
-        dw = float(win.dw[0])
-        dz = float(win.dz[0])
+        dw, dz, _ = window(chain, noise, 0.25, 0.5)
         w1 = noise.w_at(0.3, 1) - noise.w_at(0.25, 1)
         w2 = noise.w_at(0.45, 1) - noise.w_at(0.25, 1)
         y = 1.1
         a1, c1, a2, c2, c3 = -1.0, 0.3, 0.5, 0.8, 0.5
-        got = step_milstein(SCALAR3, [y], win)[0]
+        got = one_step(SCALAR3, "milstein", chain, noise, 0.25, 0.5, y)
         want = milstein_scalar(y, a1, c1, 0.25, dw)
         want += (c2 - c1) * y * (w2 - w1)
         assert got == pytest.approx(want, rel=1e-13)
-        got = step_taylor15(SCALAR3, [y], win)[0]
+        got = one_step(SCALAR3, "taylor15", chain, noise, 0.25, 0.5, y)
         want = taylor15_scalar(y, a1, c1, 0.25, dw, dz)
         want += stretch_terms_scalar(y, a1, c1, a2, c2, w1, w2 - w1, 0.45 - 0.3)
         want += (c3 - c1) * y * (dw - w2)
@@ -197,34 +208,33 @@ class TestDoubleAndManySwitches:
         # difference telescopes to zero, leaving the middle-stretch terms
         chain = crafted_chain([0.3, 0.45], [2, 1])
         noise = noise_for(chain, seed=3)
-        win = build_step_window(chain, noise, 0.25, 0.5)
+        dw, dz, _ = window(chain, noise, 0.25, 0.5)
         w1 = noise.w_at(0.3, 1) - noise.w_at(0.25, 1)
         w2 = noise.w_at(0.45, 1) - noise.w_at(0.25, 1)
         y = 1.1
-        got = step_taylor15(LIN, [y], win)[0]
-        want = taylor15_scalar(y, A1, C1, 0.25, float(win.dw[0]), float(win.dz[0]))
+        got = one_step(LIN, "taylor15", chain, noise, 0.25, 0.5, y)
+        want = taylor15_scalar(y, A1, C1, 0.25, dw, dz)
         want += stretch_terms_scalar(y, A1, C1, A2, C2, w1, w2 - w1, 0.45 - 0.3)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_three_switches_cap_the_corrections(self):
         chain = crafted_chain([0.27, 0.33, 0.48], [2, 3, 1])
         noise = noise_for(chain, seed=5)
-        win = build_step_window(chain, noise, 0.25, 0.5)
-        assert win.jumps.counts.tolist() == [3]
+        dw, dz, jumps = window(chain, noise, 0.25, 0.5)
+        assert jumps.counts.tolist() == [3]
         w1 = noise.w_at(0.27, 1) - noise.w_at(0.25, 1)
         w2 = noise.w_at(0.33, 1) - noise.w_at(0.25, 1)
         w3 = noise.w_at(0.48, 1) - noise.w_at(0.25, 1)
-        dw, dz = float(win.dw[0]), float(win.dz[0])
         y = 0.7
         a1, c1, a2, c2, c3 = -1.0, 0.3, 0.5, 0.8, 0.5
-        got = step_euler(SCALAR3, [y], win)[0]
+        got = one_step(SCALAR3, "euler", chain, noise, 0.25, 0.5, y)
         assert got == pytest.approx(euler_scalar(y, a1, c1, 0.25, dw), rel=1e-13)
-        got = step_milstein(SCALAR3, [y], win)[0]
+        got = one_step(SCALAR3, "milstein", chain, noise, 0.25, 0.5, y)
         want = milstein_scalar(y, a1, c1, 0.25, dw)
         want += (c2 - c1) * y * (w2 - w1)
         assert got == pytest.approx(want, rel=1e-13)
         # the third switch caps the second-switch stretch; nothing runs past it
-        got = step_taylor15(SCALAR3, [y], win)[0]
+        got = one_step(SCALAR3, "taylor15", chain, noise, 0.25, 0.5, y)
         want = taylor15_scalar(y, a1, c1, 0.25, dw, dz)
         want += stretch_terms_scalar(y, a1, c1, a2, c2, w1, w2 - w1, 0.33 - 0.27)
         want += (c3 - c1) * y * (w3 - w2)
@@ -233,14 +243,15 @@ class TestDoubleAndManySwitches:
     def test_switch_on_right_edge_contributes_nothing(self):
         chain = crafted_chain([0.5], [2])
         noise = noise_for(chain, seed=9)
-        win = build_step_window(chain, noise, 0.25, 0.5)
-        assert win.jumps is not None and win.jumps.counts.tolist() == [1]
+        dw, dz, jumps = window(chain, noise, 0.25, 0.5)
+        assert jumps is not None and jumps.counts.tolist() == [1]
         y = 1.4
-        got = step_taylor15(LIN, [y], win)[0]
-        want = taylor15_scalar(y, A1, C1, 0.25, float(win.dw[0]), float(win.dz[0]))
+        got = one_step(LIN, "taylor15", chain, noise, 0.25, 0.5, y)
+        want = taylor15_scalar(y, A1, C1, 0.25, dw, dz)
         assert got == pytest.approx(want, rel=1e-13)
         # and the regime for the NEXT window has already switched
-        assert build_step_window(chain, noise, 0.5, 0.75).regime == 2
+        traj = integrate(LIN, "taylor15", chain, noise, [0.25, 0.5, 0.75])
+        assert traj.regimes.tolist() == [1, 2, 2]
 
 
 class TestJumpRecords:
@@ -387,15 +398,14 @@ class TestGatesAndErrors:
         bad = fixture("noncommutative")
         chain = crafted_chain([], [])
         noise = noise_for(chain, m=2)
-        win = build_step_window(chain, noise, 0.0, 0.125)
         with pytest.raises(CommutativityRequired):
-            step_milstein(bad, [0.8], win)
+            one_step(bad, "milstein", chain, noise, 0.0, 0.125, 0.8)
         with pytest.raises(CommutativityRequired):
-            step_taylor15(bad, [0.8], win)
+            one_step(bad, "taylor15", chain, noise, 0.0, 0.125, 0.8)
         with pytest.raises(CommutativityRequired):
             integrate(bad, "milstein", chain, noise, noise.times[:: 16])
         # order 0.5 needs no identity
-        step_euler(bad, [0.8], win)
+        one_step(bad, "euler", chain, noise, 0.0, 0.125, 0.8)
 
     def test_diagonal_noise_passes_gate(self):
         mod = fixture("diagonal3")
@@ -404,6 +414,12 @@ class TestGatesAndErrors:
         traj = integrate(mod, "taylor15", chain, noise, GridSpec(0.0, 1.0, 8).finest_times())
         assert traj.states.shape == (9, 2)
         assert np.isfinite(traj.states).all()
+
+    def test_chain_regime_beyond_the_model_rejected(self):
+        chain = crafted_chain([0.4], [5])
+        noise = noise_for(chain)
+        with pytest.raises(UnknownRegime, match="regime 5, model 'linear2' has regimes 1..2"):
+            integrate(LIN, "taylor15", chain, noise, GridSpec(0.0, 1.0, 8).finest_times())
 
     def test_unknown_scheme(self):
         with pytest.raises(UnknownScheme):
@@ -418,9 +434,8 @@ class TestGatesAndErrors:
         )
         chain = crafted_chain([], [])
         noise = noise_for(chain)
-        win = build_step_window(chain, noise, 0.0, 0.125)
         with pytest.raises(NonFiniteState):
-            step_euler(mod, [1.0], win)
+            one_step(mod, "euler", chain, noise, 0.0, 0.125, 1.0)
 
     def test_integrate_grid_validation(self):
         chain = crafted_chain([], [])
@@ -429,18 +444,12 @@ class TestGatesAndErrors:
             integrate(LIN, "euler", chain, noise, np.array([0.0]))
         with pytest.raises(InvalidGrid):
             integrate(LIN, "euler", chain, noise, np.array([0.0, 0.5, 0.25]))
+        with pytest.raises(InvalidGrid):
+            integrate(LIN, "euler", chain, noise, np.array([0.5, 0.5]))
         with pytest.raises(IntervalOutOfRange):
             integrate(LIN, "euler", chain, noise, np.array([0.0, 1.5]))
         with pytest.raises(NotAGridTime):
             integrate(LIN, "euler", chain, noise, np.array([0.0, 0.1, 1.0]))
-
-    def test_step_window_validation(self):
-        chain = crafted_chain([], [])
-        noise = noise_for(chain)
-        with pytest.raises(IntervalOutOfRange):
-            build_step_window(chain, noise, 0.5, 0.5)
-        with pytest.raises(NotAGridTime):
-            build_step_window(chain, noise, 0.1, 0.5)
 
 
 class TestIntegrateOutputs:
@@ -497,8 +506,6 @@ class TestIntegrateOutputs:
         assert SCHEMES["euler"].strong_order == 0.5
         assert SCHEMES["milstein"].strong_order == 1.0
         assert SCHEMES["taylor15"].strong_order == 1.5
-        assert SCHEMES["taylor15"].uses_time_integrals
-        assert not SCHEMES["euler"].uses_time_integrals
         assert [SCHEMES[s].commutativity_order for s in ("euler", "milstein", "taylor15")] == [
             0,
             1,

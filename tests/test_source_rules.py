@@ -19,3 +19,27 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements in the package: %s" % ", ".join(found)
+
+
+BUILTIN_ERRORS = {"ValueError", "TypeError", "IndexError", "KeyError", "AttributeError"}
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_no_raise_of_builtin_errors():
+    # callers catch the package's own classes (errors.py); a bare builtin
+    # escapes them and the command line's exit codes
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [
+            "%s:%d" % (module.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and _raised_name(node) in BUILTIN_ERRORS
+        ]
+    assert not found, "raises of builtin errors in the package: %s" % ", ".join(found)
