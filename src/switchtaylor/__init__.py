@@ -33,6 +33,7 @@ from .errors import (
     InvalidGamma,
     InvalidGenerator,
     InvalidGrid,
+    InvalidSeed,
     NonFiniteInput,
     NonFiniteState,
     NonPositiveError,

@@ -38,6 +38,7 @@ from .errors import (
     CouplingMismatch,
     InsufficientLevels,
     InvalidGrid,
+    InvalidSeed,
     NonFiniteState,
     NonPositiveError,
     ReferenceNotFiner,
@@ -101,8 +102,8 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise InvalidGrid("t_end must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise InvalidGrid("t_end must be positive and finite, got %r" % (self.t_end,))
         schemes = tuple(dict.fromkeys(self.schemes))
         if not schemes:
             raise InvalidGrid("need at least one scheme")
@@ -127,6 +128,11 @@ class ExperimentPlan:
             )
         if self.paths < 1:
             raise InvalidGrid("need at least one path")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not (
+            0 <= int(seed) < 2**64
+        ):
+            raise InvalidSeed("seed must be an integer in [0, 2**64), got %r" % (seed,))
         self._check_step(steps[0])
 
     def _check_step(self, n_steps: int) -> None:
@@ -200,6 +206,7 @@ def fit_order(rows):
     Raises:
       InsufficientLevels: fewer than three rows.
       NonPositiveError: a mean error is zero, negative, or not finite.
+      InvalidGrid: a step size is zero, negative, or not finite.
     """
     hs = []
     means = []
@@ -212,6 +219,8 @@ def fit_order(rows):
             means.append(float(row[1]))
     if len(hs) < 3:
         raise InsufficientLevels("order fit needs at least 3 levels, got %d" % len(hs))
+    if not all(0 < h < np.inf for h in hs):
+        raise InvalidGrid("order fit needs positive finite step sizes, got %s" % (hs,))
     means_arr = np.asarray(means)
     if not np.isfinite(means_arr).all() or np.any(means_arr <= 0):
         raise NonPositiveError("order fit needs positive finite mean errors")

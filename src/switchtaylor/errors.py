@@ -134,6 +134,11 @@ class NonFiniteState(SwitchTaylorError):
 # ---------------------------------------------------------------------------
 # convergence studies
 
+class InvalidSeed(ValidationError):
+    """Seed is not an integer in [0, 2**64)."""
+    pass
+
+
 class ReferenceNotFiner(ValidationError):
     """Reference resolution does not dominate the coarse levels."""
     pass

@@ -12,7 +12,9 @@ Four fixtures, each a ready ModelSpec:
   columns x^2 and x.  Violates the exchange identities; used to test that
   higher-order schemes refuse it.
 
-All coefficient sets are plain picklable dataclasses.
+All coefficient sets are plain picklable dataclasses.  Each implements the
+one ``jet`` method of ``CoefficientSet`` and gathers each rate table once
+per call.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def _per_regime(values, regimes):
     return values[np.asarray(regimes, dtype=np.intp) - 1]
 
 
+def _flat(B, d, m):
+    # second derivatives of coefficients that are affine in the state
+    return np.zeros((B, d, d, d)), np.zeros((B, d, m, d, d))
+
+
 @dataclass(frozen=True)
 class ScalarLinearCoefficients(CoefficientSet):
     """d = m = 1, drift a_i x, diffusion c_i x with per-regime rates."""
@@ -53,25 +60,15 @@ class ScalarLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(-1))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
 
-    def drift(self, X, regimes):
-        return _per_regime(self.a, regimes)[:, None] * X
-
-    def diffusion(self, X, regimes):
-        return (_per_regime(self.c, regimes)[:, None] * X)[:, :, None]
-
-    def drift_gradient(self, X, regimes):
-        return _per_regime(self.a, regimes)[:, None, None] * np.ones_like(X)[:, :, None]
-
-    def drift_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], 1, 1, 1))
-
-    def diffusion_gradient(self, X, regimes):
-        return _per_regime(self.c, regimes).reshape(-1, 1, 1, 1) * np.ones(
-            (X.shape[0], 1, 1, 1)
-        )
-
-    def diffusion_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], 1, 1, 1, 1))
+    def jet(self, X, regimes, order):
+        a = _per_regime(self.a, regimes)[:, None]
+        c = _per_regime(self.c, regimes)[:, None]
+        out = (a * X, (c * X)[:, :, None])
+        if order >= 1:
+            out += (a[:, :, None], c[:, :, None, None])
+        if order == 2:
+            out += _flat(X.shape[0], 1, 1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,35 +92,23 @@ class DiagonalLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "d", a.shape[1])
         object.__setattr__(self, "m", a.shape[1])
 
-    def drift(self, X, regimes):
-        return _per_regime(self.a, regimes) * X
-
-    def diffusion(self, X, regimes):
-        B = X.shape[0]
-        out = np.zeros((B, self.d, self.m))
-        idx = np.arange(self.d)
-        out[:, idx, idx] = _per_regime(self.c, regimes) * X
+    def jet(self, X, regimes, order):
+        B, d = X.shape
+        a = _per_regime(self.a, regimes)
+        c = _per_regime(self.c, regimes)
+        idx = np.arange(d)
+        sig = np.zeros((B, d, d))
+        sig[:, idx, idx] = c * X
+        out = (a * X, sig)
+        if order >= 1:
+            db = np.zeros((B, d, d))
+            db[:, idx, idx] = a
+            dsig = np.zeros((B, d, d, d))
+            dsig[:, idx, idx, idx] = c
+            out += (db, dsig)
+        if order == 2:
+            out += _flat(B, d, d)
         return out
-
-    def drift_gradient(self, X, regimes):
-        B = X.shape[0]
-        out = np.zeros((B, self.d, self.d))
-        idx = np.arange(self.d)
-        out[:, idx, idx] = _per_regime(self.a, regimes)
-        return out
-
-    def drift_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], self.d, self.d, self.d))
-
-    def diffusion_gradient(self, X, regimes):
-        B = X.shape[0]
-        out = np.zeros((B, self.d, self.m, self.d))
-        idx = np.arange(self.d)
-        out[:, idx, idx, idx] = _per_regime(self.c, regimes)
-        return out
-
-    def diffusion_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], self.d, self.m, self.d, self.d))
 
 
 @dataclass(frozen=True)
@@ -142,29 +127,15 @@ class MeanRevertingCoefficients(CoefficientSet):
                 self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1)
             )
 
-    def drift(self, X, regimes):
+    def jet(self, X, regimes, order):
         th = _per_regime(self.theta, regimes)[:, None]
         mu = _per_regime(self.mean, regimes)[:, None]
-        return th * (mu - X)
-
-    def diffusion(self, X, regimes):
-        out = np.empty((X.shape[0], 1, 1))
-        out[:, 0, 0] = _per_regime(self.c, regimes)
+        out = (th * (mu - X), _per_regime(self.c, regimes)[:, None, None])
+        if order >= 1:
+            out += (-th[:, :, None], np.zeros((X.shape[0], 1, 1, 1)))
+        if order == 2:
+            out += _flat(X.shape[0], 1, 1)
         return out
-
-    def drift_gradient(self, X, regimes):
-        return -_per_regime(self.theta, regimes).reshape(-1, 1, 1) * np.ones(
-            (X.shape[0], 1, 1)
-        )
-
-    def drift_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], 1, 1, 1))
-
-    def diffusion_gradient(self, X, regimes):
-        return np.zeros((X.shape[0], 1, 1, 1))
-
-    def diffusion_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], 1, 1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -178,30 +149,22 @@ class PolynomialColumnsCoefficients(CoefficientSet):
     d: int = field(default=1, init=False)
     m: int = field(default=2, init=False)
 
-    def drift(self, X, regimes):
-        return -0.5 * X
-
-    def diffusion(self, X, regimes):
-        out = np.empty((X.shape[0], 1, 2))
-        out[:, 0, 0] = X[:, 0] ** 2
-        out[:, 0, 1] = X[:, 0]
-        return out
-
-    def drift_gradient(self, X, regimes):
-        return np.full((X.shape[0], 1, 1), -0.5)
-
-    def drift_hessian(self, X, regimes):
-        return np.zeros((X.shape[0], 1, 1, 1))
-
-    def diffusion_gradient(self, X, regimes):
-        out = np.empty((X.shape[0], 1, 2, 1))
-        out[:, 0, 0, 0] = 2.0 * X[:, 0]
-        out[:, 0, 1, 0] = 1.0
-        return out
-
-    def diffusion_hessian(self, X, regimes):
-        out = np.zeros((X.shape[0], 1, 2, 1, 1))
-        out[:, 0, 0, 0, 0] = 2.0
+    def jet(self, X, regimes, order):
+        B = X.shape[0]
+        x = X[:, 0]
+        sig = np.empty((B, 1, 2))
+        sig[:, 0, 0] = x**2
+        sig[:, 0, 1] = x
+        out = (-0.5 * X, sig)
+        if order >= 1:
+            dsig = np.empty((B, 1, 2, 1))
+            dsig[:, 0, 0, 0] = 2.0 * x
+            dsig[:, 0, 1, 0] = 1.0
+            out += (np.full((B, 1, 1), -0.5), dsig)
+        if order == 2:
+            hsig = np.zeros((B, 1, 2, 1, 1))
+            hsig[:, 0, 0, 0, 0] = 2.0
+            out += (np.zeros((B, 1, 1, 1)), hsig)
         return out
 
 

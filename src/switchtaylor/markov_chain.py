@@ -16,6 +16,7 @@ rate, holds whenever t - s < 1 / (2 qmax).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,9 +108,10 @@ class ChainPath:
 
     def __post_init__(self):
         times = np.array(self.jump_times, dtype=float)
-        states = np.array(self.states_after, dtype=np.int64)
-        if self.t_end <= self.t0:
-            raise IntervalOutOfRange("need t0 < t_end")
+        labels = np.asarray(self.states_after)
+        states = np.array(labels, dtype=np.int64)
+        if not -np.inf < self.t0 < self.t_end < np.inf:
+            raise IntervalOutOfRange("need finite t0 < t_end")
         if times.shape != states.shape or times.ndim != 1:
             raise StateOutOfRange("one entered state per jump time")
         if times.size:
@@ -117,8 +119,16 @@ class ChainPath:
                 raise IntervalOutOfRange("jump times must be strictly increasing")
             if times[0] <= self.t0 or times[-1] > self.t_end:
                 raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
-        if self.initial_state < 1 or (states < 1).any():
-            raise StateOutOfRange("states are labelled from 1")
+        if (
+            not isinstance(self.initial_state, numbers.Integral)
+            or (labels.size and labels.dtype.kind not in "iu")
+            or self.initial_state < 1
+            or (states < 1).any()
+        ):
+            raise StateOutOfRange(
+                "states are integer labels from 1, got %r and %r"
+                % (self.initial_state, labels)
+            )
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "jump_times", times)
@@ -179,8 +189,9 @@ def sample_path(
       ChainPath on [t0, t_end].
     """
     _check_state(generator.m0, initial_state)
-    if t_end <= t0:
-        raise IntervalOutOfRange("need t0 < t_end")
+    if not -np.inf < t0 < t_end < np.inf:
+        # a NaN or infinite end would never stop the holding-time loop
+        raise IntervalOutOfRange("need finite t0 < t_end")
     q = generator.q
     times = []
     states = []
@@ -204,7 +215,7 @@ def sample_path(
 
 
 def _check_state(m0: int, state: int):
-    if not (1 <= state <= m0):
+    if not isinstance(state, numbers.Integral) or not 1 <= state <= m0:
         raise StateOutOfRange("state %r outside 1..%d" % (state, m0))
 
 

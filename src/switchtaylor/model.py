@@ -9,17 +9,21 @@ on scalar coefficient entries f at a fixed regime:
 - one noise operator per Wiener dimension a, sum_p sigma^(p,a) d_p f,
   attached to integrals against W^a.
 
-Coefficient sets expose values together with first and second spatial
-derivatives, evaluated in batch: states of shape (B, d) and a regime label
-per row.  Everything here is regime-wise; the jump structure enters only
-through which regimes the schemes evaluate at.
+The chain cannot be differentiated, so it enters only through the regime at
+which the spatial jet of the coefficients is evaluated.  A coefficient set
+has one method, ``jet(X, regimes, order)``, evaluated in batch on states of
+shape (B, d) with a regime label per row.  It returns the tuple
+(b, sigma) at order 0, (b, sigma, Db, D sigma) at order 1 and
+(b, sigma, Db, D sigma, D^2 b, D^2 sigma) at order 2, so a caller asks for
+exactly the derivatives it contracts.  The six per-entry names ``drift``,
+``diffusion``, ``drift_gradient``, ... are views of ``jet`` for callers
+outside the package; the package itself reads ``jet`` only.
 
-The operators are built from the coefficient jet (b, Db, D^2 b, sigma,
-D sigma, D^2 sigma): one private builder per operator takes those arrays and
-contracts them, so a caller that evaluates the jet once can build every
-operator from it.  The kernels in ``schemes`` do that once per call at the
-window-start regime.  The public ``op_*`` functions evaluate what their
-operator needs and delegate to the same builders, as do ``apply_word`` and
+One private builder per operator takes jet arrays and contracts them, so a
+caller that evaluates the jet once can build every operator from it.  The
+kernels in ``schemes`` do that once per call at the window-start regime.
+The public ``op_*`` functions evaluate the jet order their operator needs
+and delegate to the same builders, as do ``apply_word`` and
 ``check_commutativity``.
 
 ``apply_word`` applies the operator word of an integral label to a single
@@ -30,6 +34,7 @@ are refused.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,41 +68,54 @@ __all__ = [
 
 
 class CoefficientSet:
-    """Batched evaluators for a drift/diffusion pair and their derivatives.
+    """Batched jet of a drift/diffusion pair: values and spatial derivatives.
 
     Subclasses set ``d`` (state dimension) and ``m`` (Wiener dimensions) and
-    implement the six methods below.  ``X`` has shape (B, d); ``regimes`` is
-    an integer array of shape (B,) with 1-based labels.  Derivative index
-    order: gradients put the differentiation axis last, Hessians the last
-    two.
+    implement ``jet``.  ``X`` has shape (B, d); ``regimes`` is an integer
+    array of shape (B,) with 1-based labels.  ``jet(X, regimes, order)``
+    returns a tuple of 2 * order + 2 arrays, the first 2 * k + 2 of which
+    are the jet of order k:
+
+    - order 0: b (B, d), sigma (B, d, m);
+    - order 1 adds Db (B, d, d) with [.., k, p] = d b^k / d x^p and
+      D sigma (B, d, m, d) with [.., k, j, p] = d sigma^(k,j) / d x^p;
+    - order 2 adds D^2 b (B, d, d, d) and D^2 sigma (B, d, m, d, d), the
+      two differentiation axes last.
+
+    The six per-entry methods below are views of ``jet`` for callers outside
+    the package; an implementation overrides ``jet`` only.
     """
 
     d: int
     m: int
 
+    def jet(self, X, regimes, order: int):
+        """(b, sigma), then (Db, D sigma) from order 1, (D^2 b, D^2 sigma) at 2."""
+        raise NotImplementedError
+
     def drift(self, X, regimes):
         """(B, d) drift values."""
-        raise NotImplementedError
+        return self.jet(X, regimes, 0)[0]
 
     def diffusion(self, X, regimes):
         """(B, d, m) diffusion values."""
-        raise NotImplementedError
+        return self.jet(X, regimes, 0)[1]
 
     def drift_gradient(self, X, regimes):
-        """(B, d, d): [..., k, p] = d b^k / d x^p."""
-        raise NotImplementedError
-
-    def drift_hessian(self, X, regimes):
-        """(B, d, d, d): [..., k, p, q] = d^2 b^k / d x^p d x^q."""
-        raise NotImplementedError
+        """(B, d, d) drift gradient."""
+        return self.jet(X, regimes, 1)[2]
 
     def diffusion_gradient(self, X, regimes):
-        """(B, d, m, d): [..., k, j, p] = d sigma^(k,j) / d x^p."""
-        raise NotImplementedError
+        """(B, d, m, d) diffusion gradient."""
+        return self.jet(X, regimes, 1)[3]
+
+    def drift_hessian(self, X, regimes):
+        """(B, d, d, d) drift Hessian."""
+        return self.jet(X, regimes, 2)[4]
 
     def diffusion_hessian(self, X, regimes):
-        """(B, d, m, d, d): [..., k, j, p, q] = d^2 sigma^(k,j) / d x^p d x^q."""
-        raise NotImplementedError
+        """(B, d, m, d, d) diffusion Hessian."""
+        return self.jet(X, regimes, 2)[5]
 
 
 def _evaluate(fn, x, regime, shape):
@@ -126,73 +144,39 @@ class CallableCoefficients(CoefficientSet):
         self.m = int(m)
         self._eps = float(np.cbrt(np.finfo(float).eps))
 
-    def _steps(self, x):
-        return self._eps * np.maximum(1.0, np.abs(x))
+    def jet(self, X, regimes, order):
+        drift = self._walk(self.drift_fn, X, regimes, (self.d,), order)
+        diffusion = self._walk(self.diffusion_fn, X, regimes, (self.d, self.m), order)
+        return tuple(part for pair in zip(drift, diffusion) for part in pair)
 
-    def _rows(self, fn, X, regimes, shape):
-        out = np.empty((X.shape[0],) + shape)
+    def _walk(self, fn, X, regimes, shape, order):
+        # one pass over the rows: value, then the gradient and Hessian
+        # stencils around it; the Hessian's centre is the row value
+        d = self.d
+        out = [np.empty((X.shape[0],) + shape + (d,) * k) for k in range(order + 1)]
         for i in range(X.shape[0]):
-            out[i] = _evaluate(fn, X[i], int(regimes[i]), shape)
-        return out
-
-    def drift(self, X, regimes):
-        return self._rows(self.drift_fn, X, regimes, (self.d,))
-
-    def diffusion(self, X, regimes):
-        return self._rows(self.diffusion_fn, X, regimes, (self.d, self.m))
-
-    def _gradient(self, fn, X, regimes, shape):
-        out = np.empty((X.shape[0],) + shape + (self.d,))
-        for i in range(X.shape[0]):
-            x = X[i]
             r = int(regimes[i])
-            h = self._steps(x)
-            for p in range(self.d):
-                e = np.zeros(self.d)
-                e[p] = h[p]
-                hi = _evaluate(fn, x + e, r, shape)
-                lo = _evaluate(fn, x - e, r, shape)
-                out[i, ..., p] = (hi - lo) / (2.0 * h[p])
-        return out
 
-    def _hessian(self, fn, X, regimes, shape):
-        out = np.empty((X.shape[0],) + shape + (self.d, self.d))
-        for i in range(X.shape[0]):
+            def f(point):
+                return _evaluate(fn, point, r, shape)
+
             x = X[i]
-            r = int(regimes[i])
-            h = self._steps(x)
-            f0 = _evaluate(fn, x, r, shape)
-            for p in range(self.d):
-                ep = np.zeros(self.d)
-                ep[p] = h[p]
-                for q in range(p, self.d):
-                    if p == q:
-                        hi = _evaluate(fn, x + 2 * ep, r, shape)
-                        lo = _evaluate(fn, x - 2 * ep, r, shape)
-                        val = (hi - 2.0 * f0 + lo) / (4.0 * h[p] * h[p])
-                    else:
-                        eq = np.zeros(self.d)
-                        eq[q] = h[q]
-                        pp = _evaluate(fn, x + ep + eq, r, shape)
-                        pm = _evaluate(fn, x + ep - eq, r, shape)
-                        mp = _evaluate(fn, x - ep + eq, r, shape)
-                        mm = _evaluate(fn, x - ep - eq, r, shape)
-                        val = (pp - pm - mp + mm) / (4.0 * h[p] * h[q])
-                    out[i, ..., p, q] = val
-                    out[i, ..., q, p] = val
+            f0 = out[0][i] = f(x)
+            h = self._eps * np.maximum(1.0, np.abs(x))
+            e = np.diag(h)  # row p steps h[p] along coordinate p
+            for p in range(d if order >= 1 else 0):
+                out[1][i, ..., p] = (f(x + e[p]) - f(x - e[p])) / (2.0 * h[p])
+            for p in range(d if order == 2 else 0):
+                val = (f(x + 2 * e[p]) - 2.0 * f0 + f(x - 2 * e[p])) / (4.0 * h[p] * h[p])
+                out[2][i, ..., p, p] = val
+                for q in range(p + 1, d):
+                    val = (
+                        f(x + e[p] + e[q]) - f(x + e[p] - e[q]) - f(x - e[p] + e[q])
+                        + f(x - e[p] - e[q])
+                    ) / (4.0 * h[p] * h[q])
+                    out[2][i, ..., p, q] = val
+                    out[2][i, ..., q, p] = val
         return out
-
-    def drift_gradient(self, X, regimes):
-        return self._gradient(self.drift_fn, X, regimes, (self.d,))
-
-    def drift_hessian(self, X, regimes):
-        return self._hessian(self.drift_fn, X, regimes, (self.d,))
-
-    def diffusion_gradient(self, X, regimes):
-        return self._gradient(self.diffusion_fn, X, regimes, (self.d, self.m))
-
-    def diffusion_hessian(self, X, regimes):
-        return self._hessian(self.diffusion_fn, X, regimes, (self.d, self.m))
 
 
 @dataclass(frozen=True)
@@ -213,10 +197,7 @@ class ModelSpec:
             )
         if not np.isfinite(x0).all():
             raise NonFiniteInput("x0 must be finite")
-        if not (1 <= self.initial_regime <= self.generator.m0):
-            raise UnknownRegime(
-                "initial regime %r outside 1..%d" % (self.initial_regime, self.generator.m0)
-            )
+        _check_regime(self.initial_regime, self.generator.m0, "initial regime")
         _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -235,13 +216,13 @@ class ModelSpec:
 
 
 def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
-    # drift and diffusion once per regime at x0, so that per-regime tables
-    # too short for the generator fail here and not inside a scheme
+    # the order-0 jet once per regime at x0, so that per-regime tables too
+    # short for the generator fail here and not inside a scheme
     d, m = coeffs.d, coeffs.m
     X = np.tile(x0, (m0, 1))
     regimes = np.arange(1, m0 + 1)
     try:
-        shapes = (coeffs.drift(X, regimes).shape, coeffs.diffusion(X, regimes).shape)
+        shapes = tuple(part.shape for part in coeffs.jet(X, regimes, 0))
     except IndexError as exc:
         raise DimensionMismatch(
             "coefficients cannot be evaluated in all %d regimes of the generator: %s"
@@ -254,27 +235,32 @@ def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
         )
 
 
+def _check_regime(regime, m0: int, what: str = "regime") -> None:
+    # an integer label in 1..m0; a float such as 1.5 would index as 1
+    if not isinstance(regime, numbers.Integral) or not 1 <= regime <= m0:
+        raise UnknownRegime("%s %r outside 1..%d" % (what, regime, m0))
+
+
 def _check_point(model: ModelSpec, x, regime: int):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != model.d:
         raise DimensionMismatch("state has %d entries, expected %d" % (x.size, model.d))
     if not np.isfinite(x).all():
         raise NonFiniteInput("state contains NaN or infinity")
-    if not (1 <= regime <= model.m0):
-        raise UnknownRegime("regime %r outside 1..%d" % (regime, model.m0))
+    _check_regime(regime, model.m0)
     return x
 
 
 def eval_drift(model: ModelSpec, x, regime: int) -> np.ndarray:
     """Drift vector b(x, regime), shape (d,)."""
     x = _check_point(model, x, regime)
-    return model.coefficients.drift(x[None, :], np.array([regime]))[0]
+    return model.coefficients.jet(x[None, :], np.array([regime]), 0)[0][0]
 
 
 def eval_diffusion(model: ModelSpec, x, regime: int) -> np.ndarray:
     """Diffusion matrix sigma(x, regime), shape (d, m)."""
     x = _check_point(model, x, regime)
-    return model.coefficients.diffusion(x[None, :], np.array([regime]))[0]
+    return model.coefficients.jet(x[None, :], np.array([regime]), 0)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +310,20 @@ def _noise_noise_diffusion(sig, dsig, hsig, lj):
 
 def op_time_drift(coeffs: CoefficientSet, X, regimes):
     """Time operator applied to every drift entry; shape (B, d)."""
-    return _time_drift(
-        coeffs.drift(X, regimes),
-        coeffs.drift_gradient(X, regimes),
-        coeffs.drift_hessian(X, regimes),
-        _covariance(coeffs.diffusion(X, regimes)),
-    )
+    b, sig, db, _, hb, _ = coeffs.jet(X, regimes, 2)
+    return _time_drift(b, db, hb, _covariance(sig))
 
 
 def op_noise_drift(coeffs: CoefficientSet, X, regimes):
     """Noise operators applied to the drift; shape (B, d, m), last axis = a."""
-    return _noise_drift(coeffs.drift_gradient(X, regimes), coeffs.diffusion(X, regimes))
+    _, sig, db, _ = coeffs.jet(X, regimes, 1)
+    return _noise_drift(db, sig)
 
 
 def op_time_diffusion(coeffs: CoefficientSet, X, regimes):
     """Time operator applied to every diffusion entry; shape (B, d, m)."""
-    return _time_diffusion(
-        coeffs.drift(X, regimes),
-        coeffs.diffusion_gradient(X, regimes),
-        coeffs.diffusion_hessian(X, regimes),
-        _covariance(coeffs.diffusion(X, regimes)),
-    )
+    b, sig, _, dsig, _, hsig = coeffs.jet(X, regimes, 2)
+    return _time_diffusion(b, dsig, hsig, _covariance(sig))
 
 
 def op_noise_diffusion(coeffs: CoefficientSet, X, regimes, op_regimes=None):
@@ -355,8 +334,10 @@ def op_noise_diffusion(coeffs: CoefficientSet, X, regimes, op_regimes=None):
     coefficients are taken at those regimes while the target entry stays at
     ``regimes``; the one-jump correction terms need that split.
     """
-    sig_op = coeffs.diffusion(X, regimes if op_regimes is None else op_regimes)
-    return _noise_diffusion(coeffs.diffusion_gradient(X, regimes), sig_op)
+    _, sig, _, dsig = coeffs.jet(X, regimes, 1)
+    if op_regimes is not None:
+        sig = coeffs.jet(X, op_regimes, 0)[1]
+    return _noise_diffusion(dsig, sig)
 
 
 def op_noise_noise_diffusion(coeffs: CoefficientSet, X, regimes):
@@ -365,9 +346,7 @@ def op_noise_noise_diffusion(coeffs: CoefficientSet, X, regimes):
     Entry [.., k, j, a, c] applies first the operator of dimension a, then
     the operator of dimension c, to sigma^(k,j).
     """
-    sig = coeffs.diffusion(X, regimes)
-    dsig = coeffs.diffusion_gradient(X, regimes)
-    hsig = coeffs.diffusion_hessian(X, regimes)
+    _, sig, _, dsig, _, hsig = coeffs.jet(X, regimes, 2)
     return _noise_noise_diffusion(sig, dsig, hsig, _noise_diffusion(dsig, sig))
 
 
@@ -396,21 +375,21 @@ def apply_word(
         (a1, a2)}; time letters cannot be outermost in a two-letter word.
     """
     x = _check_point(model, x, regime)
-    if operator_regime is not None and not (1 <= operator_regime <= model.m0):
-        raise UnknownRegime("operator regime %r outside 1..%d" % (operator_regime, model.m0))
+    if operator_regime is not None:
+        _check_regime(operator_regime, model.m0, "operator regime")
     kind = target[0]
-    if kind == "drift":
-        k = target[1] - 1
-        if not (0 <= k < model.d):
-            raise DimensionMismatch("drift entry %r outside 1..%d" % (target[1], model.d))
-    elif kind == "diffusion":
-        k, j = target[1] - 1, target[2] - 1
-        if not (0 <= k < model.d) or not (0 <= j < model.m):
-            raise DimensionMismatch(
-                "diffusion entry %r outside 1..%d x 1..%d" % (target[1:], model.d, model.m)
-            )
-    else:
+    bounds = {"drift": (model.d,), "diffusion": (model.d, model.m)}.get(kind)
+    if bounds is None:
         raise UnsupportedWordLength("unknown target %r" % (kind,))
+    entry = tuple(target[1:])
+    if len(entry) != len(bounds) or not all(
+        isinstance(i, numbers.Integral) and 1 <= i <= n for i, n in zip(entry, bounds)
+    ):
+        raise DimensionMismatch(
+            "%s entry %r outside %s" % (kind, entry, " x ".join("1..%d" % n for n in bounds))
+        )
+    # the entry's position in a batch of one, ahead of any operator axes
+    at = (0,) + tuple(i - 1 for i in entry)
 
     comps = index.components
     letters = [c for c in comps]
@@ -433,21 +412,19 @@ def apply_word(
     coeffs = model.coefficients
 
     if len(letters) == 0:
-        if kind == "drift":
-            return float(coeffs.drift(X, R)[0, k])
-        return float(coeffs.diffusion(X, R)[0, k, j])
+        b, sig = coeffs.jet(X, R, 0)
+        return float((b if kind == "drift" else sig)[at])
 
     if len(letters) == 1:
         c = letters[0]
         if c.kind is ComponentKind.TIME:
-            if kind == "drift":
-                return float(op_time_drift(coeffs, X, R)[0, k])
-            return float(op_time_diffusion(coeffs, X, R)[0, k, j])
-        a = c.index - 1
+            op = op_time_drift if kind == "drift" else op_time_diffusion
+            return float(op(coeffs, X, R)[at])
+        at += (c.index - 1,)
         if kind == "drift":
-            return float(op_noise_drift(coeffs, X, R)[0, k, a])
+            return float(op_noise_drift(coeffs, X, R)[at])
         op_r = None if operator_regime is None else np.array([operator_regime])
-        return float(op_noise_diffusion(coeffs, X, R, op_r)[0, k, j, a])
+        return float(op_noise_diffusion(coeffs, X, R, op_r)[at])
 
     if len(letters) == 2:
         first, second = letters
@@ -458,7 +435,7 @@ def apply_word(
                 )
             # word (a1, a2): inner letter a2 acts first
             tensor = op_noise_noise_diffusion(coeffs, X, R)
-            return float(tensor[0, k, j, second.index - 1, first.index - 1])
+            return float(tensor[at + (second.index - 1, first.index - 1)])
         raise UnsupportedWordLength(
             "two-letter words must consist of Wiener letters, got %s" % (index,)
         )
@@ -521,9 +498,9 @@ def check_commutativity(model: ModelSpec, points=None) -> CommutativityReport:
     if points is None:
         points = default_probe_points(model)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != model.d:
+    if points.ndim != 2 or points.shape[1] != model.d or points.shape[0] == 0:
         raise DimensionMismatch(
-            "probe points have shape %s, expected (n, %d)" % (points.shape, model.d)
+            "probe points have shape %s, expected (n, %d) with n >= 1" % (points.shape, model.d)
         )
     if not np.isfinite(points).all():
         raise NonFiniteInput("probe points must be finite")
@@ -531,11 +508,9 @@ def check_commutativity(model: ModelSpec, points=None) -> CommutativityReport:
     gap1 = 0.0
     gap2 = 0.0
     for regime in range(1, model.m0 + 1):
-        R = np.full(points.shape[0], regime)
-        sig = coeffs.diffusion(points, R)
-        dsig = coeffs.diffusion_gradient(points, R)
+        _, sig, _, dsig, _, hsig = coeffs.jet(points, np.full(points.shape[0], regime), 2)
         t1 = _noise_diffusion(dsig, sig)
         gap1 = max(gap1, float(np.abs(t1 - t1.transpose(0, 1, 3, 2)).max()))
-        t2 = _noise_noise_diffusion(sig, dsig, coeffs.diffusion_hessian(points, R), t1)
+        t2 = _noise_noise_diffusion(sig, dsig, hsig, t1)
         gap2 = max(gap2, float(np.abs(t2 - t2.transpose(0, 1, 2, 4, 3)).max()))
     return CommutativityReport(gap1, gap2, points.shape[0] * model.m0)

@@ -18,6 +18,8 @@ as their dimension, exact-jump letters as ``N<r>``, the overflow letter as
 from __future__ import annotations
 
 import enum
+import numbers
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable
 
@@ -245,13 +247,18 @@ def word(*tags) -> MultiIndex:
     return MultiIndex(tuple(comps))
 
 
+_TAG = re.compile(r"(Nb|N)?([0-9]+)\Z")
+
+
 def _component_from_tag(tag: str) -> Component:
-    t = tag.strip()
-    if t.startswith("Nb"):
-        return jump_overflow(int(t[2:]))
-    if t.startswith("N"):
-        return jump_exact(int(t[1:]))
-    j = int(t)
+    match = _TAG.match(tag.strip())
+    if match is None:
+        raise InvalidComponent("cannot interpret %r as a word letter" % (tag,))
+    prefix, j = match.group(1), int(match.group(2))
+    if prefix == "Nb":
+        return jump_overflow(j)
+    if prefix == "N":
+        return jump_exact(j)
     return TIME if j == 0 else wiener(j)
 
 
@@ -457,8 +464,8 @@ def build_scheme_sets(gamma: float, m: int) -> SchemeSets:
             "enumeration refused for order %s > %s; the sets grow combinatorially"
             % (gamma, MAX_GAMMA)
         )
-    if m < 1:
-        raise InvalidComponent("need at least one Wiener dimension")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise InvalidComponent("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
     mu = two_gamma
 
     def keep_diffusion(index: MultiIndex) -> bool:

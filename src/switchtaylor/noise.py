@@ -30,6 +30,7 @@ formula for dW and dZ over a window; the scalar queries ``increment_w``,
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -66,9 +67,10 @@ class GridSpec:
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.t_end) and self.t0 < self.t_end):
             raise InvalidGrid("need finite t0 < t_end")
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidGrid("the interval count must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        n = self.n
+        if not (isinstance(n, numbers.Real) and np.isfinite(n) and int(n) == n and n >= 1):
+            raise InvalidGrid("the interval count must be a positive integer, got %r" % (n,))
+        object.__setattr__(self, "n", int(n))
 
     def finest_times(self) -> np.ndarray:
         span = self.t_end - self.t0
@@ -91,8 +93,8 @@ def sample_increments(deltas, m: int, rng: np.random.Generator):
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or (deltas <= 0).any():
         raise InvalidGrid("interval lengths must be positive")
-    if m < 1:
-        raise InvalidGrid("need at least one Wiener dimension")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise InvalidGrid("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
     g = rng.standard_normal((deltas.size, m, 2))
     root = np.sqrt(deltas)
     dw = root[:, None] * g[:, :, 0]
@@ -112,10 +114,17 @@ class NoisePath:
         times = np.asarray(times, dtype=float)
         dw = np.asarray(dw, dtype=float)
         dz = np.asarray(dz, dtype=float)
-        if times.ndim != 1 or times.size < 2 or (np.diff(times) <= 0).any():
-            raise InvalidGrid("grid times must be strictly increasing")
+        if (
+            times.ndim != 1
+            or times.size < 2
+            or not np.isfinite(times).all()
+            or (np.diff(times) <= 0).any()
+        ):
+            raise InvalidGrid("grid times must be finite and strictly increasing")
         if dw.shape != dz.shape or dw.ndim != 2 or dw.shape[0] != times.size - 1:
             raise InvalidGrid("increment arrays must be (intervals, dimensions)")
+        if dw.shape[1] < 1:
+            raise InvalidGrid("a noise path needs at least one Wiener dimension")
         self.times = times
         self.dw = dw
         self.dz = dz
@@ -251,24 +260,35 @@ def dump_noise(path: NoisePath, file) -> None:
 
 
 def load_noise(file) -> NoisePath:
-    """Read a path written by dump_noise."""
+    """Read a path written by dump_noise.
+
+    The sizes the header declares are checked against the bytes the file
+    holds before any array is built from them.
+    """
     with opened(file, "rb") as src:
-        n_times, m = _HEADER.unpack(_read_exactly(src, _HEADER.size, "header"))
-        if n_times < 2:
-            raise InvalidGrid(
-                "noise file declares %d grid times, a path needs at least 2" % n_times
-            )
-        times = np.frombuffer(_read_exactly(src, 8 * n_times, "grid times"), dtype="<f8")
-        n = n_times - 1
-        dw = np.frombuffer(_read_exactly(src, 8 * n * m, "dW"), dtype="<f8").reshape(n, m)
-        dz = np.frombuffer(_read_exactly(src, 8 * n * m, "dZ"), dtype="<f8").reshape(n, m)
-    return NoisePath(times.copy(), dw.copy(), dz.copy())
-
-
-def _read_exactly(file, size: int, part: str) -> bytes:
-    data = file.read(size)
-    if len(data) != size:
+        header = src.read(_HEADER.size)
+        body = src.read()
+    if len(header) < _HEADER.size:
         raise TruncatedNoiseFile(
-            "noise file ends inside the %s: expected %d bytes, got %d" % (part, size, len(data))
+            "noise file ends inside the header: expected %d bytes, got %d"
+            % (_HEADER.size, len(header))
         )
-    return data
+    n_times, m = _HEADER.unpack(header)
+    if n_times < 2:
+        raise InvalidGrid(
+            "noise file declares %d grid times, a path needs at least 2" % n_times
+        )
+    n = n_times - 1
+    parts = []
+    offset = 0
+    for part, count in (("grid times", n_times), ("dW", n * m), ("dZ", n * m)):
+        got = min(len(body) - offset, 8 * count)
+        if got < 8 * count:
+            raise TruncatedNoiseFile(
+                "noise file ends inside the %s: expected %d bytes, got %d"
+                % (part, 8 * count, got)
+            )
+        parts.append(np.frombuffer(body, dtype="<f8", count=count, offset=offset))
+        offset += 8 * count
+    times, dw, dz = parts
+    return NoisePath(times.copy(), dw.reshape(n, m).copy(), dz.reshape(n, m).copy())

@@ -26,12 +26,14 @@ step is ``integrate`` on the two-point grid [s, t], started from any state
 by replacing the model's ``x0``.
 
 Each kernel call evaluates the coefficient jet once, at the window-start
-regime, and builds its operators from it with the builders of ``model``.
-The 1.5 map needs the full jet (b, Db, D^2 b, sigma, D sigma, D^2 sigma),
-the 1.0 map b, sigma and D sigma.  Rows whose window holds a switch add a
-partial jet at the first switched regime (b, sigma and D sigma on those rows
-only) and, for the 1.5 map, sigma at the second switched regime on rows with
-two or more switches.
+regime, with ``coeffs.jet`` of the order its map contracts, and builds its
+operators from it with the builders of ``model``: order 0 (b, sigma) for
+the 0.5 map, order 1 (adding Db, D sigma) for the 1.0 map and order 2
+(adding D^2 b, D^2 sigma) for the 1.5 map.  Rows whose window holds a
+switch add one call on those rows only, at the first switched regime: order
+0 for the 1.0 map, order 1 for the 1.5 map.  The 1.5 map adds one more
+order-0 call at the second switched regime on rows with two or more
+switches.
 """
 
 from __future__ import annotations
@@ -222,20 +224,18 @@ def _triple_weight(dw, h):
 
 
 def _euler_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
-    b = coeffs.drift(y, regimes)
-    sig = coeffs.diffusion(y, regimes)
+    b, sig = coeffs.jet(y, regimes, 0)
     return y + b * h + np.einsum("bkj,bj->bk", sig, dw)
 
 
 def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
-    b = coeffs.drift(y, regimes)
-    sig = coeffs.diffusion(y, regimes)
-    lj = _noise_diffusion(coeffs.diffusion_gradient(y, regimes), sig)
+    b, sig, _, dsig = coeffs.jet(y, regimes, 1)
+    lj = _noise_diffusion(dsig, sig)
     out = y + b * h + np.einsum("bkj,bj->bk", sig, dw)
     out += 0.5 * np.einsum("bkja,bja->bk", lj, _pair_weight(dw, h))
     if jumps is not None and jumps.rows.size:
         rows = jumps.rows
-        sig_after = coeffs.diffusion(y[rows], jumps.reg1)
+        sig_after = coeffs.jet(y[rows], jumps.reg1, 0)[1]
         # correction covers the stretch from the switch to the next one,
         # or to the window end when the switch is the only one
         w_cut = np.where((jumps.counts >= 2)[:, None], jumps.w2, dw[rows])
@@ -247,12 +247,7 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
     if dz is None:
         raise InvalidGrid("the 1.5 scheme needs the time integrals of the noise")
     # the coefficient jet at the window-start regime, evaluated once
-    b = coeffs.drift(y, regimes)
-    db = coeffs.drift_gradient(y, regimes)
-    hb = coeffs.drift_hessian(y, regimes)
-    sig = coeffs.diffusion(y, regimes)
-    dsig = coeffs.diffusion_gradient(y, regimes)
-    hsig = coeffs.diffusion_hessian(y, regimes)
+    b, sig, db, dsig, hb, hsig = coeffs.jet(y, regimes, 2)
     cov = _covariance(sig)
     l0b = _time_drift(b, db, hb, cov)
     ljb = _noise_drift(db, sig)
@@ -272,19 +267,17 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
 
     # first-switch corrections cover the stretch up to the second switch or
     # the window end; a window with one switch uses the full remainder.
-    # The switched regime needs b, sigma and D sigma on the switch rows only.
+    # The switched regime needs the order-1 jet on the switch rows only.
     rows = jumps.rows
-    yk = y[rows]
     reg1 = jumps.reg1
     w1 = jumps.w1
     sig0 = sig[rows]
-    sig1 = coeffs.diffusion(yk, reg1)
-    dsig1 = coeffs.diffusion_gradient(yk, reg1)
+    b1, sig1, _, dsig1 = coeffs.jet(y[rows], reg1, 1)
     more = jumps.counts >= 2
     w_cut = np.where(more[:, None], jumps.w2, dw[rows])
     tail = w_cut - w1
     remain = np.where(more, jumps.dt2, h) - jumps.dt1
-    out[rows] += (coeffs.drift(yk, reg1) - b[rows]) * remain[:, None]
+    out[rows] += (b1 - b[rows]) * remain[:, None]
     out[rows] += np.einsum("bkj,bj->bk", sig1 - sig0, tail)
     # switched target, operator coefficients frozen at the start regime
     lj_mixed = _noise_diffusion(dsig1, sig0)
@@ -296,7 +289,7 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
 
     if more.any():
         rows2 = rows[more]
-        sig_after = coeffs.diffusion(y[rows2], jumps.reg2[more])
+        sig_after = coeffs.jet(y[rows2], jumps.reg2[more], 0)[1]
         # second-switch correction, cut off at a third switch when present
         w_cut3 = np.where((jumps.counts[more] >= 3)[:, None], jumps.w3[more], dw[rows2])
         out[rows2] += np.einsum(

@@ -26,6 +26,7 @@ from switchtaylor.errors import (
     CouplingMismatch,
     InsufficientLevels,
     InvalidGrid,
+    InvalidSeed,
     NonFiniteState,
     NonPositiveError,
     ReferenceNotFiner,
@@ -154,6 +155,11 @@ class TestFitOrder:
         with pytest.raises(NonPositiveError):
             fit_order([(0.5, 0.1), (0.25, math.nan), (0.125, 0.01)])
 
+    @pytest.mark.parametrize("h", [0.0, -0.25, math.inf, math.nan])
+    def test_rejects_step_sizes_that_are_not_positive_and_finite(self, h):
+        with pytest.raises(InvalidGrid, match="positive finite step sizes"):
+            fit_order([(0.5, 0.1), (h, 0.05), (0.125, 0.01)])
+
 
 class TestPlanValidation:
     def test_non_dyadic_level_rejected(self):
@@ -180,6 +186,8 @@ class TestPlanValidation:
     def test_degenerate_plans_rejected(self):
         with pytest.raises(InvalidGrid):
             small_plan(t_end=0.0)
+        with pytest.raises(InvalidGrid, match="positive and finite"):
+            small_plan(t_end=math.nan)
         with pytest.raises(InvalidGrid):
             small_plan(paths=0)
         with pytest.raises(InvalidGrid):
@@ -193,6 +201,15 @@ class TestPlanValidation:
     def test_sizes_must_be_integers(self, size):
         with pytest.raises(InvalidGrid, match="must be an integer"):
             small_plan(**size)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64, "3", None])
+    def test_seed_must_be_a_64_bit_non_negative_integer(self, seed):
+        with pytest.raises(InvalidSeed, match="seed must be an integer"):
+            small_plan(seed=seed)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        assert small_plan(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+        assert small_plan(seed=np.int64(5)).seed == 5
 
     def test_levels_are_sorted_and_deduplicated(self):
         plan = small_plan(coarse_steps=(16, 4, 16, 8), reference_steps=256)

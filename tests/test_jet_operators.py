@@ -11,8 +11,6 @@ derivatives; there the summation order of the curvature terms differs, so it
 is held to a relative gap of 1e-14.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -283,18 +281,9 @@ def test_kernels_match_reference(name, width, count):
 # ---------------------------------------------------------------------------
 # evaluation counts
 
-COEFF_METHODS = (
-    "drift",
-    "diffusion",
-    "drift_gradient",
-    "drift_hessian",
-    "diffusion_gradient",
-    "diffusion_hessian",
-)
-
 
 class CountingCoefficients(CoefficientSet):
-    """Delegates to a coefficient set and records every call in order."""
+    """Delegates to a coefficient set and records every ``jet`` call in order."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -302,59 +291,56 @@ class CountingCoefficients(CoefficientSet):
         self.m = inner.m
         self.calls = []
 
-
-def _counted(method):
-    def call(self, X, regimes):
-        self.calls.append((method, np.array(X), np.array(regimes)))
-        return getattr(self.inner, method)(X, regimes)
-
-    return call
-
-
-for _method in COEFF_METHODS:
-    setattr(CountingCoefficients, _method, _counted(_method))
+    def jet(self, X, regimes, order):
+        self.calls.append((order, np.array(X), np.array(regimes)))
+        return self.inner.jet(X, regimes, order)
 
 
 def counted_call(scheme, count=0, width=6):
     _, y, regimes, h, dw, dz, jumps = kernel_inputs(MODELS["diagonal3"], width, count)
     counting = CountingCoefficients(MODELS["diagonal3"].coefficients)
     SCHEMES[scheme].kernel(counting, y, regimes, h, dw, dz, jumps)
-    return counting.calls, y, jumps
+    return counting.calls, y, regimes, jumps
+
+
+def orders(calls):
+    return [order for order, _, _ in calls]
+
+
+def assert_calls(calls, expected):
+    assert orders(calls) == orders(expected)
+    for (_, X, R), (_, want_X, want_R) in zip(calls, expected):
+        np.testing.assert_array_equal(X, want_X)
+        np.testing.assert_array_equal(R, want_R)
 
 
 def test_jump_free_taylor15_evaluates_the_jet_once():
-    calls, _, _ = counted_call("taylor15")
-    assert Counter(name for name, _, _ in calls) == Counter(COEFF_METHODS)
+    calls, y, regimes, _ = counted_call("taylor15")
+    assert_calls(calls, [(2, y, regimes)])
 
 
-def test_jump_free_milstein_makes_three_evaluations():
-    calls, _, _ = counted_call("milstein")
-    names = Counter(name for name, _, _ in calls)
-    assert names == Counter(("drift", "diffusion", "diffusion_gradient"))
+def test_jump_free_milstein_evaluates_an_order_one_jet():
+    calls, y, regimes, _ = counted_call("milstein")
+    assert_calls(calls, [(1, y, regimes)])
+
+
+def test_euler_evaluates_an_order_zero_jet():
+    for count in (0, 1):
+        calls, y, regimes, _ = counted_call("euler", count)
+        assert_calls(calls, [(0, y, regimes)])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, "mixed"])
+def test_milstein_switch_rows_add_an_order_zero_jet(count):
+    calls, y, regimes, jumps = counted_call("milstein", count)
+    assert_calls(calls, [(1, y, regimes), (0, y[jumps.rows], jumps.reg1)])
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, "mixed"])
 def test_taylor15_switch_rows_add_a_partial_jet(count):
-    calls, y, jumps = counted_call("taylor15", count)
-    assert Counter(name for name, _, _ in calls[:6]) == Counter(COEFF_METHODS)
-    rows, reg1 = jumps.rows, jumps.reg1
-    expected = [
-        ("drift", y[rows], reg1),
-        ("diffusion", y[rows], reg1),
-        ("diffusion_gradient", y[rows], reg1),
-    ]
-    more = jumps.counts >= 2
+    calls, y, regimes, jumps = counted_call("taylor15", count)
+    rows, more = jumps.rows, jumps.counts >= 2
+    expected = [(2, y, regimes), (1, y[rows], jumps.reg1)]
     if more.any():
-        expected.append(("diffusion", y[rows[more]], jumps.reg2[more]))
-    extra = calls[6:]
-    assert len(extra) == len(expected)
-
-    def key(call):
-        return call[0], tuple(call[2])
-
-    for (name, X, R), (want_name, want_X, want_R) in zip(
-        sorted(extra, key=key), sorted(expected, key=key)
-    ):
-        assert name == want_name
-        np.testing.assert_array_equal(X, want_X)
-        np.testing.assert_array_equal(R, want_R)
+        expected.append((0, y[rows[more]], jumps.reg2[more]))
+    assert_calls(calls, expected)

@@ -47,6 +47,12 @@ def test_generator_validation():
 def test_path_validation():
     with pytest.raises(IntervalOutOfRange):
         mc.ChainPath(0.0, 0.0, 1)
+    gen = mc.GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]])
+    for t_end in (np.nan, np.inf):
+        with pytest.raises(IntervalOutOfRange):
+            mc.ChainPath(0.0, t_end, 1)
+        with pytest.raises(IntervalOutOfRange):
+            mc.sample_path(gen, 1, 0.0, t_end, np.random.default_rng(0))
     with pytest.raises(IntervalOutOfRange):
         mc.ChainPath(0.0, 1.0, 1, np.array([0.5, 0.5]), np.array([2, 1]))
     with pytest.raises(IntervalOutOfRange):
@@ -59,6 +65,13 @@ def test_entered_states_are_labelled_from_one():
     # a label 0 would index the last regime's coefficient table
     with pytest.raises(StateOutOfRange):
         mc.ChainPath(0.0, 1.0, 1, np.array([0.4]), np.array([0]))
+    # a fractional label would be truncated to the regime below it
+    with pytest.raises(StateOutOfRange):
+        mc.ChainPath(0.0, 1.0, 1, [0.5], [1.5])
+    with pytest.raises(StateOutOfRange):
+        mc.ChainPath(0.0, 1.0, 1.5)
+    with pytest.raises(StateOutOfRange):
+        mc.sample_path(mc.GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]), 1.5, 0.0, 1.0, None)
 
 
 def test_state_accessors_on_crafted_path():

@@ -139,60 +139,38 @@ class _CurvedAnalytic(CoefficientSet):
     d = 2
     m = 2
 
-    @staticmethod
-    def _g(regimes):
-        return np.asarray(regimes, dtype=float)
-
-    def drift(self, X, regimes):
-        g = self._g(regimes)
-        return g[:, None] * np.stack([np.sin(X[:, 0]), X[:, 0] * X[:, 1]], axis=1)
-
-    def diffusion(self, X, regimes):
-        g = self._g(regimes)
+    def jet(self, X, regimes, order):
+        g = np.asarray(regimes, dtype=float)
+        B = X.shape[0]
         x1, x2 = X[:, 0], X[:, 1]
-        out = np.empty((X.shape[0], 2, 2))
-        out[:, 0, 0] = np.cos(x2)
-        out[:, 0, 1] = x1**2
-        out[:, 1, 0] = x2
-        out[:, 1, 1] = np.exp(x1 / 2)
-        return g[:, None, None] * out
-
-    def drift_gradient(self, X, regimes):
-        g = self._g(regimes)
-        x1, x2 = X[:, 0], X[:, 1]
-        out = np.zeros((X.shape[0], 2, 2))
-        out[:, 0, 0] = np.cos(x1)
-        out[:, 1, 0] = x2
-        out[:, 1, 1] = x1
-        return g[:, None, None] * out
-
-    def drift_hessian(self, X, regimes):
-        g = self._g(regimes)
-        x1 = X[:, 0]
-        out = np.zeros((X.shape[0], 2, 2, 2))
-        out[:, 0, 0, 0] = -np.sin(x1)
-        out[:, 1, 0, 1] = 1.0
-        out[:, 1, 1, 0] = 1.0
-        return g[:, None, None, None] * out
-
-    def diffusion_gradient(self, X, regimes):
-        g = self._g(regimes)
-        x1, x2 = X[:, 0], X[:, 1]
-        out = np.zeros((X.shape[0], 2, 2, 2))
-        out[:, 0, 0, 1] = -np.sin(x2)
-        out[:, 0, 1, 0] = 2 * x1
-        out[:, 1, 0, 1] = 1.0
-        out[:, 1, 1, 0] = 0.5 * np.exp(x1 / 2)
-        return g[:, None, None, None] * out
-
-    def diffusion_hessian(self, X, regimes):
-        g = self._g(regimes)
-        x1, x2 = X[:, 0], X[:, 1]
-        out = np.zeros((X.shape[0], 2, 2, 2, 2))
-        out[:, 0, 0, 1, 1] = -np.cos(x2)
-        out[:, 0, 1, 0, 0] = 2.0
-        out[:, 1, 1, 0, 0] = 0.25 * np.exp(x1 / 2)
-        return g[:, None, None, None, None] * out
+        sig = np.empty((B, 2, 2))
+        sig[:, 0, 0] = np.cos(x2)
+        sig[:, 0, 1] = x1**2
+        sig[:, 1, 0] = x2
+        sig[:, 1, 1] = np.exp(x1 / 2)
+        out = [np.stack([np.sin(x1), x1 * x2], axis=1), sig]
+        if order >= 1:
+            db = np.zeros((B, 2, 2))
+            db[:, 0, 0] = np.cos(x1)
+            db[:, 1, 0] = x2
+            db[:, 1, 1] = x1
+            dsig = np.zeros((B, 2, 2, 2))
+            dsig[:, 0, 0, 1] = -np.sin(x2)
+            dsig[:, 0, 1, 0] = 2 * x1
+            dsig[:, 1, 0, 1] = 1.0
+            dsig[:, 1, 1, 0] = 0.5 * np.exp(x1 / 2)
+            out += [db, dsig]
+        if order == 2:
+            hb = np.zeros((B, 2, 2, 2))
+            hb[:, 0, 0, 0] = -np.sin(x1)
+            hb[:, 1, 0, 1] = 1.0
+            hb[:, 1, 1, 0] = 1.0
+            hsig = np.zeros((B, 2, 2, 2, 2))
+            hsig[:, 0, 0, 1, 1] = -np.cos(x2)
+            hsig[:, 0, 1, 0, 0] = 2.0
+            hsig[:, 1, 1, 0, 0] = 0.25 * np.exp(x1 / 2)
+            out += [hb, hsig]
+        return tuple(g.reshape((B,) + (1,) * (part.ndim - 1)) * part for part in out)
 
 
 class TestFiniteDifferenceFallback:
@@ -274,7 +252,7 @@ class TestCommutativityProbe:
 
     def test_rejects_wrong_sized_points(self):
         mod = fixture("diagonal3")
-        for shape in [(1, 3), (2, 3), (4,)]:
+        for shape in [(1, 3), (2, 3), (4,), (0, 2)]:
             with pytest.raises(DimensionMismatch, match=r"expected \(n, 2\)"):
                 check_commutativity(mod, points=np.ones(shape))
 
@@ -293,10 +271,15 @@ class TestModelValidation:
             eval_drift(LIN, [1.0], 0)
         with pytest.raises(UnknownRegime):
             eval_diffusion(LIN, [1.0], 3)
+        with pytest.raises(UnknownRegime):
+            eval_drift(LIN, [1.0], 1.5)
         with pytest.raises(DimensionMismatch, match="outside 1..1"):
             apply_word(LIN, word(), ("drift", 2), [1.0], 1)
         with pytest.raises(DimensionMismatch, match="outside 1..1 x 1..1"):
             apply_word(LIN, word(), ("diffusion", 1, 2), [1.0], 1)
+        for target in [("diffusion", 1), ("drift",), ("drift", 1, 1), ("drift", 1.5)]:
+            with pytest.raises(DimensionMismatch, match="outside"):
+                apply_word(LIN, word(1), target, [1.0], 1)
 
     def test_model_spec_guards(self):
         gen = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -317,11 +300,8 @@ class TestModelValidation:
         class FlatDiffusion(CoefficientSet):
             d, m = 1, 1
 
-            def drift(self, X, regimes):
-                return -X
-
-            def diffusion(self, X, regimes):
-                return 0.5 * X  # (B, d), missing the Wiener axis
+            def jet(self, X, regimes, order):
+                return -X, 0.5 * X  # diffusion (B, d), missing the Wiener axis
 
         with pytest.raises(DimensionMismatch, match=r"\(2, 1\) and \(2, 1\), expected"):
             ModelSpec("flat", LIN.generator, FlatDiffusion(), x0=[1.0])

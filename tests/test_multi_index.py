@@ -212,6 +212,9 @@ def test_word_validation():
         mi.Component(mi.ComponentKind.WIENER, 0)
     with pytest.raises(InvalidComponent):
         mi.Component(mi.ComponentKind.TIME, 1)
+    for tag in ("x", "N", "Nbx", "1.5"):
+        with pytest.raises(InvalidComponent, match="cannot interpret"):
+            mi.word(tag)
 
     ok = mi.validate_word(mi.word(1, "N2", 2).components, m=2, mu=2)
     assert ok.length == 3
@@ -232,6 +235,8 @@ def test_gamma_guards():
         mi.build_scheme_sets(-1.0, 1)
     with pytest.raises(InvalidGamma):
         mi.build_scheme_sets(3.5, 1)
+    with pytest.raises(InvalidComponent, match="integer count of Wiener dimensions"):
+        mi.build_scheme_sets(1.0, 1.5)
     # the supported ceiling still enumerates
     s = mi.build_scheme_sets(3.0, 1)
     assert mi.EMPTY_INDEX in s.drift

@@ -27,9 +27,17 @@ def test_grid_spec_validation():
         noise.GridSpec(0.0, 1.0, 2.5)
     with pytest.raises(InvalidGrid):
         noise.GridSpec(0.0, np.inf, 4)
+    for n in (np.nan, np.inf, None, "4"):
+        with pytest.raises(InvalidGrid, match="positive integer"):
+            noise.GridSpec(0.0, 1.0, n)
     g = noise.GridSpec(0.0, 1.0, 16.0)
     assert g.n == 16 and isinstance(g.n, int)
     assert g.finest_times().size == 17
+    inc = np.zeros((2, 1))
+    with pytest.raises(InvalidGrid, match="finite"):
+        noise.NoisePath(np.array([0.0, 0.5, np.nan]), inc, inc)
+    with pytest.raises(InvalidGrid, match="Wiener dimension"):
+        noise.NoisePath(np.array([0.0, 0.5, 1.0]), np.zeros((2, 0)), np.zeros((2, 0)))
 
 
 def test_grid_nesting_is_bitwise():
@@ -175,6 +183,8 @@ def test_sample_increments_validation():
         noise.sample_increments(np.array([0.1, -0.2]), 1, rng)
     with pytest.raises(InvalidGrid):
         noise.sample_increments(np.array([0.1]), 0, rng)
+    with pytest.raises(InvalidGrid):
+        noise.sample_increments(np.array([0.1]), 2.5, rng)
 
 
 def test_dump_and_load_round_trip():
@@ -196,17 +206,34 @@ def test_dump_and_load_round_trip():
 
 @pytest.mark.parametrize(
     "part, cut",
-    [("header", 10), ("grid times", 16 + 12), ("dZ", -4)],
+    [
+        ("header", 10),
+        ("grid times", 16 + 12),
+        ("dZ", -4),
+        # a tuple replaces the header by one that declares more than the file
+        # holds; such sizes must fail before anything is allocated from them
+        pytest.param("grid times", (2**40, 1), id="grid times-2**40 times"),
+        pytest.param("dW", (2, 2**40), id="dW-2**40 dimensions"),
+        pytest.param("grid times", (2**62, 1), id="grid times-2**62 times"),
+    ],
 )
 def test_load_rejects_truncated_files(part, cut):
     p, _, _ = _path_with_jumps(31)
     buf = io.BytesIO()
     noise.dump_noise(p, buf)
     raw = buf.getvalue()
+    if isinstance(cut, tuple):
+        raw = struct.pack("<QQ", *cut) + raw[16:]
+    else:
+        raw = raw[:cut]
     with pytest.raises(TruncatedNoiseFile, match="inside the %s: expected" % part):
-        noise.load_noise(io.BytesIO(raw[:cut]))
+        noise.load_noise(io.BytesIO(raw))
 
 
 def test_load_rejects_a_header_without_intervals():
     with pytest.raises(InvalidGrid, match="declares 0 grid times"):
         noise.load_noise(io.BytesIO(struct.pack("<QQ", 0, 1)))
+    # grid times 0 and 1 with no Wiener dimension
+    times = np.array([0.0, 1.0], dtype="<f8").tobytes()
+    with pytest.raises(InvalidGrid, match="Wiener dimension"):
+        noise.load_noise(io.BytesIO(struct.pack("<QQ", 2, 0) + times))

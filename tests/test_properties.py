@@ -1,12 +1,22 @@
-"""Property tests: switch records against a brute-force scan, and batched
-stepping against single-path integration."""
+"""Property tests: switch records against a brute-force scan, batched
+stepping against single-path integration, and the coefficient jet against
+its lower orders, its single rows and its per-entry views."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from switchtaylor import ChainPath, GridSpec, build_noise, fixture
+from switchtaylor import (
+    CallableCoefficients,
+    ChainPath,
+    GridSpec,
+    build_noise,
+    fixture,
+    fixture_names,
+)
 from switchtaylor.schemes import get_scheme, integrate, jump_records, march, merge_records
+from test_model import _CurvedAnalytic
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -108,3 +118,48 @@ def test_batched_march_matches_single_path_integration(name, scheme, width, data
     for row, (chain, noise) in enumerate(paths):
         single = integrate(model, scheme, chain, noise, times)
         np.testing.assert_allclose(batched[row], single.states[1:], rtol=1e-12, atol=0)
+
+
+# (coefficient set, number of regimes)
+COEFFICIENT_SETS = {
+    name: (fixture(name).coefficients, fixture(name).m0) for name in fixture_names()
+}
+COEFFICIENT_SETS["curved"] = (_CurvedAnalytic(), 3)
+COEFFICIENT_SETS["callable"] = (
+    CallableCoefficients(
+        drift_fn=lambda x, r: r * np.array([np.sin(x[0]), x[0] * x[1]]),
+        diffusion_fn=lambda x, r: r
+        * np.array([[np.cos(x[1]), x[0] ** 2], [x[1], np.exp(x[0] / 2)]]),
+        d=2,
+        m=2,
+    ),
+    2,
+)
+VIEWS = (
+    "drift",
+    "diffusion",
+    "drift_gradient",
+    "diffusion_gradient",
+    "drift_hessian",
+    "diffusion_hessian",
+)
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(COEFFICIENT_SETS)), rows=st.integers(1, 16), data=st.data())
+def test_jet_agrees_with_its_orders_rows_and_views(name, rows, data):
+    coeffs, m0 = COEFFICIENT_SETS[name]
+    X = data.draw(arrays(float, (rows, coeffs.d), elements=st.floats(-2.0, 2.0)))
+    R = data.draw(arrays(np.int64, rows, elements=st.integers(1, m0)))
+    full = coeffs.jet(X, R, 2)
+    assert len(full) == 6
+    for order in (0, 1):
+        part = coeffs.jet(X, R, order)
+        assert len(part) == 2 * order + 2
+        for got, want in zip(part, full):
+            np.testing.assert_array_equal(got, want, strict=True)
+    for i in range(rows):
+        for got, want in zip(coeffs.jet(X[i : i + 1], R[i : i + 1], 2), full):
+            np.testing.assert_array_equal(got, want[i : i + 1], strict=True)
+    for view, want in zip(VIEWS, full):
+        np.testing.assert_array_equal(getattr(coeffs, view)(X, R), want, strict=True)

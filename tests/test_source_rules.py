@@ -43,3 +43,29 @@ def test_no_raise_of_builtin_errors():
             and _raised_name(node) in BUILTIN_ERRORS
         ]
     assert not found, "raises of builtin errors in the package: %s" % ", ".join(found)
+
+
+PER_ENTRY_VIEWS = {
+    "drift",
+    "diffusion",
+    "drift_gradient",
+    "drift_hessian",
+    "diffusion_gradient",
+    "diffusion_hessian",
+}
+
+
+def test_coefficients_are_read_through_jet():
+    # the package reads a coefficient set through CoefficientSet.jet only;
+    # the six per-entry names are views of it kept for outside callers
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [
+            "%s:%d" % (module.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in PER_ENTRY_VIEWS
+        ]
+    assert not found, "per-entry coefficient calls in the package: %s" % ", ".join(found)
