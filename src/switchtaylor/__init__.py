@@ -33,6 +33,7 @@ from .errors import (
     InvalidGamma,
     InvalidGenerator,
     InvalidGrid,
+    InvalidJetOrder,
     InvalidSeed,
     NonFiniteInput,
     NonFiniteState,
@@ -77,6 +78,7 @@ from .model import (
     ModelSpec,
     apply_word,
     check_commutativity,
+    check_jet_order,
     eval_diffusion,
     eval_drift,
     op_noise_diffusion,

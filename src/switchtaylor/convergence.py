@@ -18,6 +18,14 @@ sums by rounding, which is why it is a module constant and not a knob.  A
 thread pool over the batches was measured slower than one thread on every
 study the benchmark runs, so there is none.
 
+Draws are per path and window data per batch.  Each path draws its chain
+and noise, aggregates the noise on the reference grid, gathers its prefix
+sums on the finest coarse grid (which nests every coarse level) and records
+its switches per level.  The coarse increments of the whole batch come from
+strided slices of those sums through ``noise.window_aggregates``, the
+formula of ``NoisePath.step_aggregates``, so they carry the same bits as
+per-path aggregation; coarse regimes are strided views of the reference's.
+
 Within a batch all paths step together through ``schemes.march``: one kernel
 call per time step on a (batch, d) state block, with the switch records of
 the batch merged into one table.  On a single core this beats per-path
@@ -46,7 +54,7 @@ from .errors import (
 )
 from .markov_chain import sample_path
 from .model import ModelSpec, check_commutativity
-from .noise import GridSpec, build_noise
+from .noise import GridSpec, build_noise, window_aggregates
 from .schemes import (
     get_scheme,
     jump_records,
@@ -242,23 +250,26 @@ def fit_order(rows):
 # the batched engine
 
 
-def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
-    """Process one fixed batch of path indices; return per-(scheme, level)
-    accumulators [error sum, error square sum, path count, then the summed
-    squared magnitudes at each comparison-grid time]."""
+def _window_data(plan, levels, ref_times, indices):
+    """Per-level window data of one batch of paths, keyed by step count:
+    (dw, dz) of shape (P, L, m), regimes (P, L) at the window starts, and
+    the merged switch-record table, for every level and the reference."""
     model = plan.model
-    coeffs = model.coefficients
-    m, d = model.m, model.d
+    m = model.m
     n_ref = plan.reference_steps
     n_fine = max(levels)
     stride_f = n_ref // n_fine
     P = len(indices)
     grid = GridSpec(0.0, plan.t_end, n_ref)
     wanted = sorted(set(levels) | {n_ref})
+    edges = {L: ref_times[:: n_ref // L] for L in wanted}
+    fine_times = edges[n_fine]
 
     dw = {L: np.empty((P, L, m)) for L in wanted}
     dz = {L: np.empty((P, L, m)) for L in wanted}
-    regs = {L: np.empty((P, L), dtype=np.int64) for L in wanted}
+    ref_regs = np.empty((P, n_ref), dtype=np.int64)
+    # prefix sums (W, sum dZ, sum W dt) of every path on the finest coarse grid
+    w, zsum, wdt = (np.empty((P, n_fine + 1, m)) for _ in range(3))
     records = {L: [] for L in wanted}
 
     for slot, idx in enumerate(indices):
@@ -272,23 +283,52 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
             np.random.default_rng(chain_seed),
         )
         noise = build_noise(grid, chain, m, np.random.default_rng(noise_seed))
+        dw[n_ref][slot], dz[n_ref][slot] = noise.step_aggregates(ref_times)
+        w[slot], zsum[slot], wdt[slot] = noise.prefix_sums(fine_times)
+        ref_regs[slot] = chain.states_at(ref_times[:-1])
         for L in wanted:
-            times_l = ref_times[:: n_ref // L]
-            dw[L][slot], dz[L][slot] = noise.step_aggregates(times_l)
-            regs[L][slot] = chain.states_at(times_l[:-1])
-            records[L].append(jump_records(chain, noise, times_l))
-        # coupling spot check: one coarse window per path must hold exactly
-        # the sum of the reference increments it spans
-        k = int(idx) % n_fine
-        lhs = dw[n_fine][slot, k]
-        rhs = dw[n_ref][slot, k * stride_f : (k + 1) * stride_f].sum(axis=0)
-        if not np.allclose(lhs, rhs, rtol=0.0, atol=1e-12):
-            raise CouplingMismatch(
-                "path %d: window %d of the %d-step level differs from the sum of "
-                "the reference increments it spans" % (idx, k, n_fine)
-            )
+            records[L].append(jump_records(chain, noise, edges[L]))
 
-    tables = {L: merge_records(records[L]) for L in wanted}
+    for L in wanted[:-1]:
+        stride = n_fine // L
+        lo, hi = slice(0, n_fine, stride), slice(stride, n_fine + 1, stride)
+        window_aggregates(w, zsum, wdt, fine_times, lo, hi, out=(dw[L], dz[L]))
+    # the sums, and below each level's per-path records, are dropped once
+    # used, so the batch's peak memory never holds them next to the tables
+    del w, zsum, wdt
+    regs = {L: ref_regs[:, :: n_ref // L] for L in wanted}
+
+    # coupling spot check: one coarse window per path must hold exactly the
+    # sum of the reference increments it spans
+    k = np.asarray(indices) % n_fine
+    rows = np.arange(P)
+    lhs = dw[n_fine][rows, k]
+    rhs = dw[n_ref].reshape(P, n_fine, stride_f, m)[rows, k].sum(axis=1)
+    bad = ~np.isclose(lhs, rhs, rtol=0.0, atol=1e-12).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise CouplingMismatch(
+            "path %d: window %d of the %d-step level differs from the sum of "
+            "the reference increments it spans" % (indices[row], k[row], n_fine)
+        )
+
+    tables = {L: merge_records(records.pop(L)) for L in wanted}
+    return dw, dz, regs, tables
+
+
+def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
+    """Process one fixed batch of path indices; return per-(scheme, level)
+    accumulators [error sum, error square sum, path count, then the summed
+    squared magnitudes at each comparison-grid time]."""
+    model = plan.model
+    coeffs = model.coefficients
+    d = model.d
+    n_ref = plan.reference_steps
+    n_fine = max(levels)
+    stride_f = n_ref // n_fine
+    P = len(indices)
+
+    dw, dz, regs, tables = _window_data(plan, levels, ref_times, indices)
 
     def steps(kernel, L, what):
         # march over level L; a non-finite state names the pass, the level,

@@ -101,6 +101,11 @@ class UnsupportedWordLength(ValidationError):
     pass
 
 
+class InvalidJetOrder(ValidationError):
+    """A coefficient jet was asked for an order other than 0, 1 or 2."""
+    pass
+
+
 class UnknownFixture(ValidationError):
     """No built-in model registered under the requested name."""
     pass

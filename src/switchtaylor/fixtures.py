@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnknownFixture
 from .markov_chain import GeneratorMatrix
-from .model import CoefficientSet, ModelSpec
+from .model import CoefficientSet, ModelSpec, check_jet_order
 
 __all__ = [
     "ScalarLinearCoefficients",
@@ -61,6 +61,7 @@ class ScalarLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
 
     def jet(self, X, regimes, order):
+        check_jet_order(order)
         a = _per_regime(self.a, regimes)[:, None]
         c = _per_regime(self.c, regimes)[:, None]
         out = (a * X, (c * X)[:, :, None])
@@ -93,6 +94,7 @@ class DiagonalLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "m", a.shape[1])
 
     def jet(self, X, regimes, order):
+        check_jet_order(order)
         B, d = X.shape
         a = _per_regime(self.a, regimes)
         c = _per_regime(self.c, regimes)
@@ -128,6 +130,7 @@ class MeanRevertingCoefficients(CoefficientSet):
             )
 
     def jet(self, X, regimes, order):
+        check_jet_order(order)
         th = _per_regime(self.theta, regimes)[:, None]
         mu = _per_regime(self.mean, regimes)[:, None]
         out = (th * (mu - X), _per_regime(self.c, regimes)[:, None, None])
@@ -150,6 +153,7 @@ class PolynomialColumnsCoefficients(CoefficientSet):
     m: int = field(default=2, init=False)
 
     def jet(self, X, regimes, order):
+        check_jet_order(order)
         B = X.shape[0]
         x = X[:, 0]
         sig = np.empty((B, 1, 2))

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidComponent,
+    InvalidJetOrder,
     NonFiniteInput,
     UnknownRegime,
     UnsupportedWordLength,
@@ -52,6 +53,7 @@ from .multi_index import ComponentKind, MultiIndex
 __all__ = [
     "CoefficientSet",
     "CallableCoefficients",
+    "check_jet_order",
     "ModelSpec",
     "eval_drift",
     "eval_diffusion",
@@ -83,7 +85,8 @@ class CoefficientSet:
       two differentiation axes last.
 
     The six per-entry methods below are views of ``jet`` for callers outside
-    the package; an implementation overrides ``jet`` only.
+    the package; an implementation overrides ``jet`` only, and starts it
+    with ``check_jet_order(order)``.
     """
 
     d: int
@@ -118,6 +121,12 @@ class CoefficientSet:
         return self.jet(X, regimes, 2)[5]
 
 
+def check_jet_order(order) -> None:
+    """Refuse a jet order other than the integers 0, 1 and 2."""
+    if not (isinstance(order, numbers.Integral) and 0 <= order <= 2):
+        raise InvalidJetOrder("a coefficient jet has order 0, 1 or 2, got %r" % (order,))
+
+
 def _evaluate(fn, x, regime, shape):
     # one call of a per-point coefficient function, checked against its shape
     value = np.asarray(fn(x, regime), dtype=float)
@@ -145,6 +154,7 @@ class CallableCoefficients(CoefficientSet):
         self._eps = float(np.cbrt(np.finfo(float).eps))
 
     def jet(self, X, regimes, order):
+        check_jet_order(order)
         drift = self._walk(self.drift_fn, X, regimes, (self.d,), order)
         diffusion = self._walk(self.diffusion_fn, X, regimes, (self.d, self.m), order)
         return tuple(part for pair in zip(drift, diffusion) for part in pair)

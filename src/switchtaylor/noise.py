@@ -19,13 +19,16 @@ is legitimate), which makes every jump time a grid point and removes any need
 for bridge corrections later.  Sampling order is fixed: one draw of shape
 (intervals, dimensions, 2) filled in C order.
 
-Increments over coarser spans are exact sums of the stored fine data;
-``step_aggregates`` composes them through precomputed prefix sums, so the
-nesting identities hold to floating-point accumulation accuracy (about 1e-12
-over thousands of intervals) with no discretization error.  It holds the one
-formula for dW and dZ over a window; the scalar queries ``increment_w``,
-``time_integral_w``, ``w_at`` and ``grid_index`` are views of it, of
-``w_many`` and of ``grid_indices``.
+Increments over coarser spans are exact sums of the stored fine data,
+composed through precomputed prefix sums, so the nesting identities hold to
+floating-point accumulation accuracy (about 1e-12 over thousands of
+intervals) with no discretization error.  ``window_aggregates`` holds the
+one formula for dW and dZ over a window; it takes prefix sums with leading
+batch axes, so a caller that gathered them for many paths with
+``NoisePath.prefix_sums`` aggregates the whole batch at once.
+``NoisePath.step_aggregates`` is its view on one path, and the scalar
+queries ``increment_w``, ``time_integral_w``, ``w_at`` and ``grid_index``
+are views of it, of ``w_many`` and of ``grid_indices``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .markov_chain import ChainPath
 __all__ = [
     "GridSpec",
     "NoisePath",
+    "window_aggregates",
     "sample_increments",
     "build_noise",
     "dump_noise",
@@ -65,8 +69,12 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.t0) and np.isfinite(self.t_end) and self.t0 < self.t_end):
-            raise InvalidGrid("need finite t0 < t_end")
+        for end in ("t0", "t_end"):
+            value = getattr(self, end)
+            if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+                raise InvalidGrid("%s must be a finite real number, got %r" % (end, value))
+        if not self.t0 < self.t_end:
+            raise InvalidGrid("need t0 < t_end, got %r and %r" % (self.t0, self.t_end))
         n = self.n
         if not (isinstance(n, numbers.Real) and np.isfinite(n) and int(n) == n and n >= 1):
             raise InvalidGrid("the interval count must be a positive integer, got %r" % (n,))
@@ -164,6 +172,12 @@ class NoisePath:
         """W(t) - W(t0) for an array of grid times; shape (len(times), m)."""
         return self._w[self.grid_indices(times)]
 
+    def prefix_sums(self, times):
+        """(W, running sum of dZ, running integral of W dt) at an array of
+        grid times, each (len(times), m): the inputs of ``window_aggregates``."""
+        idx = self.grid_indices(times)
+        return self._w[idx], self._zsum[idx], self._wdt[idx]
+
     def step_aggregates(self, edges):
         """Per-window increments over consecutive grid-time edges.
 
@@ -174,16 +188,7 @@ class NoisePath:
         idx = self.grid_indices(edges)
         if np.any(np.diff(idx) < 0):
             raise IntervalOutOfRange("edges must be nondecreasing")
-        lo, hi = idx[:-1], idx[1:]
-        dw = self._w[hi] - self._w[lo]
-        dz = (
-            self._zsum[hi]
-            - self._zsum[lo]
-            + self._wdt[hi]
-            - self._wdt[lo]
-            - self._w[lo] * (self.times[hi] - self.times[lo])[:, None]
-        )
-        return dw, dz
+        return window_aggregates(self._w, self._zsum, self._wdt, self.times, idx[:-1], idx[1:])
 
     # scalar queries: views of the array queries above
 
@@ -206,6 +211,32 @@ class NoisePath:
         over (s, u) plus the value over (u, t) plus (W(u) - W(s)) (t - u).
         """
         return _component(self.step_aggregates((s, t))[1][0], j)
+
+
+def window_aggregates(w, zsum, wdt, times, lo, hi, out=None):
+    """(dW, dZ) over windows from prefix sums on a grid: the one formula.
+
+    ``w``, ``zsum`` and ``wdt`` hold W - W(t0), the running sum of dZ and
+    the running integral of W dt at the grid ``times``, along their
+    second-last axis; leading axes are batch axes and the last one holds
+    the m dimensions.  ``lo`` and ``hi`` index the window edges along the
+    grid axis (integer arrays or slices of equal length).  ``out`` is an
+    optional (dw, dz) pair of arrays the results are written into.
+
+    The term order is fixed, so equal inputs give equal bits whatever the
+    batch layout:  dz = ((zsum_hi - zsum_lo) + wdt_hi - wdt_lo) - w_lo dt.
+    """
+    dw_out, dz_out = (None, None) if out is None else out
+    w_lo = w[..., lo, :]
+    # w_lo dt is staged in the dw buffer before dw itself, so a batch of
+    # windows needs no temporary of the output's size
+    dw = np.multiply(w_lo, (times[hi] - times[lo])[:, None], out=dw_out)
+    dz = np.subtract(zsum[..., hi, :], zsum[..., lo, :], out=dz_out)
+    dz += wdt[..., hi, :]
+    dz -= wdt[..., lo, :]
+    dz -= dw
+    np.subtract(w[..., hi, :], w_lo, out=dw)
+    return dw, dz
 
 
 def _component(values: np.ndarray, j: int | None):

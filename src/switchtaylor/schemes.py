@@ -157,46 +157,55 @@ def jump_records(chain: ChainPath, noise: NoisePath, edges) -> JumpRecords:
     """
     edges = np.asarray(edges, dtype=float).reshape(-1)
     jt = chain.jump_times
-    inside = (jt > edges[0]) & (jt <= edges[-1])
-    jt = jt[inside]
-    empty = np.empty(0)
+    # jump times are sorted: the ones in (edges[0], edges[-1]] are one slice
+    lo, hi = np.searchsorted(jt, edges[[0, -1]], side="right")
+    jt = jt[lo:hi]
+    m = noise.m
     if jt.size == 0:
+        empty = np.empty(0)
         return JumpRecords(
             rows=np.empty(0, dtype=np.intp),
             counts=np.empty(0, dtype=np.int64),
             dt1=empty,
             reg1=np.empty(0, dtype=np.int64),
-            w1=np.empty((0, noise.m)),
+            w1=np.empty((0, m)),
             dt2=empty,
             reg2=np.empty(0, dtype=np.int64),
-            w2=np.empty((0, noise.m)),
-            w3=np.empty((0, noise.m)),
+            w2=np.empty((0, m)),
+            w3=np.empty((0, m)),
         )
     bins = np.searchsorted(edges, jt, side="left") - 1
-    steps, first, counts = np.unique(bins, return_index=True, return_counts=True)
+    # the switches of one window form a run of equal bins; cuts holds the
+    # start of every run and, last, the end of the final one
+    cuts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1], [True])))
+    first = cuts[:-1]
+    counts = cuts[1:] - first
+    steps = bins[first]
+    starts = edges[steps]
     tau1 = jt[first]
     has2 = counts >= 2
     has3 = counts >= 3
     # missing later switches are parked at the window start: dt = 0, w = 0
-    tau2 = np.where(has2, jt[np.minimum(first + 1, jt.size - 1)], edges[steps])
-    tau3 = np.where(has3, jt[np.minimum(first + 2, jt.size - 1)], edges[steps])
-    reg1 = chain.states_at(tau1)
-    reg2 = np.where(has2, chain.states_at(tau2), reg1)
-    starts = edges[steps]
-    w_start = noise.w_many(starts)
-    w1 = noise.w_many(tau1) - w_start
-    w2 = np.where(has2[:, None], noise.w_many(tau2) - w_start, 0.0)
-    w3 = np.where(has3[:, None], noise.w_many(tau3) - w_start, 0.0)
+    last = jt.size - 1
+    tau2 = np.where(has2, jt[np.minimum(first + 1, last)], starts)
+    tau3 = np.where(has3, jt[np.minimum(first + 2, last)], starts)
+    k = steps.size
+    w_start, w1, w2, w3 = noise.w_many(np.concatenate([starts, tau1, tau2, tau3])).reshape(
+        4, k, m
+    )
+    reg1, reg2 = chain.states_at(np.concatenate([tau1, tau2])).reshape(2, k)
+    # every field owns its data: views would keep their larger bases alive
+    # in each of the many per-path records a batch holds
     return JumpRecords(
-        rows=steps.astype(np.intp),
+        rows=steps,
         counts=counts.astype(np.int64),
         dt1=tau1 - starts,
         reg1=reg1.astype(np.int64),
-        w1=w1,
+        w1=w1 - w_start,
         dt2=np.where(has2, tau2 - starts, 0.0),
-        reg2=reg2.astype(np.int64),
-        w2=w2,
-        w3=w3,
+        reg2=np.where(has2, reg2, reg1).astype(np.int64),
+        w2=np.where(has2[:, None], w2 - w_start, 0.0),
+        w3=np.where(has3[:, None], w3 - w_start, 0.0),
     )
 
 

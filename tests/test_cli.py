@@ -293,6 +293,7 @@ VALIDATION_ERRORS = {
     "InvalidGamma",
     "InvalidGenerator",
     "InvalidGrid",
+    "InvalidJetOrder",
     "InvalidSeed",
     "NonFiniteInput",
     "NotAGridTime",

@@ -1,26 +1,32 @@
 """Strong-error engine: validation, coupling, order fits, determinism."""
 
 import math
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from switchtaylor import (
+    ChainPath,
     ConvergenceReport,
     ExperimentPlan,
     GeneratorMatrix,
     GridSpec,
     LevelResult,
     ModelSpec,
-    NoisePath,
     ScalarLinearCoefficients,
+    build_noise,
     fit_order,
     fixture,
+    jump_records,
+    merge_records,
     reference_scheme_for,
     run,
     sample_path,
     strong_error,
 )
+from switchtaylor import convergence
 from switchtaylor.errors import (
     CommutativityRequired,
     CouplingMismatch,
@@ -52,21 +58,114 @@ def small_plan(**overrides):
 
 
 def test_coupling_check_names_path_and_window(monkeypatch):
-    # perturb the first window of every coarse aggregation; the spot check
-    # of path 0 reads window 0 of the finest coarse level
+    # perturb window 0 of every coarse level's batched aggregation; the spot
+    # check of path 0 reads window 0 of the finest coarse level
     plan = small_plan()
-    original = NoisePath.step_aggregates
+    original = convergence.window_aggregates
 
-    def perturbed(self, edges):
-        dw, dz = original(self, edges)
-        if len(edges) - 1 < plan.reference_steps:
-            dw = dw.copy()
-            dw[0] += 1e-6
+    def perturbed(*args, **kwargs):
+        dw, dz = original(*args, **kwargs)
+        dw[:, 0] += 1e-6
         return dw, dz
 
-    monkeypatch.setattr(NoisePath, "step_aggregates", perturbed)
+    monkeypatch.setattr(convergence, "window_aggregates", perturbed)
     with pytest.raises(CouplingMismatch, match="path 0: window 0 of the 4-step level"):
         run(plan)
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _planted_chains(model):
+    """Chains with the switch patterns the window bookkeeping must carry:
+    none; one on a point of every grid and one on a reference grid point
+    only; two in one window of the coarsest level; three, and four, in one
+    reference window (reference 512 steps on [0, 1])."""
+    patterns = (
+        [],
+        [3 / 512, 0.5],
+        [0.30, 0.33],
+        [0.1, 0.1005, 0.101],
+        [0.7001, 0.7002, 0.7003, 0.7004, 0.9],
+    )
+    out = []
+    for times in patterns:
+        states, state = [], model.initial_regime
+        for _ in times:
+            state = state % model.m0 + 1
+            states.append(state)
+        states = np.array(states, dtype=np.int64)
+        out.append(ChainPath(0.0, 1.0, model.initial_regime, times, states))
+    return out
+
+
+@pytest.mark.parametrize("name", ["linear2", "diagonal3", "additive"])
+def test_batched_window_data_equals_the_per_path_queries(monkeypatch, name):
+    # the engine aggregates coarse levels for the whole batch from gathered
+    # prefix sums; every level must carry the very bits of the per-path
+    # NoisePath.step_aggregates, ChainPath.states_at and jump_records
+    model = fixture(name)
+    plan = small_plan(
+        model=model, schemes=("euler",), coarse_steps=(8, 16, 32), reference_steps=512, paths=8
+    )
+    planted = iter(_planted_chains(model))
+    paths = []
+
+    def sample(*args):
+        return next(planted, None) or sample_path(*args)
+
+    def build(*args):
+        noise = build_noise(*args)
+        paths.append((args[1], noise))
+        return noise
+
+    monkeypatch.setattr(convergence, "sample_path", sample)
+    monkeypatch.setattr(convergence, "build_noise", build)
+    ref_times = GridSpec(0.0, 1.0, 512).finest_times()
+    dw, dz, regs, tables = convergence._window_data(
+        plan, list(plan.coarse_steps), ref_times, range(plan.paths)
+    )
+    assert len(paths) == plan.paths
+    for L in (8, 16, 32, 512):
+        edges = ref_times[:: 512 // L]
+        aggregates = [noise.step_aggregates(edges) for _, noise in paths]
+        _same_bits(dw[L], np.stack([a[0] for a in aggregates]))
+        _same_bits(dz[L], np.stack([a[1] for a in aggregates]))
+        _same_bits(regs[L], np.stack([chain.states_at(edges[:-1]) for chain, _ in paths]))
+        want = merge_records([jump_records(chain, noise, edges) for chain, noise in paths])
+        for field in fields(want):
+            _same_bits(getattr(tables[L], field.name), getattr(want, field.name))
+    # the planted patterns reached the tables
+    assert 2 in tables[8].counts
+    assert {3, 4} <= set(tables[512].counts)
+
+
+def test_engine_makes_the_calls_the_benchmark_tracer_reads(monkeypatch):
+    """perfbench/layers.py derives its sampling, noise and switch-window
+    metrics by wrapping these engine calls, and reads them until the engine
+    carries its own counters (ROADMAP item 1): ``sample_path`` and
+    ``build_noise`` once per path, and ``jump_records`` once per path and
+    per level, the reference included, with the L + 1 edges of the level."""
+    plan = small_plan(coarse_steps=(4, 8), reference_steps=128, paths=2)
+    calls = Counter()
+    edge_sizes = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "jump_records":
+                edge_sizes[np.asarray(args[2]).size] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("sample_path", "build_noise", "jump_records"):
+        monkeypatch.setattr(convergence, name, counted(name, getattr(convergence, name)))
+    convergence._run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
+    assert calls == {"sample_path": 2, "build_noise": 2, "jump_records": 6}
+    assert edge_sizes == {5: 2, 9: 2, 129: 2}
 
 
 def test_nonfinite_path_names_pass_level_step_and_seed_index():

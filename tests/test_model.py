@@ -19,6 +19,7 @@ from switchtaylor import (
     UnsupportedWordLength,
     apply_word,
     check_commutativity,
+    check_jet_order,
     eval_diffusion,
     eval_drift,
     fixture,
@@ -140,6 +141,7 @@ class _CurvedAnalytic(CoefficientSet):
     m = 2
 
     def jet(self, X, regimes, order):
+        check_jet_order(order)
         g = np.asarray(regimes, dtype=float)
         B = X.shape[0]
         x1, x2 = X[:, 0], X[:, 1]

@@ -27,6 +27,9 @@ def test_grid_spec_validation():
         noise.GridSpec(0.0, 1.0, 2.5)
     with pytest.raises(InvalidGrid):
         noise.GridSpec(0.0, np.inf, 4)
+    for t0, t_end, end in ((None, 1.0, "t0"), (0.0, "1", "t_end")):
+        with pytest.raises(InvalidGrid, match="^%s must be a finite real number" % end):
+            noise.GridSpec(t0, t_end, 4)
     for n in (np.nan, np.inf, None, "4"):
         with pytest.raises(InvalidGrid, match="positive integer"):
             noise.GridSpec(0.0, 1.0, n)

@@ -2,7 +2,10 @@
 stepping against single-path integration, and the coefficient jet against
 its lower orders, its single rows and its per-entry views."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +14,7 @@ from switchtaylor import (
     CallableCoefficients,
     ChainPath,
     GridSpec,
+    InvalidJetOrder,
     build_noise,
     fixture,
     fixture_names,
@@ -163,3 +167,13 @@ def test_jet_agrees_with_its_orders_rows_and_views(name, rows, data):
             np.testing.assert_array_equal(got, want[i : i + 1], strict=True)
     for view, want in zip(VIEWS, full):
         np.testing.assert_array_equal(getattr(coeffs, view)(X, R), want, strict=True)
+
+
+@pytest.mark.parametrize("order", [3, -1, 1.5])
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_SETS))
+def test_jet_refuses_an_order_outside_0_to_2(name, order):
+    coeffs, _ = COEFFICIENT_SETS[name]
+    X = np.ones((2, coeffs.d))
+    R = np.ones(2, dtype=np.int64)
+    with pytest.raises(InvalidJetOrder, match=re.escape("got %r" % (order,))):
+        coeffs.jet(X, R, order)
