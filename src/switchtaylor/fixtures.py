@@ -14,7 +14,10 @@ Four fixtures, each a ready ModelSpec:
 
 All coefficient sets are plain picklable dataclasses.  Each implements the
 one ``jet`` method of ``CoefficientSet`` and gathers each rate table once
-per call.
+per call.  The two linear sets also have ``exact``: with diagonal noise and
+rates frozen between switches, each coordinate is a geometric Brownian
+motion, so the strong solution on a grid that holds every switch time is
+x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ __all__ = [
 def _per_regime(values, regimes):
     # values: (m0, ...) table, regimes: (B,) 1-based labels
     return values[np.asarray(regimes, dtype=np.intp) - 1]
+
+
+def _geometric_exact(a, c, x0, regimes, dt, dw):
+    # a, c: (m0, d) rate tables; one log-increment per interval, one
+    # cumulative sum and one exp for the whole batch
+    a = _per_regime(a, regimes)
+    c = _per_regime(c, regimes)
+    log = (a - 0.5 * c * c) * dt[..., None] + c * dw
+    return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
 
 def _flat(B, d, m):
@@ -70,6 +82,10 @@ class ScalarLinearCoefficients(CoefficientSet):
         if order == 2:
             out += _flat(X.shape[0], 1, 1)
         return out
+
+    def exact(self, x0, regimes, dt, dw):
+        """The strong solution at the interval ends; see ``CoefficientSet``."""
+        return _geometric_exact(self.a[:, None], self.c[:, None], x0, regimes, dt, dw)
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,10 @@ class DiagonalLinearCoefficients(CoefficientSet):
         if order == 2:
             out += _flat(B, d, d)
         return out
+
+    def exact(self, x0, regimes, dt, dw):
+        """The strong solution at the interval ends; see ``CoefficientSet``."""
+        return _geometric_exact(self.a, self.c, x0, regimes, dt, dw)
 
 
 @dataclass(frozen=True)

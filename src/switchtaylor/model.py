@@ -87,6 +87,15 @@ class CoefficientSet:
     The six per-entry methods below are views of ``jet`` for callers outside
     the package; an implementation overrides ``jet`` only, and starts it
     with ``check_jet_order(order)``.
+
+    A set whose SDE is solvable path by path may add one optional method,
+    ``exact(x0, regimes, dt, dw)``.  It takes start states x0 (B, d) and,
+    per path, a run of K intervals of a grid that holds every switch time:
+    the regime on each interval (B, K), its length dt (B, K) and its Wiener
+    increment dw (B, K, m).  It returns the exact states at the K interval
+    ends, (B, K, d).  A zero-length interval with a zero increment leaves a
+    state under finite rates unchanged, which lets a batch pad the paths
+    that switch less often.  The base class does not define ``exact``.
     """
 
     d: int
