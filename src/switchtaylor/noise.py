@@ -116,18 +116,20 @@ class NoisePath:
     Attributes:
       times: grid times, shape (n+1,), strictly increasing.
       dw, dz: per-interval increments, shape (n, m).
+
+    ``deltas``, the interval lengths ``np.diff(times)``, may be passed by a
+    caller that already holds them, so that they are computed once per path.
     """
 
-    def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray):
+    def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray, *, deltas=None):
         times = np.asarray(times, dtype=float)
         dw = np.asarray(dw, dtype=float)
         dz = np.asarray(dz, dtype=float)
-        if (
-            times.ndim != 1
-            or times.size < 2
-            or not np.isfinite(times).all()
-            or (np.diff(times) <= 0).any()
-        ):
+        if times.ndim != 1 or times.size < 2:
+            raise InvalidGrid("grid times must be finite and strictly increasing")
+        if deltas is None:
+            deltas = np.diff(times)
+        if not np.isfinite(times).all() or (deltas <= 0).any():
             raise InvalidGrid("grid times must be finite and strictly increasing")
         if dw.shape != dz.shape or dw.ndim != 2 or dw.shape[0] != times.size - 1:
             raise InvalidGrid("increment arrays must be (intervals, dimensions)")
@@ -141,7 +143,6 @@ class NoisePath:
         # W(t) - W(t0) at grid points
         self._w = np.concatenate([zero, np.cumsum(dw, axis=0)])
         self._zsum = np.concatenate([zero, np.cumsum(dz, axis=0)])
-        deltas = np.diff(times)
         self._wdt = np.concatenate([zero, np.cumsum(self._w[:-1] * deltas[:, None], axis=0)])
 
     @property
@@ -270,8 +271,9 @@ def build_noise(
         jumps = jumps[(jumps > grid.t0) & (jumps < grid.t_end)]
         if jumps.size:
             times = np.union1d(times, jumps)
-    dw, dz = sample_increments(np.diff(times), m, rng)
-    return NoisePath(times, dw, dz)
+    deltas = np.diff(times)
+    dw, dz = sample_increments(deltas, m, rng)
+    return NoisePath(times, dw, dz, deltas=deltas)
 
 
 _HEADER = struct.Struct("<QQ")

@@ -69,3 +69,32 @@ def test_coefficients_are_read_through_jet():
             and node.func.attr in PER_ENTRY_VIEWS
         ]
     assert not found, "per-entry coefficient calls in the package: %s" % ", ".join(found)
+
+
+def _writes_to_stdout(node):
+    # a print(...) call, or any reference to sys.stdout
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "print"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "stdout"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    )
+
+
+def test_package_writes_to_stdout_only_in_cli():
+    # callers that print their own result last, such as a benchmark's JSON
+    # line, need a library that stays off standard output; only the command
+    # line front end writes there
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        if module.name == "cli.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [
+            "%s:%d" % (module.name, node.lineno)
+            for node in ast.walk(tree)
+            if _writes_to_stdout(node)
+        ]
+    assert not found, "writes to standard output outside cli.py: %s" % ", ".join(found)
