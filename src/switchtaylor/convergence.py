@@ -1,14 +1,17 @@
-"""Strong-error estimation against a coupled fine-grid reference.
+"""Strong-error estimation against a coupled reference on a fine grid.
 
-The true solution under switching has no usable closed form, so a fine
-trajectory computed by the highest-order map the model admits stands in for
-it.  Every Monte Carlo path draws one chain path and one noise path on the
-reference grid merged with the chain's jump times, then integrates the
-reference and each coarse level from the same draw, so coarse and reference
-read literally the same increments over shared windows.  The per-path error
-is the maximum over the coarse grid points of the squared distance to the
-reference, and the empirical order is the least-squares slope of
-log2(sqrt(mean error)) against log2(h).
+A study compares each scheme with one of two kinds of reference, and the
+model decides which.  A model whose coefficient set has ``exact`` (the
+regime-wise linear fixtures with diagonal noise) is solvable path by path:
+its reference is the closed-form solution on the finest tested grid merged
+with the path's switch times, evaluated from the same W the schemes read.
+Any other model gets the highest-order map its noise columns admit, run on
+the fine reference grid merged with the chain's jump times.  Every Monte
+Carlo path draws one chain path and one noise path on that reference grid,
+and the reference and each coarse level read literally the same increments
+over shared windows.  The per-path error is the maximum over the coarse
+grid points of the squared distance to the reference, and the empirical
+order is the least-squares slope of log2(sqrt(mean error)) against log2(h).
 
 Reproducibility: path i derives its generators from SeedSequence((seed, i)),
 so path values are independent of batching; paths are processed one fixed
@@ -19,12 +22,16 @@ thread pool over the batches was measured slower than one thread on every
 study the benchmark runs, so there is none.
 
 Draws are per path and window data per batch.  Each path draws its chain
-and noise, aggregates the noise on the reference grid, gathers its prefix
-sums on the finest coarse grid (which nests every coarse level) and records
-its switches per level.  The coarse increments of the whole batch come from
-strided slices of those sums through ``noise.window_aggregates``, the
-formula of ``NoisePath.step_aggregates``, so they carry the same bits as
-per-path aggregation; coarse regimes are strided views of the reference's.
+and noise, gathers its prefix sums on the finest coarse grid (which nests
+every coarse level) and records its switches per level; under a scheme
+reference it also aggregates its noise on the reference grid, under a
+closed-form one it reads W at its switch times.  The coarse increments of
+the whole batch come from strided slices of those sums through
+``noise.window_aggregates``, the formula of ``NoisePath.step_aggregates``,
+so they carry the same bits as per-path aggregation; coarse regimes are
+strided views of the finest looked-up grid's.  The closed form takes one
+``exact`` call per batch, on every path's merged grid padded to a common
+width.
 
 Within a batch all paths step together through ``schemes.march``: one kernel
 call per time step on a (batch, d) state block, with the switch records of
@@ -65,6 +72,7 @@ from .schemes import (
 
 __all__ = [
     "BATCH_PATHS",
+    "CLOSED_FORM",
     "ExperimentPlan",
     "LevelResult",
     "ConvergenceReport",
@@ -75,6 +83,9 @@ __all__ = [
 ]
 
 BATCH_PATHS = 512
+
+# the reference kind of models whose coefficient set has ``exact``
+CLOSED_FORM = "closed-form"
 
 # minimum ratio of reference steps to the finest tested level
 _REFERENCE_FACTOR = 16
@@ -193,7 +204,14 @@ class ConvergenceReport:
 
 
 def reference_scheme_for(model: ModelSpec) -> str:
-    """The highest-order map the model's noise columns admit."""
+    """The reference a study of the model compares against.
+
+    ``CLOSED_FORM`` when the model's coefficient set has ``exact``;
+    otherwise the name of the highest-order map the model's noise columns
+    admit.
+    """
+    if callable(getattr(model.coefficients, "exact", None)):
+        return CLOSED_FORM
     if model.m == 1:
         return "taylor15"
     report = check_commutativity(model)
@@ -250,27 +268,37 @@ def fit_order(rows):
 # the batched engine
 
 
-def _window_data(plan, levels, ref_times, indices):
+def _window_data(plan, levels, ref_times, indices, exact):
     """Per-level window data of one batch of paths, keyed by step count:
     (dw, dz) of shape (P, L, m), regimes (P, L) at the window starts, and
-    the merged switch-record table, for every level and the reference."""
+    the merged switch-record table, for every level and, under a scheme
+    reference, the reference grid.  The last item is the batch's
+    closed-form reference states on the finest level when ``exact`` is
+    set, and None otherwise."""
     model = plan.model
     m = model.m
     n_ref = plan.reference_steps
     n_fine = max(levels)
-    stride_f = n_ref // n_fine
     P = len(indices)
     grid = GridSpec(0.0, plan.t_end, n_ref)
-    wanted = sorted(set(levels) | {n_ref})
-    edges = {L: ref_times[:: n_ref // L] for L in wanted}
+    recorded = sorted(set(levels) | {n_ref})
+    # the levels that get passes; a closed-form reference needs no
+    # reference-grid increments, regimes or records
+    wanted = sorted(levels) if exact else recorded
+    edges = {L: ref_times[:: n_ref // L] for L in recorded}
     fine_times = edges[n_fine]
 
     dw = {L: np.empty((P, L, m)) for L in wanted}
     dz = {L: np.empty((P, L, m)) for L in wanted}
-    ref_regs = np.empty((P, n_ref), dtype=np.int64)
+    top_regs = np.empty((P, wanted[-1]), dtype=np.int64)
     # prefix sums (W, sum dZ, sum W dt) of every path on the finest coarse grid
     w, zsum, wdt = (np.empty((P, n_fine + 1, m)) for _ in range(3))
     records = {L: [] for L in wanted}
+    switches = []
+    # coupling spot check: one window of the finest level per path, summed
+    # from the path's stored increments rather than from its prefix sums
+    k = np.asarray(indices) % n_fine
+    spot = np.empty((P, m))
 
     for slot, idx in enumerate(indices):
         seq = np.random.SeedSequence((plan.seed, int(idx)))
@@ -283,28 +311,37 @@ def _window_data(plan, levels, ref_times, indices):
             np.random.default_rng(chain_seed),
         )
         noise = build_noise(grid, chain, m, np.random.default_rng(noise_seed))
-        dw[n_ref][slot], dz[n_ref][slot] = noise.step_aggregates(ref_times)
+        if not exact:
+            dw[n_ref][slot], dz[n_ref][slot] = noise.step_aggregates(ref_times)
         w[slot], zsum[slot], wdt[slot] = noise.prefix_sums(fine_times)
-        ref_regs[slot] = chain.states_at(ref_times[:-1])
-        for L in wanted:
-            records[L].append(jump_records(chain, noise, edges[L]))
+        top_regs[slot] = chain.states_at(edges[wanted[-1]][:-1])
+        lo, hi = noise.grid_indices(fine_times[k[slot] : k[slot] + 2])
+        spot[slot] = noise.dw[lo:hi].sum(axis=0)
+        # records at the reference level too: under a closed-form reference
+        # nothing reads them, but the benchmark's tracer (perfbench/layers.py)
+        # counts the switches per reference window from these calls
+        for L in recorded:
+            rec = jump_records(chain, noise, edges[L])
+            if L in records:
+                records[L].append(rec)
+        if exact:
+            jt = chain.jump_times[: np.searchsorted(chain.jump_times, plan.t_end)]
+            switches.append((jt, noise.w_many(jt), chain.states_after[: jt.size]))
 
-    for L in wanted[:-1]:
+    for L in wanted if exact else wanted[:-1]:
         stride = n_fine // L
         lo, hi = slice(0, n_fine, stride), slice(stride, n_fine + 1, stride)
         window_aggregates(w, zsum, wdt, fine_times, lo, hi, out=(dw[L], dz[L]))
+    regs = {L: top_regs[:, :: wanted[-1] // L] for L in wanted}
+    reference = None
+    if exact:
+        reference = _closed_form_states(model, fine_times, w, regs[n_fine], switches)
     # the sums, and below each level's per-path records, are dropped once
     # used, so the batch's peak memory never holds them next to the tables
     del w, zsum, wdt
-    regs = {L: ref_regs[:, :: n_ref // L] for L in wanted}
 
-    # coupling spot check: one coarse window per path must hold exactly the
-    # sum of the reference increments it spans
-    k = np.asarray(indices) % n_fine
     rows = np.arange(P)
-    lhs = dw[n_fine][rows, k]
-    rhs = dw[n_ref].reshape(P, n_fine, stride_f, m)[rows, k].sum(axis=1)
-    bad = ~np.isclose(lhs, rhs, rtol=0.0, atol=1e-12).all(axis=1)
+    bad = ~np.isclose(dw[n_fine][rows, k], spot, rtol=0.0, atol=1e-12).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         raise CouplingMismatch(
@@ -313,7 +350,50 @@ def _window_data(plan, levels, ref_times, indices):
         )
 
     tables = {L: merge_records(records.pop(L)) for L in wanted}
-    return dw, dz, regs, tables
+    return dw, dz, regs, tables, reference
+
+
+def _closed_form_states(model, fine_times, w, regs, switches):
+    """The exact states of a batch at the finest level's grid points,
+    (P, n + 1, d), from one ``exact`` call.
+
+    ``w`` (P, n + 1, m) and ``regs`` (P, n) hold W and the window-start
+    regimes on that grid, and ``switches`` each path's (times, W, entered
+    regimes) for its switches inside the span.  Each path's merged grid is
+    the level's grid plus its switch times, padded up to the batch's widest
+    with zero-length intervals at the end."""
+    P, n1, m = w.shape
+    counts = np.array([jt.size for jt, _, _ in switches])
+    K = n1 + int(counts.max(initial=0))
+    times = np.full((P, K), fine_times[-1])
+    wk = np.repeat(w[:, -1:], K, axis=1)
+    rk = np.ones((P, K), dtype=np.int64)
+    times[:, :n1] = fine_times
+    wk[:, :n1] = w
+    rk[:, : n1 - 1] = regs
+    if counts.any():
+        rows = np.repeat(np.arange(P), counts)
+        cols = n1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        for array, part in ((times, 0), (wk, 1), (rk, 2)):
+            array[rows, cols] = np.concatenate([sw[part] for sw in switches])
+    # a stable sort keeps a grid point ahead of a switch at the same time,
+    # which then adds a zero-length interval
+    order = np.argsort(times, axis=1, kind="stable")
+    times = np.take_along_axis(times, order, axis=1)
+    wk = np.take_along_axis(wk, order[:, :, None], axis=1)
+    rk = np.take_along_axis(rk, order, axis=1)
+    x0 = np.tile(model.x0, (P, 1))
+    ends = model.coefficients.exact(
+        x0, rk[:, :-1], np.diff(times, axis=1), np.diff(wk, axis=1)
+    )
+    # the merged position of each grid point, whose state ends interval
+    # position - 1
+    where = np.empty_like(order)
+    np.put_along_axis(where, order, np.arange(K)[None, :], axis=1)
+    out = np.empty((P, n1, model.d))
+    out[:, 0] = x0
+    out[:, 1:] = np.take_along_axis(ends, where[:, 1:n1, None] - 1, axis=1)
+    return out
 
 
 def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
@@ -328,31 +408,42 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
     stride_f = n_ref // n_fine
     P = len(indices)
 
-    dw, dz, regs, tables = _window_data(plan, levels, ref_times, indices)
+    dw, dz, regs, tables, ref_keep = _window_data(
+        plan, levels, ref_times, indices, ref_scheme == CLOSED_FORM
+    )
+
+    def nonfinite(what, L, step, row):
+        # names the pass, the level, the step and the seed index of the row
+        return NonFiniteState(
+            "%s at level %d left the finite range at step %d on path %d "
+            "(seed index i of SeedSequence((seed, i)))" % (what, L, step, indices[row]),
+            step=step,
+            row=row,
+        )
 
     def steps(kernel, L, what):
-        # march over level L; a non-finite state names the pass, the level,
-        # the step and the seed index of the first bad path
+        # march over level L; a non-finite state names the first bad path
         y0 = np.tile(model.x0, (P, 1))
         hs = np.full(L, plan.t_end / L)
         try:
             yield from march(kernel, coeffs, y0, regs[L], hs, dw[L], dz[L], tables[L])
         except NonFiniteState as exc:
-            raise NonFiniteState(
-                "%s at level %d left the finite range at step %d on path %d "
-                "(seed index i of SeedSequence((seed, i)))"
-                % (what, L, exc.step, indices[exc.row]),
-                step=exc.step,
-                row=exc.row,
-            ) from None
+            raise nonfinite(what, L, exc.step, exc.row) from None
 
-    # reference pass, keeping states on the finest tested grid
-    ref_keep = np.empty((P, n_fine + 1, d))
-    ref_keep[:, 0] = model.x0
-    ref_kernel = get_scheme(ref_scheme).kernel
-    for n, y in steps(ref_kernel, n_ref, "reference pass (%s)" % ref_scheme):
-        if (n + 1) % stride_f == 0:
-            ref_keep[:, (n + 1) // stride_f] = y
+    what = "reference pass (%s)" % ref_scheme
+    if ref_keep is None:
+        # scheme reference, keeping states on the finest tested grid
+        ref_keep = np.empty((P, n_fine + 1, d))
+        ref_keep[:, 0] = model.x0
+        ref_kernel = get_scheme(ref_scheme).kernel
+        for n, y in steps(ref_kernel, n_ref, what):
+            if (n + 1) % stride_f == 0:
+                ref_keep[:, (n + 1) // stride_f] = y
+    else:
+        bad = ~np.isfinite(ref_keep[:, 1:]).all(axis=2)
+        if bad.any():
+            step = int(np.argmax(bad.any(axis=0)))
+            raise nonfinite(what, n_fine, step, int(np.argmax(bad[:, step])))
 
     out = {}
     n_cmp = min(plan.coarse_steps)
@@ -421,8 +512,10 @@ def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None):
     """Mean and standard error of the sup-squared gap at one level.
 
     The level may be any power of two up to the reference count (it does not
-    have to be in the plan's coarse list), so a level equal to the reference
-    reproduces the reference integrator and returns exactly zero.
+    have to be in the plan's coarse list).  Under a scheme reference, a level
+    equal to the reference count run with the reference's own scheme
+    reproduces the reference and returns exactly zero; under a closed-form
+    reference it measures the scheme's error at that level.
     """
     level = _count(level, "level")
     if not _is_dyadic(level):

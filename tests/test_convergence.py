@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from switchtaylor import (
+    CallableCoefficients,
     ChainPath,
     ConvergenceReport,
     ExperimentPlan,
     GeneratorMatrix,
     GridSpec,
     LevelResult,
+    MeanRevertingCoefficients,
     ModelSpec,
+    NoisePath,
     ScalarLinearCoefficients,
     build_noise,
     fit_order,
@@ -27,6 +30,7 @@ from switchtaylor import (
     strong_error,
 )
 from switchtaylor import convergence
+from switchtaylor.convergence import CLOSED_FORM
 from switchtaylor.errors import (
     CommutativityRequired,
     CouplingMismatch,
@@ -73,6 +77,23 @@ def test_coupling_check_names_path_and_window(monkeypatch):
         run(plan)
 
 
+def test_coupling_check_reads_the_stored_increments_at_the_reference_level(monkeypatch):
+    # at level == reference the finest level's increments are the reference
+    # aggregation itself; the spot check must still compare them with the
+    # path's stored increments, not with themselves
+    plan = small_plan(model=fixture("additive"))
+    original = NoisePath.step_aggregates
+
+    def perturbed(self, edges):
+        dw, dz = original(self, edges)
+        dw[0] += 1e-6
+        return dw, dz
+
+    monkeypatch.setattr(NoisePath, "step_aggregates", perturbed)
+    with pytest.raises(CouplingMismatch, match="path 0: window 0 of the 64-step level"):
+        strong_error(plan, plan.reference_steps)
+
+
 def _same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
@@ -101,15 +122,32 @@ def _planted_chains(model):
     return out
 
 
+def _closed_form_by_path(model, chain, noise, times):
+    # x0 exp(sum of (a - c^2/2) dt + c dW) over the grid of ``times`` merged
+    # with the path's switches, straight from w_many and states_at
+    coeffs = model.coefficients
+    grid = np.union1d(times, chain.jump_times[chain.jump_times < times[-1]])
+    w = noise.w_many(grid)
+    rows = chain.states_at(grid[:-1]) - 1
+    a = np.asarray(coeffs.a, dtype=float).reshape(model.m0, model.d)[rows]
+    c = np.asarray(coeffs.c, dtype=float).reshape(model.m0, model.d)[rows]
+    log = (a - 0.5 * c * c) * np.diff(grid)[:, None] + c * np.diff(w, axis=0)
+    states = model.x0 * np.exp(np.vstack([np.zeros(model.d), np.cumsum(log, axis=0)]))
+    return states[np.searchsorted(grid, times)]
+
+
 @pytest.mark.parametrize("name", ["linear2", "diagonal3", "additive"])
 def test_batched_window_data_equals_the_per_path_queries(monkeypatch, name):
     # the engine aggregates coarse levels for the whole batch from gathered
     # prefix sums; every level must carry the very bits of the per-path
-    # NoisePath.step_aggregates, ChainPath.states_at and jump_records
+    # NoisePath.step_aggregates, ChainPath.states_at and jump_records, and
+    # a closed-form reference must equal the per-path exact solution
     model = fixture(name)
     plan = small_plan(
         model=model, schemes=("euler",), coarse_steps=(8, 16, 32), reference_steps=512, paths=8
     )
+    exact = reference_scheme_for(model) == CLOSED_FORM
+    assert exact == (name != "additive")
     planted = iter(_planted_chains(model))
     paths = []
 
@@ -124,11 +162,13 @@ def test_batched_window_data_equals_the_per_path_queries(monkeypatch, name):
     monkeypatch.setattr(convergence, "sample_path", sample)
     monkeypatch.setattr(convergence, "build_noise", build)
     ref_times = GridSpec(0.0, 1.0, 512).finest_times()
-    dw, dz, regs, tables = convergence._window_data(
-        plan, list(plan.coarse_steps), ref_times, range(plan.paths)
+    dw, dz, regs, tables, reference = convergence._window_data(
+        plan, list(plan.coarse_steps), ref_times, range(plan.paths), exact
     )
     assert len(paths) == plan.paths
-    for L in (8, 16, 32, 512):
+    levels = (8, 16, 32) if exact else (8, 16, 32, 512)
+    assert sorted(dw) == list(levels)
+    for L in levels:
         edges = ref_times[:: 512 // L]
         aggregates = [noise.step_aggregates(edges) for _, noise in paths]
         _same_bits(dw[L], np.stack([a[0] for a in aggregates]))
@@ -139,7 +179,42 @@ def test_batched_window_data_equals_the_per_path_queries(monkeypatch, name):
             _same_bits(getattr(tables[L], field.name), getattr(want, field.name))
     # the planted patterns reached the tables
     assert 2 in tables[8].counts
-    assert {3, 4} <= set(tables[512].counts)
+    assert {3, 4} <= set(tables[levels[-1]].counts)
+    if exact:
+        fine = ref_times[:: 512 // 32]
+        want = np.stack([_closed_form_by_path(model, c, n, fine) for c, n in paths])
+        assert reference.shape == want.shape
+        np.testing.assert_allclose(reference, want, rtol=1e-13, atol=0.0)
+    else:
+        assert reference is None
+
+
+def test_closed_form_only_where_the_coefficients_have_exact(monkeypatch):
+    calls = Counter()
+    original = convergence._closed_form_states
+
+    def counted(*args):
+        calls["closed form"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(convergence, "_closed_form_states", counted)
+    callable_model = ModelSpec(
+        name="callable-linear",
+        generator=LIN.generator,
+        coefficients=CallableCoefficients(
+            lambda x, r: [(-1.0, 0.5)[r - 1] * x[0]],
+            lambda x, r: [[(0.3, 0.8)[r - 1] * x[0]]],
+            1,
+            1,
+        ),
+        x0=[1.0],
+    )
+    for model in (fixture("additive"), fixture("noncommutative"), callable_model):
+        assert reference_scheme_for(model) != CLOSED_FORM
+        strong_error(small_plan(model=model, schemes=("euler",), t_end=0.25), 4)
+    assert not calls
+    strong_error(small_plan(), 4)
+    assert calls["closed form"] == 1
 
 
 def test_engine_makes_the_calls_the_benchmark_tracer_reads(monkeypatch):
@@ -168,26 +243,52 @@ def test_engine_makes_the_calls_the_benchmark_tracer_reads(monkeypatch):
     assert edge_sizes == {5: 2, 9: 2, 129: 2}
 
 
-def test_nonfinite_path_names_pass_level_step_and_seed_index():
-    # regime 2 has an infinite drift: a path leaves the finite range in the
-    # reference window that holds its first switch, and a path that never
-    # switches stays finite
-    model = ModelSpec(
-        name="blowup",
-        generator=GeneratorMatrix([[-0.5, 0.5], [0.5, -0.5]]),
-        coefficients=ScalarLinearCoefficients(a=[-1.0, np.inf], c=[0.3, 0.3]),
-        x0=[1.0],
-    )
-    plan = small_plan(model=model, paths=8, seed=3)
-    edges = GridSpec(0.0, plan.t_end, plan.reference_steps).finest_times()
-    first_switch_step = {}
+def _first_switch_steps(plan, edges):
+    # the window of ``edges`` that holds each switching path's first switch
+    out = {}
     for i in range(plan.paths):
         chain_seed, _ = np.random.SeedSequence((plan.seed, i)).spawn(2)
         chain = sample_path(
-            model.generator, 1, 0.0, plan.t_end, np.random.default_rng(chain_seed)
+            plan.model.generator, 1, 0.0, plan.t_end, np.random.default_rng(chain_seed)
         )
         if chain.jump_count:
-            first_switch_step[i] = int(np.searchsorted(edges, chain.jump_times[0])) - 1
+            out[i] = int(np.searchsorted(edges, chain.jump_times[0])) - 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "coefficients, seed, what, level",
+    [
+        # a scheme reference: regime 2 reverts infinitely fast
+        (
+            MeanRevertingCoefficients(theta=[1.0, np.inf], mean=[0.0, 0.0], c=[0.3, 0.3]),
+            3,
+            "reference pass (taylor15)",
+            64,
+        ),
+        # the closed form, read on the finest tested grid
+        (
+            ScalarLinearCoefficients(a=[-1.0, np.inf], c=[0.3, 0.3]),
+            5,
+            "reference pass (closed-form)",
+            4,
+        ),
+    ],
+    ids=["taylor15", "closed-form"],
+)
+def test_nonfinite_path_names_pass_level_step_and_seed_index(coefficients, seed, what, level):
+    # regime 2 has an infinite drift: a path leaves the finite range in the
+    # window of the level that holds its first switch, and a path that
+    # never switches stays finite
+    model = ModelSpec(
+        name="blowup",
+        generator=GeneratorMatrix([[-0.5, 0.5], [0.5, -0.5]]),
+        coefficients=coefficients,
+        x0=[1.0],
+    )
+    plan = small_plan(model=model, paths=8, seed=seed)
+    edges = GridSpec(0.0, plan.t_end, level).finest_times()
+    first_switch_step = _first_switch_steps(plan, edges)
     assert 0 < len(first_switch_step) < plan.paths
     step = min(first_switch_step.values())
     path = min(i for i, s in first_switch_step.items() if s == step)
@@ -195,8 +296,8 @@ def test_nonfinite_path_names_pass_level_step_and_seed_index():
     with pytest.raises(NonFiniteState) as info:
         run(plan)
     assert str(info.value).startswith(
-        "reference pass (taylor15) at level 64 left the finite range at step %d on path %d "
-        "(seed index i of SeedSequence((seed, i)))" % (step, path)
+        "%s at level %d left the finite range at step %d on path %d "
+        "(seed index i of SeedSequence((seed, i)))" % (what, level, step, path)
     )
     assert (info.value.step, info.value.row) == (step, path)
 
@@ -321,7 +422,8 @@ class TestPlanValidation:
 
 class TestStrongError:
     def test_level_equal_to_reference_is_exactly_zero(self):
-        mean, stderr = strong_error(small_plan(), 64)
+        # a scheme reference: the level reruns it bit for bit
+        mean, stderr = strong_error(small_plan(model=fixture("additive")), 64)
         assert mean == 0.0
         assert stderr == 0.0
 
@@ -359,8 +461,10 @@ class TestStrongError:
 
 class TestReferenceSelection:
     def test_commuting_models_get_the_full_order_reference(self):
-        assert reference_scheme_for(LIN) == "taylor15"
-        assert reference_scheme_for(fixture("diagonal3")) == "taylor15"
+        # the linear fixtures are solvable path by path
+        assert reference_scheme_for(LIN) == CLOSED_FORM == "closed-form"
+        assert reference_scheme_for(fixture("diagonal3")) == CLOSED_FORM
+        assert reference_scheme_for(fixture("additive")) == "taylor15"
 
     def test_noncommuting_model_falls_back(self):
         assert reference_scheme_for(fixture("noncommutative")) == "euler"
