@@ -16,7 +16,9 @@ order is the least-squares slope of log2(sqrt(mean error)) against log2(h).
 Reproducibility: path i derives its generators from SeedSequence((seed, i)),
 so path values are independent of batching; paths are processed one fixed
 batch of BATCH_PATHS after another in one thread, and batch partials are
-combined by pairwise tree summation.  Changing BATCH_PATHS itself may move
+combined by pairwise tree summation.  The error variance merges per-batch
+(count, mean, sum of squared deviations) in the same tree, so the standard
+error stays exact when the errors are large next to their spread.  Changing BATCH_PATHS itself may move
 sums by rounding, which is why it is a module constant and not a knob.  A
 thread pool over the batches was measured slower than one thread on every
 study the benchmark runs, so there is none.
@@ -398,8 +400,7 @@ def _closed_form_states(model, fine_times, w, regs, switches):
 
 def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
     """Process one fixed batch of path indices; return per-(scheme, level)
-    accumulators [error sum, error square sum, path count, then the summed
-    squared magnitudes at each comparison-grid time]."""
+    accumulators of its sup-squared errors and moment sums (``_accumulator``)."""
     model = plan.model
     coeffs = model.coefficients
     d = model.d
@@ -462,9 +463,36 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
                 err = np.maximum(err, np.einsum("bk,bk->b", diff, diff))
                 if (n + 1) % stride_cmp == 0:
                     moment_sums[(n + 1) // stride_cmp - 1] += np.einsum("bk,bk->", y, y)
-            out[(name, L)] = np.concatenate(
-                [[err.sum(), float(err @ err), P], moment_sums]
-            )
+            out[(name, L)] = _accumulator(err, moment_sums)
+    return out
+
+
+def _accumulator(err, moment_sums):
+    """[error sum, M2, path count, mean correction, then the summed squared
+    magnitudes at each comparison-grid time] of one batch.
+
+    M2 is the sum of squared deviations from the batch mean, taken in two
+    passes.  The mean correction is the batch mean minus error sum / count:
+    a mean of large, nearly equal errors rounds to the spacing of doubles
+    near it, and the merge reads differences of such means."""
+    n = err.size
+    total = err.sum()
+    dev = err - total / n
+    correction = dev.sum() / n
+    dev -= correction
+    return np.concatenate([[total, float(dev @ dev), n, correction], moment_sums])
+
+
+def _merge(a, b):
+    """Pairwise merge of two accumulators (Chan, Golub & LeVeque 1979):
+    sums, counts and moment sums add, and M2 gains the between-part term
+    delta^2 n_a n_b / n, with delta the difference of the two exact means."""
+    out = a + b
+    na, nb, n = a[2], b[2], out[2]
+    mean_a = a[0] / na
+    delta = (b[0] / nb - mean_a) + (b[3] - a[3])
+    out[1] += delta * delta * (na * nb / n)
+    out[3] = (mean_a - out[0] / n) + a[3] + delta * (nb / n)
     return out
 
 
@@ -475,7 +503,7 @@ def _tree_reduce(parts):
     while len(items) > 1:
         merged = []
         for i in range(0, len(items) - 1, 2):
-            merged.append({k: items[i][k] + items[i + 1][k] for k in items[i]})
+            merged.append({k: _merge(items[i][k], items[i + 1][k]) for k in items[i]})
         if len(items) % 2:
             merged.append(items[-1])
         items = merged
@@ -498,14 +526,9 @@ def _run_engine(plan, levels, schemes):
 
 
 def _stats(acc):
-    total, total_sq, count = acc[0], acc[1], acc[2]
-    mean = total / count
-    if count > 1:
-        var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-        stderr = float(np.sqrt(var / count))
-    else:
-        stderr = 0.0
-    return float(mean), stderr, float(acc[3:].max() / count)
+    total, m2, count = acc[0], acc[1], acc[2]
+    stderr = float(np.sqrt(m2 / (count - 1) / count)) if count > 1 else 0.0
+    return float(total / count), stderr, float(acc[4:].max() / count)
 
 
 def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None):

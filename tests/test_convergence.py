@@ -459,6 +459,22 @@ class TestStrongError:
         assert gap > 2.0 * math.hypot(coarse_err, fine_err)
 
 
+@pytest.mark.parametrize("batch", [convergence.BATCH_PATHS, 300])
+def test_stderr_merge_is_exact_when_errors_sit_far_from_zero(batch):
+    # sup-squared errors shifted by 1e8: the merged standard error must
+    # match a two-pass one over all values, and the mean stays sum / count
+    errors = np.random.default_rng(12).standard_exponential(4096) ** 2 + 1e8
+    parts = (
+        {"e": convergence._accumulator(errors[lo : lo + batch], np.zeros(1))}
+        for lo in range(0, errors.size, batch)
+    )
+    acc = convergence._tree_reduce(parts)["e"]
+    mean, stderr, _ = convergence._stats(acc)
+    want = np.std(errors, ddof=1) / np.sqrt(errors.size)
+    assert abs(stderr / want - 1.0) < 1e-12
+    assert mean == acc[0] / errors.size == pytest.approx(errors.mean(), rel=1e-15)
+
+
 class TestReferenceSelection:
     def test_commuting_models_get_the_full_order_reference(self):
         # the linear fixtures are solvable path by path
