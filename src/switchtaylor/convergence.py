@@ -18,10 +18,11 @@ so path values are independent of batching; paths are processed one fixed
 batch of BATCH_PATHS after another in one thread, and batch partials are
 combined by pairwise tree summation.  The error variance merges per-batch
 (count, mean, sum of squared deviations) in the same tree, so the standard
-error stays exact when the errors are large next to their spread.  Changing BATCH_PATHS itself may move
-sums by rounding, which is why it is a module constant and not a knob.  A
-thread pool over the batches was measured slower than one thread on every
-study the benchmark runs, so there is none.
+error stays exact when the errors are large next to their spread.
+Changing BATCH_PATHS itself may move sums by rounding, which is why it is a
+module constant and not a knob.  A thread pool over the batches was
+measured slower than one thread on every study the benchmark runs, so there
+is none.
 
 Draws are per path and window data per batch.  Each path draws its chain
 and noise, gathers its prefix sums on the finest coarse grid (which nests

@@ -125,11 +125,14 @@ class NoisePath:
         times = np.asarray(times, dtype=float)
         dw = np.asarray(dw, dtype=float)
         dz = np.asarray(dz, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise InvalidGrid("grid times must be finite and strictly increasing")
-        if deltas is None:
+        if deltas is None and times.ndim == 1:
             deltas = np.diff(times)
-        if not np.isfinite(times).all() or (deltas <= 0).any():
+        if (
+            times.ndim != 1
+            or times.size < 2
+            or not np.isfinite(times).all()
+            or (deltas <= 0).any()
+        ):
             raise InvalidGrid("grid times must be finite and strictly increasing")
         if dw.shape != dz.shape or dw.ndim != 2 or dw.shape[0] != times.size - 1:
             raise InvalidGrid("increment arrays must be (intervals, dimensions)")
