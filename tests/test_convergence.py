@@ -256,27 +256,7 @@ def _first_switch_steps(plan, edges):
     return out
 
 
-@pytest.mark.parametrize(
-    "coefficients, seed, what, level",
-    [
-        # a scheme reference: regime 2 reverts infinitely fast
-        (
-            MeanRevertingCoefficients(theta=[1.0, np.inf], mean=[0.0, 0.0], c=[0.3, 0.3]),
-            3,
-            "reference pass (taylor15)",
-            64,
-        ),
-        # the closed form, read on the finest tested grid
-        (
-            ScalarLinearCoefficients(a=[-1.0, np.inf], c=[0.3, 0.3]),
-            5,
-            "reference pass (closed-form)",
-            4,
-        ),
-    ],
-    ids=["taylor15", "closed-form"],
-)
-def test_nonfinite_path_names_pass_level_step_and_seed_index(coefficients, seed, what, level):
+def _assert_nonfinite_names_the_first_bad_path(coefficients, seed, what, level):
     # regime 2 has an infinite drift: a path leaves the finite range in the
     # window of the level that holds its first switch, and a path that
     # never switches stays finite
@@ -300,6 +280,27 @@ def test_nonfinite_path_names_pass_level_step_and_seed_index(coefficients, seed,
         "(seed index i of SeedSequence((seed, i)))" % (what, level, step, path)
     )
     assert (info.value.step, info.value.row) == (step, path)
+
+
+def test_nonfinite_path_names_pass_level_step_and_seed_index():
+    # a scheme reference, marched on the reference grid: regime 2 reverts
+    # infinitely fast
+    _assert_nonfinite_names_the_first_bad_path(
+        MeanRevertingCoefficients(theta=[1.0, np.inf], mean=[0.0, 0.0], c=[0.3, 0.3]),
+        seed=3,
+        what="reference pass (taylor15)",
+        level=64,
+    )
+
+
+def test_nonfinite_closed_form_names_pass_level_step_and_seed_index():
+    # the closed form is read on the finest tested grid
+    _assert_nonfinite_names_the_first_bad_path(
+        ScalarLinearCoefficients(a=[-1.0, np.inf], c=[0.3, 0.3]),
+        seed=5,
+        what="reference pass (closed-form)",
+        level=4,
+    )
 
 
 def zero_model():
