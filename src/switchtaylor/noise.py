@@ -116,23 +116,16 @@ class NoisePath:
     Attributes:
       times: grid times, shape (n+1,), strictly increasing.
       dw, dz: per-interval increments, shape (n, m).
-
-    ``deltas``, the interval lengths ``np.diff(times)``, may be passed by a
-    caller that already holds them, so that they are computed once per path.
     """
 
-    def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray, *, deltas=None):
+    def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray):
         times = np.asarray(times, dtype=float)
         dw = np.asarray(dw, dtype=float)
         dz = np.asarray(dz, dtype=float)
-        if deltas is None and times.ndim == 1:
-            deltas = np.diff(times)
-        if (
-            times.ndim != 1
-            or times.size < 2
-            or not np.isfinite(times).all()
-            or (deltas <= 0).any()
-        ):
+        if times.ndim != 1 or times.size < 2 or not np.isfinite(times).all():
+            raise InvalidGrid("grid times must be finite and strictly increasing")
+        deltas = np.diff(times)
+        if (deltas <= 0).any():
             raise InvalidGrid("grid times must be finite and strictly increasing")
         if dw.shape != dz.shape or dw.ndim != 2 or dw.shape[0] != times.size - 1:
             raise InvalidGrid("increment arrays must be (intervals, dimensions)")
@@ -274,9 +267,8 @@ def build_noise(
         jumps = jumps[(jumps > grid.t0) & (jumps < grid.t_end)]
         if jumps.size:
             times = np.union1d(times, jumps)
-    deltas = np.diff(times)
-    dw, dz = sample_increments(deltas, m, rng)
-    return NoisePath(times, dw, dz, deltas=deltas)
+    dw, dz = sample_increments(np.diff(times), m, rng)
+    return NoisePath(times, dw, dz)
 
 
 _HEADER = struct.Struct("<QQ")

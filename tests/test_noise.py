@@ -39,6 +39,9 @@ def test_grid_spec_validation():
     inc = np.zeros((2, 1))
     with pytest.raises(InvalidGrid, match="finite"):
         noise.NoisePath(np.array([0.0, 0.5, np.nan]), inc, inc)
+    for times in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5]):
+        with pytest.raises(InvalidGrid, match="strictly increasing"):
+            noise.NoisePath(times, inc, inc)
     with pytest.raises(InvalidGrid, match="Wiener dimension"):
         noise.NoisePath(np.array([0.0, 0.5, 1.0]), np.zeros((2, 0)), np.zeros((2, 0)))
 
