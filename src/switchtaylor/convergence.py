@@ -423,12 +423,12 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
             row=row,
         )
 
-    def steps(kernel, L, what):
+    def steps(info, L, what):
         # march over level L; a non-finite state names the first bad path
         y0 = np.tile(model.x0, (P, 1))
         hs = np.full(L, plan.t_end / L)
         try:
-            yield from march(kernel, coeffs, y0, regs[L], hs, dw[L], dz[L], tables[L])
+            yield from march(info, coeffs, y0, regs[L], hs, dw[L], dz[L], tables[L])
         except NonFiniteState as exc:
             raise nonfinite(what, L, exc.step, exc.row) from None
 
@@ -437,8 +437,7 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
         # scheme reference, keeping states on the finest tested grid
         ref_keep = np.empty((P, n_fine + 1, d))
         ref_keep[:, 0] = model.x0
-        ref_kernel = get_scheme(ref_scheme).kernel
-        for n, y in steps(ref_kernel, n_ref, what):
+        for n, y in steps(get_scheme(ref_scheme), n_ref, what):
             if (n + 1) % stride_f == 0:
                 ref_keep[:, (n + 1) // stride_f] = y
     else:
@@ -450,7 +449,7 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
     out = {}
     n_cmp = min(plan.coarse_steps)
     for name in schemes:
-        kernel = get_scheme(name).kernel
+        info = get_scheme(name)
         for L in levels:
             stride_rel = n_fine // L
             # moment statistics live on the plan's coarsest grid so that
@@ -459,7 +458,7 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
             stride_cmp = max(L // n_cmp, 1)
             err = np.zeros(P)
             moment_sums = np.zeros(L // stride_cmp)
-            for n, y in steps(kernel, L, "scheme %s" % name):
+            for n, y in steps(info, L, "scheme %s" % name):
                 diff = y - ref_keep[:, (n + 1) * stride_rel]
                 err = np.maximum(err, np.einsum("bk,bk->b", diff, diff))
                 if (n + 1) % stride_cmp == 0:

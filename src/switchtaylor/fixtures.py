@@ -14,8 +14,11 @@ Four fixtures, each a ready ModelSpec:
 
 All coefficient sets are plain picklable dataclasses.  Each implements the
 one ``jet`` method of ``CoefficientSet`` and gathers each rate table once
-per call.  The two linear sets also have ``exact``: with diagonal noise and
-rates frozen between switches, each coordinate is a geometric Brownian
+per call.  The diagonal set builds its per-regime jet tables (sigma per
+unit state, Db and D sigma) once at construction, so its ``jet`` makes one
+gather per table and scales sigma by the state; the scalar set's rates are
+its tables.  The two linear sets also have ``exact``: with diagonal noise
+and rates frozen between switches, each coordinate is a geometric Brownian
 motion, so the strong solution on a grid that holds every switch time is
 x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
 """
@@ -40,16 +43,16 @@ __all__ = [
 ]
 
 
-def _per_regime(values, regimes):
-    # values: (m0, ...) table, regimes: (B,) 1-based labels
-    return values[np.asarray(regimes, dtype=np.intp) - 1]
+def _per_regime(regimes, *tables):
+    # tables: (m0, ...) each; regimes: 1-based labels of any shape
+    r = np.asarray(regimes, dtype=np.intp) - 1
+    return [table.take(r, axis=0) for table in tables]
 
 
 def _geometric_exact(a, c, x0, regimes, dt, dw):
     # a, c: (m0, d) rate tables; one log-increment per interval, one
     # cumulative sum and one exp for the whole batch
-    a = _per_regime(a, regimes)
-    c = _per_regime(c, regimes)
+    a, c = _per_regime(regimes, a, c)
     log = (a - 0.5 * c * c) * dt[..., None] + c * dw
     return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
@@ -74,8 +77,8 @@ class ScalarLinearCoefficients(CoefficientSet):
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        a = _per_regime(self.a, regimes)[:, None]
-        c = _per_regime(self.c, regimes)[:, None]
+        # Db and D sigma are the gathered rates themselves
+        a, c = (v[:, None] for v in _per_regime(regimes, self.a, self.c))
         out = (a * X, (c * X)[:, :, None])
         if order >= 1:
             out += (a[:, :, None], c[:, :, None, None])
@@ -96,6 +99,10 @@ class DiagonalLinearCoefficients(CoefficientSet):
     c: np.ndarray
     d: int = field(init=False)
     m: int = field(init=False)
+    # per-regime jet tables, built once: a (d,), diag(c) (d, d), which jet
+    # scales by x column-wise into sigma, Db = diag(a) (d, d) and D sigma
+    # (d, d, d) with [k, k, k] = c_k
+    _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -104,28 +111,26 @@ class DiagonalLinearCoefficients(CoefficientSet):
             raise DimensionMismatch(
                 "rate tables must share shape (m0, d), got %s and %s" % (a.shape, c.shape)
             )
+        m0, d = a.shape
+        idx = np.arange(d)
+        sig = np.zeros((m0, d, d))
+        sig[:, idx, idx] = c
+        db = np.zeros((m0, d, d))
+        db[:, idx, idx] = a
+        dsig = np.zeros((m0, d, d, d))
+        dsig[:, idx, idx, idx] = c
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", a.shape[1])
-        object.__setattr__(self, "m", a.shape[1])
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", d)
+        object.__setattr__(self, "_tables", (a, sig, db, dsig))
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        B, d = X.shape
-        a = _per_regime(self.a, regimes)
-        c = _per_regime(self.c, regimes)
-        idx = np.arange(d)
-        sig = np.zeros((B, d, d))
-        sig[:, idx, idx] = c * X
-        out = (a * X, sig)
-        if order >= 1:
-            db = np.zeros((B, d, d))
-            db[:, idx, idx] = a
-            dsig = np.zeros((B, d, d, d))
-            dsig[:, idx, idx, idx] = c
-            out += (db, dsig)
+        a, sig, *derivatives = _per_regime(regimes, *self._tables[: 4 if order else 2])
+        out = (a * X, sig * X[:, None, :], *derivatives)
         if order == 2:
-            out += _flat(B, d, d)
+            out += _flat(X.shape[0], self.d, self.d)
         return out
 
     def exact(self, x0, regimes, dt, dw):
@@ -151,9 +156,8 @@ class MeanRevertingCoefficients(CoefficientSet):
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        th = _per_regime(self.theta, regimes)[:, None]
-        mu = _per_regime(self.mean, regimes)[:, None]
-        out = (th * (mu - X), _per_regime(self.c, regimes)[:, None, None])
+        th, mu, c = (v[:, None] for v in _per_regime(regimes, self.theta, self.mean, self.c))
+        out = (th * (mu - X), c[:, :, None])
         if order >= 1:
             out += (-th[:, :, None], np.zeros((X.shape[0], 1, 1, 1)))
         if order == 2:

@@ -131,8 +131,10 @@ class CoefficientSet:
 
 
 def check_jet_order(order) -> None:
-    """Refuse a jet order other than the integers 0, 1 and 2."""
-    if not (isinstance(order, numbers.Integral) and 0 <= order <= 2):
+    """Refuse a jet order other than the integers 0, 1 and 2 (not bools)."""
+    if type(order) is int and 0 <= order <= 2:
+        return
+    if isinstance(order, bool) or not (isinstance(order, numbers.Integral) and 0 <= order <= 2):
         raise InvalidJetOrder("a coefficient jet has order 0, 1 or 2, got %r" % (order,))
 
 

@@ -25,6 +25,18 @@ through it, so there is one stepping implementation to validate.  A single
 step is ``integrate`` on the two-point grid [s, t], started from any state
 by replacing the model's ``x0``.
 
+A map's noise-only factors do not depend on the state: h dW - dZ for the
+1.5 map and the weights of the double and triple Wiener integrals,
+dW^j dW^a - 1{j=a} h and its cubic analogue (Kloeden & Platen 1992,
+ch. 10).  ``SchemeInfo.weights`` is the one formula for them over any
+leading axes: () for the 0.5 map, (pair,) for the 1.0 map and
+(h dW - dZ, pair, triple) for the 1.5 map.  ``march`` computes them with
+one call per block of ``WEIGHT_BLOCK_ROWS`` (path, step) rows, hands each
+kernel call its step's slice, and searches the jump table once for the
+record range of every step.  A kernel called with its seven positional
+arguments alone computes its weights through the same function, so both
+routes give the same bits.
+
 Each kernel call evaluates the coefficient jet once, at the window-start
 regime, with ``coeffs.jet`` of the order its map contracts, and builds its
 operators from it with the builders of ``model``: order 0 (b, sigma) for
@@ -46,6 +58,7 @@ import numpy as np
 from ._files import opened
 from .errors import (
     CommutativityRequired,
+    DimensionMismatch,
     IntervalOutOfRange,
     InvalidGrid,
     NonFiniteState,
@@ -94,6 +107,10 @@ __all__ = [
 
 COMMUTATIVITY_TOL = 1e-8
 
+# (path, step) rows whose noise weights ``march`` computes in one call: a
+# batch of 64 or more paths takes one step per call, a single path 64 steps
+WEIGHT_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class JumpRecords:
@@ -124,10 +141,14 @@ class JumpRecords:
         """The records of one step of a ``width``-path table, keyed by batch
         row; None when no row switches in that step."""
         lo, hi = np.searchsorted(self.rows, (step * width, (step + 1) * width))
+        return self._between(int(lo), int(hi), step * width)
+
+    def _between(self, lo: int, hi: int, offset: int) -> JumpRecords | None:
+        # records lo:hi with their keys shifted down by offset; None if empty
         if lo == hi:
             return None
         part = {f.name: getattr(self, f.name)[lo:hi] for f in fields(self)}
-        part["rows"] = part["rows"] - step * width
+        part["rows"] = part["rows"] - offset
         return JumpRecords(**part)
 
 
@@ -214,34 +235,48 @@ def jump_records(chain: ChainPath, noise: NoisePath, edges) -> JumpRecords:
 
 
 def _pair_weight(dw, h):
-    # [.., j, a] = dW^j dW^a - 1{j=a} h
-    quad = dw[:, :, None] * dw[:, None, :]
-    idx = np.arange(dw.shape[1])
-    quad[:, idx, idx] -= h
+    # [.., j, a] = dW^j dW^a - 1{j=a} h, with h broadcasting against dw
+    quad = dw[..., :, None] * dw[..., None, :]
+    idx = np.arange(dw.shape[-1])
+    quad[..., idx, idx] -= h
     return quad
 
 
 def _triple_weight(dw, h):
     # [.., j, a, c] = dW^j dW^a dW^c - 1{a=c, j!=a} h dW^j - 3 1{j=a=c} h dW^j
-    cubic = dw[:, :, None, None] * dw[:, None, :, None] * dw[:, None, None, :]
-    idx = np.arange(dw.shape[1])
+    cubic = dw[..., :, None, None] * dw[..., None, :, None] * dw[..., None, None, :]
+    idx = np.arange(dw.shape[-1])
     # j = a = c takes one subtraction of 3 h dW^j from the bare product
-    diag = cubic[:, idx, idx, idx] - 3.0 * h * dw
-    cubic[:, :, idx, idx] -= h * dw[:, :, None]
-    cubic[:, idx, idx, idx] = diag
+    diag = cubic[..., idx, idx, idx] - 3.0 * h * dw
+    cubic[..., :, idx, idx] -= (h * dw)[..., None]
+    cubic[..., idx, idx, idx] = diag
     return cubic
 
 
-def _euler_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
+def _euler_weights(h, dw, dz):
+    return ()
+
+
+def _milstein_weights(h, dw, dz):
+    return (_pair_weight(dw, np.asarray(h, dtype=float)[..., None]),)
+
+
+def _taylor15_weights(h, dw, dz):
+    h = np.asarray(h, dtype=float)[..., None]
+    return (h * dw - dz, _pair_weight(dw, h), _triple_weight(dw, h))
+
+
+def _euler_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None, weights=None):
     b, sig = coeffs.jet(y, regimes, 0)
     return y + b * h + np.einsum("bkj,bj->bk", sig, dw)
 
 
-def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
+def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None, weights=None):
+    (pair,) = _milstein_weights(h, dw, dz) if weights is None else weights
     b, sig, _, dsig = coeffs.jet(y, regimes, 1)
     lj = _noise_diffusion(dsig, sig)
     out = y + b * h + np.einsum("bkj,bj->bk", sig, dw)
-    out += 0.5 * np.einsum("bkja,bja->bk", lj, _pair_weight(dw, h))
+    out += 0.5 * np.einsum("bkja,bja->bk", lj, pair)
     if jumps is not None and jumps.rows.size:
         rows = jumps.rows
         sig_after = coeffs.jet(y[rows], jumps.reg1, 0)[1]
@@ -252,9 +287,10 @@ def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None):
     return out
 
 
-def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
+def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None, weights=None):
     if dz is None:
         raise InvalidGrid("the 1.5 scheme needs the time integrals of the noise")
+    hdw_dz, pair, triple = _taylor15_weights(h, dw, dz) if weights is None else weights
     # the coefficient jet at the window-start regime, evaluated once
     b, sig, db, dsig, hb, hsig = coeffs.jet(y, regimes, 2)
     cov = _covariance(sig)
@@ -267,9 +303,9 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
     out = y + b * h + 0.5 * l0b * (h * h)
     out += np.einsum("bka,ba->bk", ljb, dz)
     out += np.einsum("bkj,bj->bk", sig, dw)
-    out += np.einsum("bkj,bj->bk", l0s, h * dw - dz)
-    out += 0.5 * np.einsum("bkja,bja->bk", ljs, _pair_weight(dw, h))
-    out += np.einsum("bkjac,bjac->bk", ljjs, _triple_weight(dw, h)) / 6.0
+    out += np.einsum("bkj,bj->bk", l0s, hdw_dz)
+    out += 0.5 * np.einsum("bkja,bja->bk", ljs, pair)
+    out += np.einsum("bkjac,bjac->bk", ljjs, triple) / 6.0
 
     if jumps is None or not jumps.rows.size:
         return out
@@ -309,18 +345,28 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None):
 
 @dataclass(frozen=True)
 class SchemeInfo:
-    """A registered one-step map and what it needs from its inputs."""
+    """A registered one-step map and what it needs from its inputs.
+
+    ``weights(h, dw, dz)`` is the one formula for the map's noise-only
+    factors over any leading axes, with ``h`` broadcasting against those
+    axes: ``()`` for euler, ``(pair,)`` for milstein and
+    ``(h dW - dZ, pair, triple)`` for taylor15, where pair and triple are
+    the weights of the double and triple Wiener integrals.  ``kernel(coeffs,
+    y, regimes, h, dw, dz, jumps)`` takes one step of a batch; passed
+    ``weights=`` it reads those factors instead of computing them.
+    """
 
     name: str
     strong_order: float
     commutativity_order: int
     kernel: Callable
+    weights: Callable
 
 
 SCHEMES = {
-    "euler": SchemeInfo("euler", 0.5, 0, _euler_kernel),
-    "milstein": SchemeInfo("milstein", 1.0, 1, _milstein_kernel),
-    "taylor15": SchemeInfo("taylor15", 1.5, 2, _taylor15_kernel),
+    "euler": SchemeInfo("euler", 0.5, 0, _euler_kernel, _euler_weights),
+    "milstein": SchemeInfo("milstein", 1.0, 1, _milstein_kernel, _milstein_weights),
+    "taylor15": SchemeInfo("taylor15", 1.5, 2, _taylor15_kernel, _taylor15_weights),
 }
 
 
@@ -353,31 +399,88 @@ def require_commutativity(
 # stepping
 
 
-def march(kernel, coeffs, y0, regimes, hs, dw, dz, table):
-    """Apply a one-step map along a grid to a batch of P paths at once.
+def march(info, coeffs, y0, regimes, hs, dw, dz, table):
+    """Apply a scheme's one-step map along a grid to a batch of P paths.
 
-    ``y0`` is (P, d), ``regimes`` (P, n) the regimes at the window starts,
-    ``hs`` the n step sizes, ``dw`` and ``dz`` (P, n, m) and ``table`` the
-    JumpRecords of the batch keyed by ``step * P + row``, or None when no
-    path switches.  Yields (n, y) with the (P, d) states after each step.
+    ``info`` is the scheme's ``SchemeInfo``, ``y0`` is (P, d), ``regimes``
+    (P, n) the regimes at the window starts, ``hs`` the n step sizes,
+    ``dw`` and ``dz`` (P, n, m) and ``table`` the JumpRecords of the batch
+    keyed by ``step * P + row``, or None when no path switches.  The inputs
+    are checked once, before the first step.  Returns an iterator of (n, y)
+    with the (P, d) states after each step.
+
+    The noise weights of ``WEIGHT_BLOCK_ROWS`` (path, step) rows at a time
+    come from one ``info.weights`` call, and the table is searched once for
+    the record range of every step.
 
     Raises:
+      DimensionMismatch: an input's shape disagrees with ``regimes`` or
+        with the coefficient set's d and m.
+      UnknownRegime: a regime label in ``regimes`` or ``table`` is below 1.
       NonFiniteState: a state left the finite range; its ``step`` and ``row``
         locate the first bad row of the first bad step.
     """
-    width = y0.shape[0]
-    y = y0
-    for n in range(regimes.shape[1]):
-        jumps = None if table is None else table.at_step(n, width)
-        y = kernel(coeffs, y, regimes[:, n], hs[n], dw[:, n], dz[:, n], jumps)
-        if not np.isfinite(y).all():
-            row = int(np.argmin(np.isfinite(y).all(axis=1)))
-            raise NonFiniteState(
-                "state left the finite range at step %d on batch row %d" % (n, row),
-                step=n,
-                row=row,
+    regimes = np.asarray(regimes)
+    hs = np.asarray(hs, dtype=float)
+    if regimes.ndim != 2:
+        raise DimensionMismatch("march: regimes has shape %s, expected (P, n)" % (regimes.shape,))
+    width, n_steps = regimes.shape
+    for name, value, shape in (
+        ("y0", y0, (width, coeffs.d)),
+        ("hs", hs, (n_steps,)),
+        ("dw", dw, (width, n_steps, coeffs.m)),
+        ("dz", dz, (width, n_steps, coeffs.m)),
+    ):
+        if np.shape(value) != shape:
+            raise DimensionMismatch(
+                "march: %s has shape %s, expected %s" % (name, np.shape(value), shape)
             )
-        yield n, y
+    labels = [regimes] if table is None else [regimes, table.reg1, table.reg2]
+    lowest = min(np.min(part, initial=1) for part in labels)
+    if lowest < 1:
+        raise UnknownRegime("march: regime labels start at 1, got %d" % lowest)
+    bounds = None
+    if table is not None:
+        steps = np.arange(n_steps + 1) * width
+        bounds = np.searchsorted(table.rows, steps).tolist()
+    return _march(info, coeffs, y0, regimes, hs, dw, dz, table, bounds)
+
+
+def _step_major(a):
+    # (P, S, ...) -> contiguous (S, P, ...): each step's slice of a block is
+    # then laid out as a per-step array of the same values would be
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
+def _march(info, coeffs, y, regimes, hs, dw, dz, table, bounds):
+    width, n_steps = regimes.shape
+    kernel = info.kernel
+    block = max(1, WEIGHT_BLOCK_ROWS // width)
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        weights = info.weights(
+            hs[start:stop, None], _step_major(dw[:, start:stop]), _step_major(dz[:, start:stop])
+        )
+        for n in range(start, stop):
+            jumps = None if table is None else table._between(bounds[n], bounds[n + 1], n * width)
+            y = kernel(
+                coeffs,
+                y,
+                regimes[:, n],
+                hs[n],
+                dw[:, n],
+                dz[:, n],
+                jumps,
+                weights=tuple(w[n - start] for w in weights),
+            )
+            if not np.isfinite(y).all():
+                row = int(np.argmin(np.isfinite(y).all(axis=1)))
+                raise NonFiniteState(
+                    "state left the finite range at step %d on batch row %d" % (n, row),
+                    step=n,
+                    row=row,
+                )
+            yield n, y
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +532,7 @@ def integrate(
     states = np.empty((times.size, model.d))
     states[0] = model.x0
     steps = march(
-        info.kernel,
+        info,
         model.coefficients,
         states[:1],
         regimes[None, :-1],

@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from switchtaylor import (
     sample_path,
     strong_error,
 )
-from switchtaylor import convergence
+from switchtaylor import convergence, schemes
 from switchtaylor.convergence import CLOSED_FORM
 from switchtaylor.errors import (
     CommutativityRequired,
@@ -241,6 +241,57 @@ def test_engine_makes_the_calls_the_benchmark_tracer_reads(monkeypatch):
     convergence._run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
     assert calls == {"sample_path": 2, "build_noise": 2, "jump_records": 6}
     assert edge_sizes == {5: 2, 9: 2, 129: 2}
+
+
+def test_kernels_are_reached_as_the_benchmark_tracer_wraps_them(monkeypatch):
+    """perfbench/layers.py traces a kernel by putting
+    ``replace(info, kernel=wrapper)`` in ``schemes.SCHEMES``; it reads ``h``
+    at positional index 3, to tell reference-step calls apart, and the
+    batch rows of ``y`` at index 1.  ``integrate`` and ``run`` must reach
+    that wrapper with those arguments, and the results must not change."""
+    model = fixture("additive")  # no closed form: the reference is marched
+    plan = small_plan(
+        model=model,
+        schemes=("euler", "milstein", "taylor15"),
+        coarse_steps=(4, 8, 16),
+        reference_steps=256,
+        paths=3,
+    )
+    chain = sample_path(model.generator, 1, 0.0, 1.0, np.random.default_rng(2))
+    noise = build_noise(GridSpec(0.0, 1.0, 16), chain, model.m, np.random.default_rng(3))
+    times = noise.times[::2]
+
+    def outputs():
+        reports = run(plan)
+        rows = [(r.rows, r.gamma_hat, r.r2) for r in reports.values()]
+        paths = [schemes.integrate(model, name, chain, noise, times) for name in plan.schemes]
+        return rows, np.stack([p.states for p in paths])
+
+    plain_rows, plain_paths = outputs()
+    seen = Counter()
+
+    def wrapping(name, kernel):
+        def wrapper(*args, **kwargs):
+            seen[name, float(args[3]), np.shape(args[1])[0]] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name, info in list(schemes.SCHEMES.items()):
+        wrapped = replace(info, kernel=wrapping(name, info.kernel))
+        monkeypatch.setitem(schemes.SCHEMES, name, wrapped)
+    rows, paths = outputs()
+    assert rows == plain_rows
+    assert paths.tobytes() == plain_paths.tobytes()
+    want = Counter()
+    for name in plan.schemes:
+        for L in plan.coarse_steps:
+            want[name, 1.0 / L, plan.paths] += L
+        for h in np.diff(times):
+            want[name, float(h), 1] += 1
+    n_ref = plan.reference_steps
+    want[reference_scheme_for(model), 1.0 / n_ref, plan.paths] += n_ref
+    assert seen == want
 
 
 def _first_switch_steps(plan, edges):

@@ -97,7 +97,7 @@ def batch_errors(model, indices):
             err = np.zeros(P)
             y0 = np.tile(model.x0, (P, 1))
             hs = np.full(L, 1.0 / L)
-            for n, y in march(SCHEMES[name].kernel, model.coefficients, y0, regimes, hs, dw, dz, table):
+            for n, y in march(SCHEMES[name], model.coefficients, y0, regimes, hs, dw, dz, table):
                 gap = y - truth[:, (n + 1) * stride]
                 err = np.maximum(err, np.einsum("bk,bk->b", gap, gap))
             errors[(name, L)] = err

@@ -109,7 +109,7 @@ def test_batched_march_matches_single_path_integration(name, scheme, width, data
         paths.append((chain, build_noise(grid, chain, model.m, np.random.default_rng(seed))))
     aggregates = [noise.step_aggregates(times) for _, noise in paths]
     steps = march(
-        get_scheme(scheme).kernel,
+        get_scheme(scheme),
         model.coefficients,
         np.tile(model.x0, (width, 1)),
         np.stack([chain.states_at(times[:-1]) for chain, _ in paths]),
@@ -169,7 +169,7 @@ def test_jet_agrees_with_its_orders_rows_and_views(name, rows, data):
         np.testing.assert_array_equal(getattr(coeffs, view)(X, R), want, strict=True)
 
 
-@pytest.mark.parametrize("order", [3, -1, 1.5])
+@pytest.mark.parametrize("order", [3, -1, 1.5, True, False])
 @pytest.mark.parametrize("name", sorted(COEFFICIENT_SETS))
 def test_jet_refuses_an_order_outside_0_to_2(name, order):
     coeffs, _ = COEFFICIENT_SETS[name]

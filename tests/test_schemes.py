@@ -1,6 +1,7 @@
 """One-step maps: closed-form oracles, switch corrections, degeneration."""
 
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from switchtaylor import (
     ChainPath,
     CommutativityRequired,
+    DimensionMismatch,
     GeneratorMatrix,
     GridSpec,
     IntervalOutOfRange,
@@ -22,13 +24,19 @@ from switchtaylor import (
     build_noise,
     fixture,
 )
+from switchtaylor.fixtures import fixture_names
 from switchtaylor.schemes import (
     SCHEMES,
+    WEIGHT_BLOCK_ROWS,
     JumpData,
+    JumpRecords,
     Trajectory,
+    _pair_weight,
+    _triple_weight,
     get_scheme,
     integrate,
     jump_records,
+    march,
     write_trajectory_csv,
 )
 
@@ -511,3 +519,154 @@ class TestIntegrateOutputs:
             1,
             2,
         ]
+
+
+# ---------------------------------------------------------------------------
+# march: noise weights per block of steps, one record search, input checks
+
+
+def planted_table(P, steps, m0, m, hs, rng):
+    """Switch records on rows 0 and P - 1 of each given step, with one, two
+    and three switches in turn."""
+    keys = sorted({step * P + row for step in steps for row in (0, P - 1)})
+    K = len(keys)
+    step_of = np.asarray(keys) // P
+    h = hs[step_of]
+    counts = np.arange(K) % 3 + 1
+    dt1 = h * rng.uniform(0.1, 0.4, K)
+    dt2 = np.where(counts >= 2, h * rng.uniform(0.5, 0.9, K), 0.0)
+    w = rng.standard_normal((3, K, m)) * np.sqrt(h)[:, None]
+    return JumpRecords(
+        rows=np.asarray(keys, dtype=np.intp),
+        counts=counts.astype(np.int64),
+        dt1=dt1,
+        reg1=rng.integers(1, m0 + 1, K),
+        w1=w[0],
+        dt2=dt2,
+        reg2=rng.integers(1, m0 + 1, K),
+        w2=np.where((counts >= 2)[:, None], w[1], 0.0),
+        w3=np.where((counts >= 3)[:, None], w[2], 0.0),
+    )
+
+
+def march_inputs(model, P, n, seed=3):
+    rng = np.random.default_rng(seed)
+    m = model.m
+    hs = (0.5 + rng.random(n)) / n
+    g = rng.standard_normal((2, P, n, m))
+    dw = np.sqrt(hs)[None, :, None] * g[0]
+    dz = hs[None, :, None] ** 1.5 * (0.5 * g[0] + (0.5 / np.sqrt(3.0)) * g[1])
+    y0 = np.tile(model.x0, (P, 1)) * (1.0 + 0.1 * rng.standard_normal((P, model.d)))
+    regimes = rng.integers(1, model.m0 + 1, (P, n))
+    # a switch in the first and in the last step of a block, on both sides
+    # of each block edge, and in the grid's last step
+    block = max(1, WEIGHT_BLOCK_ROWS // P)
+    steps = {0, n - 1} | {k for edge in range(block, n, block) for k in (edge - 1, edge)}
+    table = planted_table(P, sorted(steps), model.m0, m, hs, rng)
+    return y0, regimes, hs, dw, dz, table
+
+
+@pytest.mark.parametrize("P, n", [(1, 150), (3, 150), (65, 7)])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", fixture_names())
+def test_march_equals_direct_kernel_calls_bit_for_bit(name, scheme, P, n):
+    """Block weights, the one record search and the per-step checks leave
+    every state as stepping the registered kernel with its seven
+    positional arguments computes it."""
+    model = fixture(name)
+    coeffs = model.coefficients
+    info = SCHEMES[scheme]
+    y0, regimes, hs, dw, dz, table = march_inputs(model, P, n)
+    want = []
+    y = y0
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            jumps = table.at_step(k, P)
+            y = info.kernel(coeffs, y, regimes[:, k], hs[k], dw[:, k], dz[:, k], jumps)
+            if not np.isfinite(y).all():
+                break
+            want.append(y)
+        got = []
+        steps = march(info, coeffs, y0, regimes, hs, dw, dz, table)
+        if len(want) == n:
+            got = [y.copy() for _, y in steps]
+        else:
+            # the direct calls left the finite range: march stops there
+            bad_row = int(np.flatnonzero(~np.isfinite(y).all(axis=1))[0])
+            with pytest.raises(NonFiniteState) as caught:
+                got.extend(y.copy() for _, y in steps)
+            assert (caught.value.step, caught.value.row) == (len(want), bad_row)
+    assert len(got) == len(want) > 0
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_weights_equal_per_step_weights(m):
+    rng = np.random.default_rng(m)
+    P, S = 4, 5
+    dw = rng.standard_normal((P, S, m))
+    dz = rng.standard_normal((P, S, m))
+    h = 0.01 + rng.random(S)
+    pair = _pair_weight(dw, h[None, :, None])
+    triple = _triple_weight(dw, h[None, :, None])
+    block = SCHEMES["taylor15"].weights(h[None, :], dw, dz)
+    for s in range(S):
+        assert pair[:, s].tobytes() == _pair_weight(dw[:, s], h[s]).tobytes()
+        assert triple[:, s].tobytes() == _triple_weight(dw[:, s], h[s]).tobytes()
+        step = SCHEMES["taylor15"].weights(h[s], dw[:, s], dz[:, s])
+        for part, want in zip(block, step):
+            assert part[:, s].tobytes() == want.tobytes()
+    assert SCHEMES["milstein"].weights(h[None, :], dw, dz)[0].tobytes() == pair.tobytes()
+    assert SCHEMES["euler"].weights(h[None, :], dw, dz) == ()
+
+
+class TestMarchInputs:
+    def inputs(self):
+        model = fixture("diagonal3")
+        y0, regimes, hs, dw, dz, table = march_inputs(model, 2, 4)
+        return model.coefficients, dict(
+            y0=y0, regimes=regimes, hs=hs, dw=dw, dz=dz, table=table
+        )
+
+    def call(self, coeffs, args):
+        return march(SCHEMES["taylor15"], coeffs, **args)
+
+    @pytest.mark.parametrize(
+        "name, cut, want",
+        [
+            ("y0", lambda a: a[:1], "y0 has shape (1, 2), expected (2, 2)"),
+            ("hs", lambda a: a[:-1], "hs has shape (3,), expected (4,)"),
+            ("dw", lambda a: a[:, :-1], "dw has shape (2, 3, 2), expected (2, 4, 2)"),
+            ("dz", lambda a: a[..., :1], "dz has shape (2, 4, 1), expected (2, 4, 2)"),
+            ("regimes", lambda a: a[0], "regimes has shape (4,), expected (P, n)"),
+        ],
+    )
+    def test_a_shape_mismatch_is_named_before_any_step(self, name, cut, want):
+        coeffs, args = self.inputs()
+        args[name] = cut(args[name])
+        with pytest.raises(DimensionMismatch, match=re.escape(want)):
+            self.call(coeffs, args)
+
+    @pytest.mark.parametrize("where", ["regimes", "reg1", "reg2"])
+    def test_a_regime_label_below_1_is_refused(self, where):
+        coeffs, args = self.inputs()
+        if where == "regimes":
+            args["regimes"][1, 2] = 0
+        else:
+            labels = getattr(args["table"], where).copy()
+            labels[-1] = 0
+            args["table"] = replace(args["table"], **{where: labels})
+        with pytest.raises(UnknownRegime, match="got 0"):
+            self.call(coeffs, args)
+
+    def test_valid_inputs_step_and_an_empty_grid_yields_nothing(self):
+        coeffs, args = self.inputs()
+        assert [n for n, _ in self.call(coeffs, args)] == [0, 1, 2, 3]
+        args.update(
+            regimes=args["regimes"][:, :0],
+            hs=args["hs"][:0],
+            dw=args["dw"][:, :0],
+            dz=args["dz"][:, :0],
+            table=None,
+        )
+        assert list(self.call(coeffs, args)) == []
