@@ -29,6 +29,7 @@ from .errors import (
     EmptyIndex,
     InsufficientLevels,
     IntervalOutOfRange,
+    InvalidCoefficients,
     InvalidComponent,
     InvalidGamma,
     InvalidGenerator,
@@ -48,7 +49,6 @@ from .errors import (
     UnknownFixture,
     UnknownRegime,
     UnknownScheme,
-    UnsupportedWordLength,
     ValidationError,
 )
 from .fixtures import (
@@ -76,11 +76,8 @@ from .model import (
     CoefficientSet,
     CommutativityReport,
     ModelSpec,
-    apply_word,
     check_commutativity,
     check_jet_order,
-    eval_diffusion,
-    eval_drift,
     op_noise_diffusion,
     op_noise_drift,
     op_noise_noise_diffusion,

@@ -225,6 +225,14 @@ def reference_scheme_for(model: ModelSpec) -> str:
     return "euler"
 
 
+def _number(value) -> float:
+    # NaN for a value that is not a number, which the range checks refuse
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return np.nan
+
+
 def fit_order(rows):
     """Least-squares order estimate from (h, mean squared error) rows.
 
@@ -234,18 +242,15 @@ def fit_order(rows):
 
     Raises:
       InsufficientLevels: fewer than three rows.
-      NonPositiveError: a mean error is zero, negative, or not finite.
-      InvalidGrid: a step size is zero, negative, or not finite.
+      NonPositiveError: a mean error is zero, negative, not finite or not a number.
+      InvalidGrid: a step size is zero, negative, not finite or not a number.
     """
     hs = []
     means = []
     for row in rows:
-        if hasattr(row, "h"):
-            hs.append(float(row.h))
-            means.append(float(row.mean_error))
-        else:
-            hs.append(float(row[0]))
-            means.append(float(row[1]))
+        h, mean = (row.h, row.mean_error) if hasattr(row, "h") else (row[0], row[1])
+        hs.append(_number(h))
+        means.append(_number(mean))
     if len(hs) < 3:
         raise InsufficientLevels("order fit needs at least 3 levels, got %d" % len(hs))
     if not all(0 < h < np.inf for h in hs):

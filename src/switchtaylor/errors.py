@@ -91,13 +91,13 @@ class NonFiniteInput(ValidationError):
     pass
 
 
-class DimensionMismatch(ValidationError):
-    """An array or index does not fit the model's dimensions."""
+class InvalidCoefficients(ValidationError):
+    """A model's coefficients are not a CoefficientSet."""
     pass
 
 
-class UnsupportedWordLength(ValidationError):
-    """Operator word outside the supported catalogue."""
+class DimensionMismatch(ValidationError):
+    """An array or index does not fit the model's dimensions."""
     pass
 
 

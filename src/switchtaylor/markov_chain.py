@@ -153,7 +153,7 @@ class ChainPath:
     def states_at(self, times) -> np.ndarray:
         """Vectorized right-continuous states at an array of times."""
         times = np.asarray(times, dtype=float)
-        if times.size and (times.min() < self.t0 or times.max() > self.t_end):
+        if times.size and not (times.min() >= self.t0 and times.max() <= self.t_end):
             raise IntervalOutOfRange("query outside the sampled span")
         k = np.searchsorted(self.jump_times, times, side="right")
         all_states = np.concatenate(([self.initial_state], self.states_after))

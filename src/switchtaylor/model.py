@@ -15,21 +15,19 @@ has one method, ``jet(X, regimes, order)``, evaluated in batch on states of
 shape (B, d) with a regime label per row.  It returns the tuple
 (b, sigma) at order 0, (b, sigma, Db, D sigma) at order 1 and
 (b, sigma, Db, D sigma, D^2 b, D^2 sigma) at order 2, so a caller asks for
-exactly the derivatives it contracts.  The six per-entry names ``drift``,
-``diffusion``, ``drift_gradient``, ... are views of ``jet`` for callers
-outside the package; the package itself reads ``jet`` only.
+exactly the derivatives it contracts.  The package itself reads ``jet``
+only.
 
 One private builder per operator takes jet arrays and contracts them, so a
 caller that evaluates the jet once can build every operator from it.  The
-kernels in ``schemes`` do that once per call at the window-start regime.
-The public ``op_*`` functions evaluate the jet order their operator needs
-and delegate to the same builders, as do ``apply_word`` and
-``check_commutativity``.
+kernels in ``schemes`` do that once per call at the window-start regime, and
+``check_commutativity`` once per regime.
 
-``apply_word`` applies the operator word of an integral label to a single
-coefficient entry.  Supported words: the empty word, (0), (a), and (a1, a2)
-with Wiener letters; longer or mixed words would need third derivatives and
-are refused.
+The six per-entry views of ``jet`` on ``CoefficientSet`` (``drift``,
+``diffusion``, ``drift_gradient``, ...) and the five public ``op_*``
+functions, which evaluate the jet order their operator needs and delegate
+to the same builders, have no caller in the package.  They stay because the
+benchmark's per-layer tracer (``perfbench/layers.py``) wraps them by name.
 """
 
 from __future__ import annotations
@@ -41,28 +39,24 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidComponent,
+    InvalidCoefficients,
+    InvalidGenerator,
     InvalidJetOrder,
     NonFiniteInput,
     UnknownRegime,
-    UnsupportedWordLength,
 )
 from .markov_chain import GeneratorMatrix
-from .multi_index import ComponentKind, MultiIndex
 
 __all__ = [
     "CoefficientSet",
     "CallableCoefficients",
     "check_jet_order",
     "ModelSpec",
-    "eval_drift",
-    "eval_diffusion",
     "op_time_drift",
     "op_noise_drift",
     "op_time_diffusion",
     "op_noise_diffusion",
     "op_noise_noise_diffusion",
-    "apply_word",
     "CommutativityReport",
     "check_commutativity",
     "default_probe_points",
@@ -84,9 +78,9 @@ class CoefficientSet:
     - order 2 adds D^2 b (B, d, d, d) and D^2 sigma (B, d, m, d, d), the
       two differentiation axes last.
 
-    The six per-entry methods below are views of ``jet`` for callers outside
-    the package; an implementation overrides ``jet`` only, and starts it
-    with ``check_jet_order(order)``.
+    The six per-entry methods below are views of ``jet`` that only the
+    benchmark's tracer reads; an implementation overrides ``jet`` only, and
+    starts it with ``check_jet_order(order)``.
 
     A set whose SDE is solvable path by path may add one optional method,
     ``exact(x0, regimes, dt, dw)``.  It takes start states x0 (B, d) and,
@@ -211,6 +205,13 @@ class ModelSpec:
     initial_regime: int = 1
 
     def __post_init__(self):
+        for name, kind, error in (
+            ("generator", GeneratorMatrix, InvalidGenerator),
+            ("coefficients", CoefficientSet, InvalidCoefficients),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise error("%s is a %s, not a %s" % (name, type(value).__name__, kind.__name__))
         x0 = np.array(self.x0, dtype=float).reshape(-1)
         if x0.size != self.coefficients.d:
             raise DimensionMismatch(
@@ -218,7 +219,10 @@ class ModelSpec:
             )
         if not np.isfinite(x0).all():
             raise NonFiniteInput("x0 must be finite")
-        _check_regime(self.initial_regime, self.generator.m0, "initial regime")
+        regime = self.initial_regime
+        # an integer label in 1..m0; a float such as 1.5 would index as 1
+        if not isinstance(regime, numbers.Integral) or not 1 <= regime <= self.m0:
+            raise UnknownRegime("initial regime %r outside 1..%d" % (regime, self.m0))
         _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -254,34 +258,6 @@ def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
             "drift and diffusion at %d regimes have shapes %s and %s, expected %s and %s"
             % (m0, shapes[0], shapes[1], (m0, d), (m0, d, m))
         )
-
-
-def _check_regime(regime, m0: int, what: str = "regime") -> None:
-    # an integer label in 1..m0; a float such as 1.5 would index as 1
-    if not isinstance(regime, numbers.Integral) or not 1 <= regime <= m0:
-        raise UnknownRegime("%s %r outside 1..%d" % (what, regime, m0))
-
-
-def _check_point(model: ModelSpec, x, regime: int):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.d:
-        raise DimensionMismatch("state has %d entries, expected %d" % (x.size, model.d))
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("state contains NaN or infinity")
-    _check_regime(regime, model.m0)
-    return x
-
-
-def eval_drift(model: ModelSpec, x, regime: int) -> np.ndarray:
-    """Drift vector b(x, regime), shape (d,)."""
-    x = _check_point(model, x, regime)
-    return model.coefficients.jet(x[None, :], np.array([regime]), 0)[0][0]
-
-
-def eval_diffusion(model: ModelSpec, x, regime: int) -> np.ndarray:
-    """Diffusion matrix sigma(x, regime), shape (d, m)."""
-    x = _check_point(model, x, regime)
-    return model.coefficients.jet(x[None, :], np.array([regime]), 0)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +323,13 @@ def op_time_diffusion(coeffs: CoefficientSet, X, regimes):
     return _time_diffusion(b, dsig, hsig, _covariance(sig))
 
 
-def op_noise_diffusion(coeffs: CoefficientSet, X, regimes, op_regimes=None):
+def op_noise_diffusion(coeffs: CoefficientSet, X, regimes):
     """Noise operators applied to the diffusion; shape (B, d, m, m).
 
     Entry [.., k, j, a] applies the noise operator of Wiener dimension a to
-    sigma^(k,j).  When ``op_regimes`` is given, the operator's own diffusion
-    coefficients are taken at those regimes while the target entry stays at
-    ``regimes``; the one-jump correction terms need that split.
+    sigma^(k,j).
     """
     _, sig, _, dsig = coeffs.jet(X, regimes, 1)
-    if op_regimes is not None:
-        sig = coeffs.jet(X, op_regimes, 0)[1]
     return _noise_diffusion(dsig, sig)
 
 
@@ -369,99 +341,6 @@ def op_noise_noise_diffusion(coeffs: CoefficientSet, X, regimes):
     """
     _, sig, _, dsig, _, hsig = coeffs.jet(X, regimes, 2)
     return _noise_noise_diffusion(sig, dsig, hsig, _noise_diffusion(dsig, sig))
-
-
-# ---------------------------------------------------------------------------
-# operator words on single entries
-
-
-def apply_word(
-    model: ModelSpec,
-    index: MultiIndex,
-    target: tuple,
-    x,
-    regime: int,
-    operator_regime: int | None = None,
-) -> float:
-    """Apply the operator word of an integral label to one coefficient entry.
-
-    The word is applied right to left: the last letter acts first.  The
-    target is ("drift", k) or ("diffusion", k, j) with 1-based indices.
-    ``operator_regime`` evaluates the operator's own coefficients at a
-    different regime than the target entry; it is honored for single
-    Wiener-letter words only, which is the shape the jump corrections need.
-
-    Raises:
-      UnsupportedWordLength: word outside the catalogue {empty, (0), (a),
-        (a1, a2)}; time letters cannot be outermost in a two-letter word.
-    """
-    x = _check_point(model, x, regime)
-    if operator_regime is not None:
-        _check_regime(operator_regime, model.m0, "operator regime")
-    kind = target[0]
-    bounds = {"drift": (model.d,), "diffusion": (model.d, model.m)}.get(kind)
-    if bounds is None:
-        raise UnsupportedWordLength("unknown target %r" % (kind,))
-    entry = tuple(target[1:])
-    if len(entry) != len(bounds) or not all(
-        isinstance(i, numbers.Integral) and 1 <= i <= n for i, n in zip(entry, bounds)
-    ):
-        raise DimensionMismatch(
-            "%s entry %r outside %s" % (kind, entry, " x ".join("1..%d" % n for n in bounds))
-        )
-    # the entry's position in a batch of one, ahead of any operator axes
-    at = (0,) + tuple(i - 1 for i in entry)
-
-    comps = index.components
-    letters = [c for c in comps]
-    if any(c.kind not in (ComponentKind.TIME, ComponentKind.WIENER) for c in letters):
-        raise UnsupportedWordLength(
-            "operator words contain time and Wiener letters only, got %s" % (index,)
-        )
-    for c in letters:
-        if c.kind is ComponentKind.WIENER and c.index > model.m:
-            raise InvalidComponent("Wiener letter %s outside 1..%d" % (c.tag, model.m))
-    if operator_regime is not None and not (
-        len(letters) == 1 and letters[0].kind is ComponentKind.WIENER
-    ):
-        raise UnsupportedWordLength(
-            "a split operator regime applies to single Wiener-letter words only"
-        )
-
-    X = x[None, :]
-    R = np.array([regime])
-    coeffs = model.coefficients
-
-    if len(letters) == 0:
-        b, sig = coeffs.jet(X, R, 0)
-        return float((b if kind == "drift" else sig)[at])
-
-    if len(letters) == 1:
-        c = letters[0]
-        if c.kind is ComponentKind.TIME:
-            op = op_time_drift if kind == "drift" else op_time_diffusion
-            return float(op(coeffs, X, R)[at])
-        at += (c.index - 1,)
-        if kind == "drift":
-            return float(op_noise_drift(coeffs, X, R)[at])
-        op_r = None if operator_regime is None else np.array([operator_regime])
-        return float(op_noise_diffusion(coeffs, X, R, op_r)[at])
-
-    if len(letters) == 2:
-        first, second = letters
-        if first.kind is ComponentKind.WIENER and second.kind is ComponentKind.WIENER:
-            if kind != "diffusion":
-                raise UnsupportedWordLength(
-                    "two-letter words are supported on diffusion entries only"
-                )
-            # word (a1, a2): inner letter a2 acts first
-            tensor = op_noise_noise_diffusion(coeffs, X, R)
-            return float(tensor[at + (second.index - 1, first.index - 1)])
-        raise UnsupportedWordLength(
-            "two-letter words must consist of Wiener letters, got %s" % (index,)
-        )
-
-    raise UnsupportedWordLength("words longer than two letters are not supported")
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ intervals) with no discretization error.  ``window_aggregates`` holds the
 one formula for dW and dZ over a window; it takes prefix sums with leading
 batch axes, so a caller that gathered them for many paths with
 ``NoisePath.prefix_sums`` aggregates the whole batch at once.
-``NoisePath.step_aggregates`` is its view on one path, and the scalar
-queries ``increment_w``, ``time_integral_w``, ``w_at`` and ``grid_index``
-are views of it, of ``w_many`` and of ``grid_indices``.
+``NoisePath.step_aggregates`` is its view on one path, and
+``NoisePath.w_many`` reads W itself at grid times.  The benchmark's
+per-layer tracer (``perfbench/layers.py``) wraps ``step_aggregates`` by
+name, so that name stays.
 """
 
 from __future__ import annotations
@@ -145,14 +146,6 @@ class NoisePath:
     def m(self) -> int:
         return self.dw.shape[1]
 
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
     def grid_indices(self, times) -> np.ndarray:
         """Grid indices of an array of times; every entry must be a grid time."""
         times = np.asarray(times, dtype=float).reshape(-1)
@@ -187,28 +180,6 @@ class NoisePath:
             raise IntervalOutOfRange("edges must be nondecreasing")
         return window_aggregates(self._w, self._zsum, self._wdt, self.times, idx[:-1], idx[1:])
 
-    # scalar queries: views of the array queries above
-
-    def grid_index(self, t: float) -> int:
-        """Index of t in the grid; raises NotAGridTime when absent."""
-        return int(self.grid_indices(t)[0])
-
-    def w_at(self, t: float, j: int | None = None):
-        """W(t) - W(t0) at a grid time; one dimension when j is given (1-based)."""
-        return _component(self.w_many(t)[0], j)
-
-    def increment_w(self, s: float, t: float, j: int | None = None):
-        """W(t) - W(s) over grid times s <= t."""
-        return _component(self.step_aggregates((s, t))[0][0], j)
-
-    def time_integral_w(self, s: float, t: float, j: int | None = None):
-        """Integral over (s, t) of W(u) - W(s) du, for grid times s <= t.
-
-        Composes exactly across splits: the value over (s, t) equals the value
-        over (s, u) plus the value over (u, t) plus (W(u) - W(s)) (t - u).
-        """
-        return _component(self.step_aggregates((s, t))[1][0], j)
-
 
 def window_aggregates(w, zsum, wdt, times, lo, hi, out=None):
     """(dW, dZ) over windows from prefix sums on a grid: the one formula.
@@ -234,11 +205,6 @@ def window_aggregates(w, zsum, wdt, times, lo, hi, out=None):
     dz -= dw
     np.subtract(w[..., hi, :], w_lo, out=dw)
     return dw, dz
-
-
-def _component(values: np.ndarray, j: int | None):
-    # all dimensions, or dimension j (1-based) as a float
-    return values if j is None else float(values[j - 1])
 
 
 def build_noise(

@@ -137,12 +137,6 @@ class JumpRecords:
     w2: np.ndarray
     w3: np.ndarray
 
-    def at_step(self, step: int, width: int = 1) -> JumpRecords | None:
-        """The records of one step of a ``width``-path table, keyed by batch
-        row; None when no row switches in that step."""
-        lo, hi = np.searchsorted(self.rows, (step * width, (step + 1) * width))
-        return self._between(int(lo), int(hi), step * width)
-
     def _between(self, lo: int, hi: int, offset: int) -> JumpRecords | None:
         # records lo:hi with their keys shifted down by offset; None if empty
         if lo == hi:
@@ -152,12 +146,16 @@ class JumpRecords:
         return JumpRecords(**part)
 
 
+# an alias that only the benchmark's kernel sweep (perfbench/layers.py) and
+# its tests look up; the package and its tests use JumpRecords
 JumpData = JumpRecords
 
 
 def merge_records(parts) -> JumpRecords:
     """One batch table from the per-path records of its paths, in row order."""
     width = len(parts)
+    if not width:
+        raise DimensionMismatch("merge_records needs the records of at least one path")
     keys = np.concatenate([rec.rows * width + row for row, rec in enumerate(parts)])
     order = np.argsort(keys, kind="stable")
     merged = {

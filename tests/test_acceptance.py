@@ -289,11 +289,10 @@ def test_criterion_6_singleton_regime_degeneration():
         y, worst = 1.0, 0.0
         for n in range(times.size - 1):
             s, t = times[n], times[n + 1]
-            dw = noise.increment_w(s, t, 1)
+            dw, dz = (float(x[0, 0]) for x in noise.step_aggregates([s, t]))
             if name == "milstein":
                 y = classical_milstein(y, t - s, dw, a, bf, bp)
             else:
-                dz = noise.time_integral_w(s, t, 1)
                 y = classical_taylor15(y, t - s, dw, dz, a, ap, app, bf, bp, bpp)
             worst = max(worst, abs(float(traj.states[n + 1, 0]) - y))
         if worst > 1e-14:

@@ -289,6 +289,7 @@ VALIDATION_ERRORS = {
     "EmptyIndex",
     "InsufficientLevels",
     "IntervalOutOfRange",
+    "InvalidCoefficients",
     "InvalidComponent",
     "InvalidGamma",
     "InvalidGenerator",
@@ -304,7 +305,6 @@ VALIDATION_ERRORS = {
     "UnknownFixture",
     "UnknownRegime",
     "UnknownScheme",
-    "UnsupportedWordLength",
 }
 RUNTIME_ERRORS = {
     "SwitchTaylorError",

@@ -1,5 +1,6 @@
 """Strong-error engine: validation, coupling, order fits, determinism."""
 
+import inspect
 import math
 from collections import Counter
 from dataclasses import fields, replace
@@ -10,10 +11,12 @@ import pytest
 from switchtaylor import (
     CallableCoefficients,
     ChainPath,
+    CoefficientSet,
     ConvergenceReport,
     ExperimentPlan,
     GeneratorMatrix,
     GridSpec,
+    JumpRecords,
     LevelResult,
     MeanRevertingCoefficients,
     ModelSpec,
@@ -29,6 +32,7 @@ from switchtaylor import (
     sample_path,
     strong_error,
 )
+import switchtaylor
 from switchtaylor import convergence, schemes
 from switchtaylor.convergence import CLOSED_FORM
 from switchtaylor.errors import (
@@ -241,6 +245,35 @@ def test_engine_makes_the_calls_the_benchmark_tracer_reads(monkeypatch):
     convergence._run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
     assert calls == {"sample_path": 2, "build_noise": 2, "jump_records": 6}
     assert edge_sizes == {5: 2, 9: 2, 129: 2}
+
+
+def test_names_the_benchmark_tracer_looks_up_exist():
+    """perfbench/layers.py, workloads.py and test_perfbench.py look these
+    names up; a missing one only drops metrics with a warning, which the
+    tier-1 suite would not see.  The package itself calls none of them
+    except ``check_commutativity`` and ``run``.  This test goes with the
+    tracer when the engine carries its own counters (ROADMAP item 1)."""
+    for name in (
+        "op_time_drift",
+        "op_noise_drift",
+        "op_time_diffusion",
+        "op_noise_diffusion",
+        "op_noise_noise_diffusion",
+    ):
+        assert getattr(schemes, name) is getattr(switchtaylor, name)
+    for name in (
+        "drift",
+        "diffusion",
+        "drift_gradient",
+        "diffusion_gradient",
+        "drift_hessian",
+        "diffusion_hessian",
+    ):
+        assert callable(getattr(CoefficientSet, name))
+    assert schemes.JumpData is JumpRecords
+    assert schemes.check_commutativity is convergence.check_commutativity
+    assert schemes.check_commutativity is switchtaylor.check_commutativity
+    assert "threads" in inspect.signature(run).parameters
 
 
 def test_kernels_are_reached_as_the_benchmark_tracer_wraps_them(monkeypatch):

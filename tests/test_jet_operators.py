@@ -26,7 +26,8 @@ from switchtaylor import (
     op_time_diffusion,
     op_time_drift,
 )
-from switchtaylor.schemes import SCHEMES, JumpData
+from switchtaylor.model import _noise_diffusion
+from switchtaylor.schemes import SCHEMES, JumpRecords
 from test_model import _CurvedAnalytic
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def kernel_inputs(model, width, count, seed=11):
         w = np.sqrt(H) * rng.standard_normal((K, 3, m))
         reg1 = regimes[rows] % m0 + 1
         has2 = counts >= 2
-        jumps = JumpData(
+        jumps = JumpRecords(
             rows=rows,
             counts=counts.astype(np.int64),
             dt1=dt[:, 0],
@@ -249,9 +250,11 @@ def test_operators_match_reference(name, width):
         (op_noise_noise_diffusion, ref_op_noise_noise_diffusion),
     ):
         assert_agree(name, new(coeffs, y, regimes), ref(coeffs, y, regimes))
+    # the split-regime operator of the switch corrections, built as the
+    # 1.5 kernel builds it: target entry at regimes, operator at other
     assert_agree(
         name,
-        op_noise_diffusion(coeffs, y, regimes, op_regimes=other),
+        _noise_diffusion(coeffs.jet(y, regimes, 1)[3], coeffs.jet(y, other, 0)[1]),
         ref_op_noise_diffusion(coeffs, y, regimes, op_regimes=other),
     )
 

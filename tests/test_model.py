@@ -1,4 +1,4 @@
-"""Operator actions, word application, and the built-in fixtures."""
+"""Operator actions, operator words on single entries, and the built-in fixtures."""
 
 import pickle
 
@@ -11,17 +11,12 @@ from switchtaylor import (
     DiagonalLinearCoefficients,
     DimensionMismatch,
     GeneratorMatrix,
-    InvalidComponent,
     ModelSpec,
     NonFiniteInput,
     UnknownFixture,
     UnknownRegime,
-    UnsupportedWordLength,
-    apply_word,
     check_commutativity,
     check_jet_order,
-    eval_diffusion,
-    eval_drift,
     fixture,
     fixture_names,
     op_noise_diffusion,
@@ -29,8 +24,8 @@ from switchtaylor import (
     op_noise_noise_diffusion,
     op_time_diffusion,
     op_time_drift,
-    word,
 )
+from switchtaylor.model import _noise_diffusion
 
 
 LIN = fixture("linear2")
@@ -68,7 +63,9 @@ class TestScalarLinearOperators:
         # operator coefficients at regime 1, target entry at regime 2
         x = 1.3
         X, R = batch([x], 2)
-        got = op_noise_diffusion(LIN.coefficients, X, R, op_regimes=np.array([1]))
+        dsig = LIN.coefficients.jet(X, R, 1)[3]
+        sig_op = LIN.coefficients.jet(X, np.array([1]), 0)[1]
+        got = _noise_diffusion(dsig, sig_op)
         assert got[0, 0, 0, 0] == pytest.approx(C_RATES[0] * C_RATES[1] * x, abs=1e-14)
 
     def test_batched_rows_are_independent(self):
@@ -80,54 +77,35 @@ class TestScalarLinearOperators:
 
 
 class TestApplyWord:
+    """The operator word of an integral label applied to one coefficient
+    entry, read off the operator tensors: the empty word is the entry, (0)
+    and (a) are the time and noise operators, and (a1, a2), inner letter a2
+    acting first, is entry [.., k, j, a2, a1] of ``op_noise_noise_diffusion``."""
+
     def test_empty_word_returns_value(self):
-        assert apply_word(LIN, word(), ("drift", 1), [2.0], 2) == pytest.approx(1.0)
-        assert apply_word(LIN, word(), ("diffusion", 1, 1), [2.0], 1) == pytest.approx(0.6)
+        assert LIN.coefficients.jet(*batch([2.0], 2), 0)[0][0, 0] == pytest.approx(1.0)
+        assert LIN.coefficients.jet(*batch([2.0], 1), 0)[1][0, 0, 0] == pytest.approx(0.6)
 
     def test_time_and_noise_letters(self):
         x = 0.9
-        assert apply_word(LIN, word("0"), ("drift", 1), [x], 2) == pytest.approx(0.25 * x)
-        assert apply_word(LIN, word(1), ("drift", 1), [x], 2) == pytest.approx(0.4 * x)
-        assert apply_word(LIN, word("0"), ("diffusion", 1, 1), [x], 1) == pytest.approx(
-            -0.3 * x
-        )
-        assert apply_word(LIN, word(1), ("diffusion", 1, 1), [x], 1) == pytest.approx(
-            0.09 * x
-        )
-        assert apply_word(LIN, word(1, 1), ("diffusion", 1, 1), [x], 2) == pytest.approx(
-            0.512 * x
-        )
+        co = LIN.coefficients
+        at1, at2 = batch([x], 1), batch([x], 2)
+        assert op_time_drift(co, *at2)[0, 0] == pytest.approx(0.25 * x)
+        assert op_noise_drift(co, *at2)[0, 0, 0] == pytest.approx(0.4 * x)
+        assert op_time_diffusion(co, *at1)[0, 0, 0] == pytest.approx(-0.3 * x)
+        assert op_noise_diffusion(co, *at1)[0, 0, 0, 0] == pytest.approx(0.09 * x)
+        assert op_noise_noise_diffusion(co, *at2)[0, 0, 0, 0, 0] == pytest.approx(0.512 * x)
 
     def test_word_order_matters_without_commutativity(self):
         # columns (x^2, x): applying column-2 then column-1 gives 4x^3,
         # the reverse order gives 6x^3
         mod = fixture("noncommutative")
         x = 0.8
-        inner_second = apply_word(mod, word(1, 2), ("diffusion", 1, 1), [x], 1)
-        inner_first = apply_word(mod, word(2, 1), ("diffusion", 1, 1), [x], 1)
+        tensor = op_noise_noise_diffusion(mod.coefficients, *batch([x], 1))
+        inner_second, inner_first = tensor[0, 0, 0, 1, 0], tensor[0, 0, 0, 0, 1]
         assert inner_second == pytest.approx(4.0 * x**3, rel=1e-12)
         assert inner_first == pytest.approx(6.0 * x**3, rel=1e-12)
         assert inner_second != pytest.approx(inner_first)
-
-    def test_split_regime_single_wiener_only(self):
-        val = apply_word(LIN, word(1), ("diffusion", 1, 1), [1.0], 2, operator_regime=1)
-        assert val == pytest.approx(0.3 * 0.8)
-        with pytest.raises(UnsupportedWordLength):
-            apply_word(LIN, word("0"), ("diffusion", 1, 1), [1.0], 2, operator_regime=1)
-        with pytest.raises(UnknownRegime):
-            apply_word(LIN, word(1), ("diffusion", 1, 1), [1.0], 2, operator_regime=9)
-
-    def test_refused_words(self):
-        with pytest.raises(UnsupportedWordLength):
-            apply_word(LIN, word("N1"), ("drift", 1), [1.0], 1)
-        with pytest.raises(UnsupportedWordLength):
-            apply_word(LIN, word("0", 1), ("diffusion", 1, 1), [1.0], 1)
-        with pytest.raises(UnsupportedWordLength):
-            apply_word(LIN, word(1, 1), ("drift", 1), [1.0], 1)
-        with pytest.raises(UnsupportedWordLength):
-            apply_word(LIN, word(1, "0", 1), ("diffusion", 1, 1), [1.0], 1)
-        with pytest.raises(InvalidComponent):
-            apply_word(LIN, word(2), ("diffusion", 1, 1), [1.0], 1)
 
 
 class _CurvedAnalytic(CoefficientSet):
@@ -261,27 +239,18 @@ class TestCommutativityProbe:
 
 class TestModelValidation:
     def test_eval_helpers(self):
-        assert eval_drift(LIN, [2.0], 1)[0] == pytest.approx(-2.0)
-        assert eval_diffusion(LIN, [2.0], 2)[0, 0] == pytest.approx(1.6)
+        b, sig = LIN.coefficients.jet(np.array([[2.0], [2.0]]), np.array([1, 2]), 0)
+        assert b[0, 0] == pytest.approx(-2.0)
+        assert sig[1, 0, 0] == pytest.approx(1.6)
 
     def test_bad_inputs(self):
+        # a point and a regime label enter a model only as its start values
+        gen, co = LIN.generator, LIN.coefficients
         with pytest.raises(NonFiniteInput):
-            eval_drift(LIN, [np.nan], 1)
-        with pytest.raises(DimensionMismatch, match="2 entries, expected 1"):
-            eval_drift(LIN, [1.0, 2.0], 1)
-        with pytest.raises(UnknownRegime):
-            eval_drift(LIN, [1.0], 0)
-        with pytest.raises(UnknownRegime):
-            eval_diffusion(LIN, [1.0], 3)
-        with pytest.raises(UnknownRegime):
-            eval_drift(LIN, [1.0], 1.5)
-        with pytest.raises(DimensionMismatch, match="outside 1..1"):
-            apply_word(LIN, word(), ("drift", 2), [1.0], 1)
-        with pytest.raises(DimensionMismatch, match="outside 1..1 x 1..1"):
-            apply_word(LIN, word(), ("diffusion", 1, 2), [1.0], 1)
-        for target in [("diffusion", 1), ("drift",), ("drift", 1, 1), ("drift", 1.5)]:
-            with pytest.raises(DimensionMismatch, match="outside"):
-                apply_word(LIN, word(1), target, [1.0], 1)
+            ModelSpec("bad", gen, co, x0=[np.nan])
+        for regime in (0, 1.5):
+            with pytest.raises(UnknownRegime, match="initial regime"):
+                ModelSpec("bad", gen, co, x0=[1.0], initial_regime=regime)
 
     def test_model_spec_guards(self):
         gen = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))

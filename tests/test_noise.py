@@ -88,7 +88,7 @@ def test_time_integral_law_against_riemann_composition():
         total_w[i] = w[-1]
         riemann_z[i] = np.sum(w[:-1] * delta)
         p = noise.NoisePath(times, dw, dz)
-        exact_z[i] = p.time_integral_w(0.0, 1.0, 1)
+        exact_z[i] = p.step_aggregates([0.0, 1.0])[1][0, 0]
     assert abs(riemann_z.var() - 1.0 / 3.0) < 0.012
     assert abs(np.mean(total_w * riemann_z) - 0.5) < 0.012
     # the path's aggregated integral matches the Riemann sum up to the
@@ -107,7 +107,7 @@ def _path_with_jumps(seed=11):
 def test_build_noise_merges_jump_times():
     p, grid, chain = _path_with_jumps()
     for tau in chain.jump_times:
-        assert p.times[p.grid_index(tau)] == tau
+        assert p.times[p.grid_indices(tau)[0]] == tau
     fine = grid.finest_times()
     assert np.isin(fine, p.times).all()
     assert p.times.size == fine.size + chain.jump_times.size
@@ -133,17 +133,14 @@ def test_aggregation_identities_on_random_splits():
     for _ in range(300):
         i, j, k = np.sort(rng.choice(times.size, size=3, replace=False))
         s, u, t = times[i], times[j], times[k]
-        left = p.increment_w(s, u) + p.increment_w(u, t)
-        assert np.allclose(left, p.increment_w(s, t), rtol=0.0, atol=1e-12)
-        z_split = (
-            p.time_integral_w(s, u)
-            + p.time_integral_w(u, t)
-            + p.increment_w(s, u) * (t - u)
-        )
-        assert np.allclose(z_split, p.time_integral_w(s, t), rtol=0.0, atol=1e-12)
+        (w_su, w_ut), (z_su, z_ut) = p.step_aggregates([s, u, t])
+        (w_st,), (z_st,) = p.step_aggregates([s, t])
+        assert np.allclose(w_su + w_ut, w_st, rtol=0.0, atol=1e-12)
+        z_split = z_su + z_ut + w_su * (t - u)
+        assert np.allclose(z_split, z_st, rtol=0.0, atol=1e-12)
     # degenerate span
-    assert np.all(p.increment_w(times[3], times[3]) == 0.0)
-    assert np.all(p.time_integral_w(times[3], times[3]) == 0.0)
+    dw, dz = p.step_aggregates([times[3], times[3]])
+    assert np.all(dw == 0.0) and np.all(dz == 0.0)
 
 
 def test_aggregation_matches_direct_sum():
@@ -151,17 +148,17 @@ def test_aggregation_matches_direct_sum():
     s_idx, t_idx = 2, p.times.size - 3
     s, t = p.times[s_idx], p.times[t_idx]
     direct_w = p.dw[s_idx:t_idx].sum(axis=0)
-    assert np.allclose(p.increment_w(s, t), direct_w, atol=1e-13)
+    (dw,), (dz,) = p.step_aggregates([s, t])
+    assert np.allclose(dw, direct_w, atol=1e-13)
     # naive per-interval composition of the excursion integral
     direct_z = np.zeros(p.m)
     w_run = np.zeros(p.m)
     for i in range(s_idx, t_idx):
         direct_z += p.dz[i] + w_run * (p.times[i + 1] - p.times[i])
         w_run += p.dw[i]
-    assert np.allclose(p.time_integral_w(s, t), direct_z, atol=1e-12)
-    # scalar accessor agrees with the vector one
-    assert p.increment_w(s, t, 1) == pytest.approx(direct_w[0], abs=1e-13)
-    assert p.w_at(t, 2) == pytest.approx(p.increment_w(p.times[0], t, 2), abs=1e-13)
+    assert np.allclose(dz, direct_z, atol=1e-12)
+    # W at a grid time is the increment from the path's start
+    assert np.allclose(p.w_many([t])[0], p.step_aggregates([p.times[0], t])[0][0], atol=1e-13)
 
 
 def test_two_interval_identity():
@@ -170,17 +167,17 @@ def test_two_interval_identity():
     dz = np.array([[0.02], [0.05]])
     p = noise.NoisePath(times, dw, dz)
     expect = 0.02 + 0.05 + 0.3 * 0.75
-    assert p.time_integral_w(0.0, 1.0, 1) == pytest.approx(expect, abs=1e-15)
+    assert p.step_aggregates([0.0, 1.0])[1][0, 0] == pytest.approx(expect, abs=1e-15)
 
 
 def test_grid_time_lookup_errors():
     p, _, _ = _path_with_jumps()
     with pytest.raises(NotAGridTime):
-        p.grid_index(0.123456)
+        p.grid_indices(0.123456)
     with pytest.raises(NotAGridTime):
-        p.increment_w(0.0, 1.00001)
+        p.step_aggregates([0.0, 1.00001])
     with pytest.raises(IntervalOutOfRange):
-        p.increment_w(p.times[5], p.times[2])
+        p.step_aggregates([p.times[5], p.times[2]])
 
 
 def test_sample_increments_validation():

@@ -164,6 +164,6 @@ def test_exact_switches_rates_at_the_switch_time():
     grid = GridSpec(0.0, 1.0, 4)
     noise = build_noise(grid, chain, 1, np.random.default_rng(8))
     got = exact_path(model, chain, noise, grid.finest_times())[-1, 0]
-    w3, w1 = noise.w_at(0.3, 1), noise.w_at(1.0, 1)
+    w3, w1 = noise.w_many([0.3, 1.0])[:, 0]
     want = np.exp((-1.0 - 0.045) * 0.3 + 0.3 * w3 + (0.5 - 0.32) * 0.7 + 0.8 * (w1 - w3))
     assert got == pytest.approx(want, rel=1e-13)

@@ -59,17 +59,17 @@ def brute_force_records(chain, noise, edges):
             continue
         taus = [chain.jump_times[k] for k in inside]
         regs = [int(chain.states_after[k]) for k in inside]
-        w_s = noise.w_at(s)
+        w_s = noise.w_many([s])[0]
         out["rows"].append(i)
         out["counts"].append(len(inside))
         out["dt1"].append(taus[0] - s)
         out["reg1"].append(regs[0])
-        out["w1"].append(noise.w_at(taus[0]) - w_s)
+        out["w1"].append(noise.w_many([taus[0]])[0] - w_s)
         two = len(inside) >= 2
         out["dt2"].append(taus[1] - s if two else 0.0)
         out["reg2"].append(regs[1] if two else regs[0])
-        out["w2"].append(noise.w_at(taus[1]) - w_s if two else np.zeros(m))
-        out["w3"].append(noise.w_at(taus[2]) - w_s if len(inside) >= 3 else np.zeros(m))
+        out["w2"].append(noise.w_many([taus[1]])[0] - w_s if two else np.zeros(m))
+        out["w3"].append(noise.w_many([taus[2]])[0] - w_s if len(inside) >= 3 else np.zeros(m))
     return {
         name: np.array(values).reshape((-1, m) if name[0] == "w" else -1)
         for name, values in out.items()

@@ -28,7 +28,6 @@ from switchtaylor.fixtures import fixture_names
 from switchtaylor.schemes import (
     SCHEMES,
     WEIGHT_BLOCK_ROWS,
-    JumpData,
     JumpRecords,
     Trajectory,
     _pair_weight,
@@ -79,7 +78,8 @@ def one_step(model, scheme, chain, noise, s, t, y):
 def window(chain, noise, s, t):
     # what a step over [s, t] reads: scalar dW and dZ and the switch records
     dw, dz = noise.step_aggregates([s, t])
-    return float(dw[0, 0]), float(dz[0, 0]), jump_records(chain, noise, [s, t]).at_step(0)
+    rec = jump_records(chain, noise, [s, t])
+    return float(dw[0, 0]), float(dz[0, 0]), rec._between(0, rec.rows.size, 0)
 
 
 # scalar closed forms written out independently of the kernels
@@ -154,7 +154,7 @@ class TestSingleSwitchCorrections:
         self.noise = noise_for(self.chain)
         self.dw, self.dz, self.jumps = window(self.chain, self.noise, 0.25, 0.5)
         self.h = 0.25
-        self.w1 = self.noise.w_at(0.4, 1) - self.noise.w_at(0.25, 1)
+        self.w1 = self.noise.w_many([0.4])[0, 0] - self.noise.w_many([0.25])[0, 0]
         self.tail = self.dw - self.w1
         self.y = 0.9
 
@@ -197,8 +197,7 @@ class TestDoubleAndManySwitches:
         chain = crafted_chain([0.3, 0.45], [2, 3])
         noise = noise_for(chain, seed=11)
         dw, dz, _ = window(chain, noise, 0.25, 0.5)
-        w1 = noise.w_at(0.3, 1) - noise.w_at(0.25, 1)
-        w2 = noise.w_at(0.45, 1) - noise.w_at(0.25, 1)
+        w1, w2 = noise.w_many([0.3, 0.45])[:, 0] - noise.w_many([0.25])[0, 0]
         y = 1.1
         a1, c1, a2, c2, c3 = -1.0, 0.3, 0.5, 0.8, 0.5
         got = one_step(SCALAR3, "milstein", chain, noise, 0.25, 0.5, y)
@@ -217,8 +216,7 @@ class TestDoubleAndManySwitches:
         chain = crafted_chain([0.3, 0.45], [2, 1])
         noise = noise_for(chain, seed=3)
         dw, dz, _ = window(chain, noise, 0.25, 0.5)
-        w1 = noise.w_at(0.3, 1) - noise.w_at(0.25, 1)
-        w2 = noise.w_at(0.45, 1) - noise.w_at(0.25, 1)
+        w1, w2 = noise.w_many([0.3, 0.45])[:, 0] - noise.w_many([0.25])[0, 0]
         y = 1.1
         got = one_step(LIN, "taylor15", chain, noise, 0.25, 0.5, y)
         want = taylor15_scalar(y, A1, C1, 0.25, dw, dz)
@@ -230,9 +228,7 @@ class TestDoubleAndManySwitches:
         noise = noise_for(chain, seed=5)
         dw, dz, jumps = window(chain, noise, 0.25, 0.5)
         assert jumps.counts.tolist() == [3]
-        w1 = noise.w_at(0.27, 1) - noise.w_at(0.25, 1)
-        w2 = noise.w_at(0.33, 1) - noise.w_at(0.25, 1)
-        w3 = noise.w_at(0.48, 1) - noise.w_at(0.25, 1)
+        w1, w2, w3 = noise.w_many([0.27, 0.33, 0.48])[:, 0] - noise.w_many([0.25])[0, 0]
         y = 0.7
         a1, c1, a2, c2, c3 = -1.0, 0.3, 0.5, 0.8, 0.5
         got = one_step(SCALAR3, "euler", chain, noise, 0.25, 0.5, y)
@@ -276,7 +272,7 @@ class TestJumpRecords:
         assert rec.dt2[1] == pytest.approx(0.15)
         assert rec.reg2[1] == 2
         assert rec.w3[1, 0] == pytest.approx(
-            noise.w_at(0.45, 1) - noise.w_at(0.25, 1), rel=1e-15
+            noise.w_many([0.45])[0, 0] - noise.w_many([0.25])[0, 0], rel=1e-15
         )
         # parked fields for windows with fewer switches
         assert rec.dt2[0] == 0.0
@@ -289,7 +285,7 @@ class TestJumpRecords:
         noise = noise_for(chain)
         rec = jump_records(chain, noise, np.array([0.0, 0.5, 1.0]))
         assert rec.rows.size == 0
-        assert rec.at_step(0) is None
+        assert rec._between(0, rec.rows.size, 0) is None
 
 
 class TestBatchedMatchesSingle:
@@ -302,7 +298,7 @@ class TestBatchedMatchesSingle:
         regimes = rng.integers(1, 4, B)
         dw = rng.normal(0.0, np.sqrt(h), (B, 1))
         dz = rng.normal(0.0, np.sqrt(h**3 / 3), (B, 1))
-        jumps = JumpData(
+        jumps = JumpRecords(
             rows=np.array([1, 3, 4]),
             counts=np.array([1, 2, 3]),
             dt1=np.array([0.1, 0.05, 0.02]),
@@ -319,7 +315,7 @@ class TestBatchedMatchesSingle:
             mask = jumps.rows == r
             sub = None
             if mask.any():
-                sub = JumpData(
+                sub = JumpRecords(
                     rows=np.zeros(mask.sum(), dtype=np.intp),
                     counts=jumps.counts[mask],
                     dt1=jumps.dt1[mask],
@@ -369,11 +365,8 @@ class TestClassicalDegeneration:
         self.times = GridSpec(0.0, 1.0, 8).finest_times()
 
     def _increments(self, n):
-        s, t = self.times[n], self.times[n + 1]
-        return (
-            self.noise.increment_w(s, t, 1),
-            self.noise.time_integral_w(s, t, 1),
-        )
+        dw, dz = self.noise.step_aggregates(self.times[n : n + 2])
+        return float(dw[0, 0]), float(dz[0, 0])
 
     def test_milstein(self):
         traj = integrate(self.model, "milstein", self.chain, self.noise, self.times)
@@ -581,7 +574,8 @@ def test_march_equals_direct_kernel_calls_bit_for_bit(name, scheme, P, n):
     y = y0
     with np.errstate(all="ignore"):
         for k in range(n):
-            jumps = table.at_step(k, P)
+            lo, hi = np.searchsorted(table.rows, (k * P, (k + 1) * P))
+            jumps = table._between(int(lo), int(hi), k * P)
             y = info.kernel(coeffs, y, regimes[:, k], hs[k], dw[:, k], dz[:, k], jumps)
             if not np.isfinite(y).all():
                 break

@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import switchtaylor
+from switchtaylor import ChainPath, ModelSpec, errors, fit_order, fixture, merge_records
 
 PACKAGE = Path(switchtaylor.__file__).parent
 
@@ -45,6 +49,40 @@ def test_no_raise_of_builtin_errors():
     assert not found, "raises of builtin errors in the package: %s" % ", ".join(found)
 
 
+LIN = fixture("linear2")
+# inputs on which numpy or attribute lookup would raise a builtin error, or
+# a lookup would quietly answer, unless the package checks them first; the
+# rule above sees only the package's own raise statements
+BAD_CALLS = {
+    "fit_order-text-h": (lambda: fit_order([("h", 1.0), (0.5, 0.5), (0.25, 0.2)]), "InvalidGrid"),
+    "fit_order-None-mean": (
+        lambda: fit_order([(1.0, None), (0.5, 0.5), (0.25, 0.2)]),
+        "NonPositiveError",
+    ),
+    "merge_records-empty": (lambda: merge_records([]), "DimensionMismatch"),
+    "states_at-nan": (lambda: ChainPath(0.0, 1.0, 1).states_at([np.nan]), "IntervalOutOfRange"),
+    "ModelSpec-swapped": (
+        lambda: ModelSpec("m", LIN.coefficients, LIN.generator, x0=[1.0]),
+        "InvalidGenerator",
+    ),
+    "ModelSpec-no-generator": (
+        lambda: ModelSpec("m", None, LIN.coefficients, x0=[1.0]),
+        "InvalidGenerator",
+    ),
+    "ModelSpec-generator-as-coefficients": (
+        lambda: ModelSpec("m", LIN.generator, LIN.generator, x0=[1.0]),
+        "InvalidCoefficients",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_CALLS.values(), ids=list(BAD_CALLS))
+def test_bad_inputs_raise_package_errors(call, error):
+    with pytest.raises(errors.SwitchTaylorError) as caught:
+        call()
+    assert type(caught.value).__name__ == error
+
+
 PER_ENTRY_VIEWS = {
     "drift",
     "diffusion",
@@ -57,7 +95,8 @@ PER_ENTRY_VIEWS = {
 
 def test_coefficients_are_read_through_jet():
     # the package reads a coefficient set through CoefficientSet.jet only;
-    # the six per-entry names are views of it kept for outside callers
+    # the six per-entry names are views of it that only the benchmark's
+    # tracer reads
     found = []
     for module in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
