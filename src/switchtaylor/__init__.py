@@ -55,7 +55,6 @@ from .fixtures import (
     DiagonalLinearCoefficients,
     MeanRevertingCoefficients,
     PolynomialColumnsCoefficients,
-    ScalarLinearCoefficients,
     fixture,
     fixture_names,
 )

@@ -15,7 +15,7 @@ Configuration lives in flat key-value files (see the config module).  The
 same file drives every subcommand; each one reads the keys it needs.  A
 model is chosen either by name (``model = linear2``) or inline through
 ``drift_rates``, ``diffusion_rates``, ``generator`` and ``x0``, which build
-a scalar linear model with one rate pair per regime.
+the d = 1 diagonal linear set with one rate pair per regime.
 
 All randomness derives from the single ``seed`` key (64-bit unsigned); the
 environment variable SWITCHTAYLOR_SEED overrides it without editing the
@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .convergence import ExperimentPlan, _is_dyadic, run as run_study
+from .convergence import ExperimentPlan, _is_dyadic, draw_path, run as run_study
 from .errors import (
     ConfigError,
     InvalidGrid,
@@ -48,11 +48,11 @@ from .errors import (
     UnknownScheme,
     ValidationError,
 )
-from .fixtures import ScalarLinearCoefficients, fixture
+from .fixtures import DiagonalLinearCoefficients, fixture
 from .markov_chain import GeneratorMatrix, count_jumps, pair_jump_martingale, sample_path
 from .model import ModelSpec
 from .multi_index import build_scheme_sets, canonical_order, render_index, sets_as_dict
-from .noise import GridSpec, build_noise
+from .noise import GridSpec
 from .schemes import integrate, write_trajectory_csv
 
 __all__ = ["run", "main"]
@@ -214,7 +214,7 @@ def _model_from_config(cfg: dict) -> ModelSpec:
         return ModelSpec(
             name="inline",
             generator=generator,
-            coefficients=ScalarLinearCoefficients(a=list(drift), c=list(diffusion)),
+            coefficients=DiagonalLinearCoefficients(*np.array([drift, diffusion])[:, :, None]),
             x0=list(x0),
             initial_regime=_initial_regime(cfg, generator.m0),
         )
@@ -331,11 +331,7 @@ def _cmd_simulate(args) -> int:
         grid = GridSpec(0.0, t_end, levels[0])
     except InvalidGrid as exc:
         raise ConfigError("levels: %s" % exc)
-    chain_seed, noise_seed = np.random.SeedSequence((seed, 0)).spawn(2)
-    chain = sample_path(
-        model.generator, model.initial_regime, 0.0, t_end, np.random.default_rng(chain_seed)
-    )
-    noise = build_noise(grid, chain, model.m, np.random.default_rng(noise_seed))
+    chain, noise = draw_path(model, grid, seed, 0)
     try:
         trajectory = integrate(model, schemes[0], chain, noise, grid.finest_times())
     except UnknownScheme as exc:

@@ -13,10 +13,11 @@ over shared windows.  The per-path error is the maximum over the coarse
 grid points of the squared distance to the reference, and the empirical
 order is the least-squares slope of log2(sqrt(mean error)) against log2(h).
 
-Reproducibility: path i derives its generators from SeedSequence((seed, i)),
-so path values are independent of batching; paths are processed one fixed
-batch of BATCH_PATHS after another in one thread, and batch partials are
-combined by pairwise tree summation.  The error variance merges per-batch
+Reproducibility: path i is ``draw_path(model, grid, seed, i)``, whose
+generators derive from SeedSequence((seed, i)), so path values are
+independent of batching; paths are processed one fixed batch of BATCH_PATHS
+after another in one thread, and batch partials are combined by pairwise
+tree summation.  The error variance merges per-batch
 (count, mean, sum of squared deviations) in the same tree, so the standard
 error stays exact when the errors are large next to their spread.
 Changing BATCH_PATHS itself may move sums by rounding, which is why it is a
@@ -80,6 +81,7 @@ __all__ = [
     "LevelResult",
     "ConvergenceReport",
     "reference_scheme_for",
+    "draw_path",
     "strong_error",
     "fit_order",
     "run",
@@ -272,6 +274,18 @@ def fit_order(rows):
     return float(slope), float(r2)
 
 
+def draw_path(model: ModelSpec, grid: GridSpec, seed: int, index: int):
+    """Path ``index`` of the stream ``seed``: (chain, noise) on ``grid``.
+
+    SeedSequence((seed, index)) spawns two generators, the chain's first and
+    then the noise's, so a path does not depend on which others are drawn.
+    """
+    chain_seed, noise_seed = np.random.SeedSequence((seed, int(index))).spawn(2)
+    rng = np.random.default_rng(chain_seed)
+    chain = sample_path(model.generator, model.initial_regime, grid.t0, grid.t_end, rng)
+    return chain, build_noise(grid, chain, model.m, np.random.default_rng(noise_seed))
+
+
 # ---------------------------------------------------------------------------
 # the batched engine
 
@@ -309,16 +323,7 @@ def _window_data(plan, levels, ref_times, indices, exact):
     spot = np.empty((P, m))
 
     for slot, idx in enumerate(indices):
-        seq = np.random.SeedSequence((plan.seed, int(idx)))
-        chain_seed, noise_seed = seq.spawn(2)
-        chain = sample_path(
-            model.generator,
-            model.initial_regime,
-            0.0,
-            plan.t_end,
-            np.random.default_rng(chain_seed),
-        )
-        noise = build_noise(grid, chain, m, np.random.default_rng(noise_seed))
+        chain, noise = draw_path(model, grid, plan.seed, idx)
         if not exact:
             dw[n_ref][slot], dz[n_ref][slot] = noise.step_aggregates(ref_times)
         w[slot], zsum[slot], wdt[slot] = noise.prefix_sums(fine_times)

@@ -3,7 +3,8 @@
 Four fixtures, each a ready ModelSpec:
 
 - ``linear2``: scalar geometric dynamics, two regimes with different drift
-  and volatility rates.  The workhorse for convergence studies.
+  and volatility rates: the d = 1 diagonal linear set.  The workhorse for
+  convergence studies.
 - ``diagonal3``: two-dimensional diagonal linear dynamics under a three-state
   chain.  Diagonal noise keeps both exchange identities exact.
 - ``additive``: scalar mean reversion with regime-dependent constant noise.
@@ -14,13 +15,12 @@ Four fixtures, each a ready ModelSpec:
 
 All coefficient sets are plain picklable dataclasses.  Each implements the
 one ``jet`` method of ``CoefficientSet`` and gathers each rate table once
-per call.  The diagonal set builds its per-regime jet tables (sigma per
-unit state, Db and D sigma) once at construction, so its ``jet`` makes one
-gather per table and scales sigma by the state; the scalar set's rates are
-its tables.  The two linear sets also have ``exact``: with diagonal noise
-and rates frozen between switches, each coordinate is a geometric Brownian
-motion, so the strong solution on a grid that holds every switch time is
-x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
+per call.  The diagonal linear set builds its per-regime jet tables (sigma
+per unit state, Db and D sigma) once at construction, so its ``jet`` makes
+one gather per table and scales sigma by the state.  It also has ``exact``:
+with diagonal noise and rates frozen between switches, each coordinate is a
+geometric Brownian motion, so the strong solution on a grid that holds every
+switch time is x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .markov_chain import GeneratorMatrix
 from .model import CoefficientSet, ModelSpec, check_jet_order
 
 __all__ = [
-    "ScalarLinearCoefficients",
     "DiagonalLinearCoefficients",
     "MeanRevertingCoefficients",
     "PolynomialColumnsCoefficients",
@@ -49,46 +48,9 @@ def _per_regime(regimes, *tables):
     return [table.take(r, axis=0) for table in tables]
 
 
-def _geometric_exact(a, c, x0, regimes, dt, dw):
-    # a, c: (m0, d) rate tables; one log-increment per interval, one
-    # cumulative sum and one exp for the whole batch
-    a, c = _per_regime(regimes, a, c)
-    log = (a - 0.5 * c * c) * dt[..., None] + c * dw
-    return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
-
-
 def _flat(B, d, m):
     # second derivatives of coefficients that are affine in the state
     return np.zeros((B, d, d, d)), np.zeros((B, d, m, d, d))
-
-
-@dataclass(frozen=True)
-class ScalarLinearCoefficients(CoefficientSet):
-    """d = m = 1, drift a_i x, diffusion c_i x with per-regime rates."""
-
-    a: np.ndarray
-    c: np.ndarray
-    d: int = field(default=1, init=False)
-    m: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(-1))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
-
-    def jet(self, X, regimes, order):
-        check_jet_order(order)
-        # Db and D sigma are the gathered rates themselves
-        a, c = (v[:, None] for v in _per_regime(regimes, self.a, self.c))
-        out = (a * X, (c * X)[:, :, None])
-        if order >= 1:
-            out += (a[:, :, None], c[:, :, None, None])
-        if order == 2:
-            out += _flat(X.shape[0], 1, 1)
-        return out
-
-    def exact(self, x0, regimes, dt, dw):
-        """The strong solution at the interval ends; see ``CoefficientSet``."""
-        return _geometric_exact(self.a[:, None], self.c[:, None], x0, regimes, dt, dw)
 
 
 @dataclass(frozen=True)
@@ -135,7 +97,11 @@ class DiagonalLinearCoefficients(CoefficientSet):
 
     def exact(self, x0, regimes, dt, dw):
         """The strong solution at the interval ends; see ``CoefficientSet``."""
-        return _geometric_exact(self.a, self.c, x0, regimes, dt, dw)
+        # one log-increment per interval, one cumulative sum and one exp for
+        # the whole batch
+        a, c = _per_regime(regimes, self.a, self.c)
+        log = (a - 0.5 * c * c) * dt[..., None] + c * dw
+        return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
 
 @dataclass(frozen=True)
@@ -213,7 +179,7 @@ def _make_linear2() -> ModelSpec:
     return ModelSpec(
         name="linear2",
         generator=_TWO_STATE,
-        coefficients=ScalarLinearCoefficients(a=[-1.0, 0.5], c=[0.3, 0.8]),
+        coefficients=DiagonalLinearCoefficients(a=[[-1.0], [0.5]], c=[[0.3], [0.8]]),
         x0=[1.0],
     )
 

@@ -120,7 +120,7 @@ class ChainPath:
             if times[0] <= self.t0 or times[-1] > self.t_end:
                 raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
         if (
-            not isinstance(self.initial_state, numbers.Integral)
+            not _is_label(self.initial_state)
             or (labels.size and labels.dtype.kind not in "iu")
             or self.initial_state < 1
             or (states < 1).any()
@@ -140,15 +140,11 @@ class ChainPath:
 
     def state_at(self, t: float) -> int:
         """Right-continuous state at time t."""
-        self._check_time(t)
-        k = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.initial_state if k == 0 else int(self.states_after[k - 1])
+        return self._state(t, "right")
 
     def state_before(self, t: float) -> int:
         """Left limit of the state at time t."""
-        self._check_time(t)
-        k = int(np.searchsorted(self.jump_times, t, side="left"))
-        return self.initial_state if k == 0 else int(self.states_after[k - 1])
+        return self._state(t, "left")
 
     def states_at(self, times) -> np.ndarray:
         """Vectorized right-continuous states at an array of times."""
@@ -159,11 +155,13 @@ class ChainPath:
         all_states = np.concatenate(([self.initial_state], self.states_after))
         return all_states[k]
 
-    def _check_time(self, t: float):
+    def _state(self, t: float, side: str) -> int:
         if not (self.t0 <= t <= self.t_end):
             raise IntervalOutOfRange(
                 "time %r outside the sampled span [%r, %r]" % (t, self.t0, self.t_end)
             )
+        k = int(np.searchsorted(self.jump_times, t, side=side))
+        return self.initial_state if k == 0 else int(self.states_after[k - 1])
 
 
 def sample_path(
@@ -214,46 +212,47 @@ def sample_path(
     return ChainPath(t0, t_end, initial_state, np.array(times), np.array(states, dtype=np.int64))
 
 
+def _is_label(state) -> bool:
+    # an integer; bool is an Integral but not a label
+    return isinstance(state, numbers.Integral) and not isinstance(state, bool)
+
+
 def _check_state(m0: int, state: int):
-    if not isinstance(state, numbers.Integral) or not 1 <= state <= m0:
+    if not _is_label(state) or not 1 <= state <= m0:
         raise StateOutOfRange("state %r outside 1..%d" % (state, m0))
 
 
-def _check_interval(path: ChainPath, s: float, t: float):
+def _jumps_in(path: ChainPath, s: float, t: float) -> slice:
+    # the positions in path.jump_times of the jumps on (s, t]
     if not (path.t0 <= s < t <= path.t_end):
         raise IntervalOutOfRange(
             "need %r <= s < t <= %r, got (s, t) = (%r, %r)" % (path.t0, path.t_end, s, t)
         )
+    lo, hi = np.searchsorted(path.jump_times, (s, t), side="right")
+    return slice(int(lo), int(hi))
 
 
 def count_jumps(path: ChainPath, s: float, t: float) -> int:
     """Number of jumps on the half-open interval (s, t]."""
-    _check_interval(path, s, t)
-    lo = np.searchsorted(path.jump_times, s, side="right")
-    hi = np.searchsorted(path.jump_times, t, side="right")
-    return int(hi - lo)
+    span = _jumps_in(path, s, t)
+    return span.stop - span.start
 
 
 def jump_times_in(path: ChainPath, s: float, t: float) -> np.ndarray:
     """Jump times on (s, t], in increasing order."""
-    _check_interval(path, s, t)
-    lo = np.searchsorted(path.jump_times, s, side="right")
-    hi = np.searchsorted(path.jump_times, t, side="right")
-    return path.jump_times[lo:hi].copy()
+    return path.jump_times[_jumps_in(path, s, t)].copy()
 
 
 def occupation_time(path: ChainPath, state: int, s: float, t: float) -> float:
     """Lebesgue measure of {u in (s, t] : left limit of the state at u is i0}."""
-    _check_interval(path, s, t)
+    inner = path.jump_times[_jumps_in(path, s, t)]
     if state < 1:
         raise StateOutOfRange("states are labelled from 1")
-    cuts = [s]
-    cuts.extend(path.jump_times[(path.jump_times > s) & (path.jump_times < t)])
-    cuts.append(t)
+    cuts = [s, *inner[inner < t], t]
     total = 0.0
-    for left, right in zip(cuts, cuts[1:]):
-        # on (left, right] the left limits equal the state entered at `left`
-        if path.state_at(left) == state:
+    # on (left, right] the left limits equal the state entered at `left`
+    for left, right, entered in zip(cuts, cuts[1:], path.states_at(cuts[:-1])):
+        if entered == state:
             total += right - left
     return total
 
@@ -262,11 +261,9 @@ def pair_jump_count(path: ChainPath, i0: int, k0: int, s: float, t: float) -> in
     """Number of i0 -> k0 transitions on (s, t]; the pair must be distinct."""
     if i0 == k0:
         raise SameStatePair("transition counting needs two distinct states")
-    _check_interval(path, s, t)
-    lo = np.searchsorted(path.jump_times, s, side="right")
-    hi = np.searchsorted(path.jump_times, t, side="right")
-    before = np.concatenate(([path.initial_state], path.states_after))[lo:hi]
-    after = path.states_after[lo:hi]
+    span = _jumps_in(path, s, t)
+    before = np.concatenate(([path.initial_state], path.states_after))[span]
+    after = path.states_after[span]
     return int(np.count_nonzero((before == i0) & (after == k0)))
 
 

@@ -45,7 +45,7 @@ from .errors import (
     NonFiniteInput,
     UnknownRegime,
 )
-from .markov_chain import GeneratorMatrix
+from .markov_chain import GeneratorMatrix, _is_label
 
 __all__ = [
     "CoefficientSet",
@@ -221,7 +221,7 @@ class ModelSpec:
             raise NonFiniteInput("x0 must be finite")
         regime = self.initial_regime
         # an integer label in 1..m0; a float such as 1.5 would index as 1
-        if not isinstance(regime, numbers.Integral) or not 1 <= regime <= self.m0:
+        if not _is_label(regime) or not 1 <= regime <= self.m0:
             raise UnknownRegime("initial regime %r outside 1..%d" % (regime, self.m0))
         _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)

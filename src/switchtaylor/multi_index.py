@@ -21,7 +21,7 @@ import enum
 import numbers
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import (
     ConsecutiveJumpComponents,
@@ -197,19 +197,14 @@ class MultiIndex:
 EMPTY_INDEX = MultiIndex(())
 
 
-class IndexCounts(tuple):
+class IndexCounts(NamedTuple):
     """Letter statistics of a word: (length, wiener, time, jump, max_jump_value)."""
 
-    __slots__ = ()
-
-    def __new__(cls, length, wiener_count, time_count, jump_count, max_jump_value):
-        return super().__new__(cls, (length, wiener_count, time_count, jump_count, max_jump_value))
-
-    length = property(lambda self: self[0])
-    wiener_count = property(lambda self: self[1])
-    time_count = property(lambda self: self[2])
-    jump_count = property(lambda self: self[3])
-    max_jump_value = property(lambda self: self[4])
+    length: int
+    wiener_count: int
+    time_count: int
+    jump_count: int
+    max_jump_value: int
 
 
 class WordClass(enum.Enum):
@@ -356,6 +351,15 @@ def alphabet(m: int, mu: int) -> tuple[Component, ...]:
     return tuple(letters)
 
 
+def _extensions(words, letters):
+    # every admissible word that prepends one of ``letters`` to a word of ``words``
+    for w in words:
+        blocked = w.components and w.components[0].is_jump
+        for c in letters:
+            if not (blocked and c.is_jump):
+                yield MultiIndex((c,) + w.components)
+
+
 def build_hierarchical_set(
     predicate: Callable[[MultiIndex], bool],
     m: int,
@@ -376,22 +380,14 @@ def build_hierarchical_set(
     members = {EMPTY_INDEX}
     frontier = [EMPTY_INDEX]
     while frontier:
-        grown = []
-        for w in frontier:
-            blocked = w.components and w.components[0].is_jump
-            for c in letters:
-                if blocked and c.is_jump:
-                    continue
-                cand = MultiIndex((c,) + w.components)
-                if cand.length > max_length:
-                    raise InvalidGamma(
-                        "hierarchical enumeration exceeded %d letters; "
-                        "predicate is too permissive" % max_length
-                    )
-                if predicate(cand):
-                    members.add(cand)
-                    grown.append(cand)
-        frontier = grown
+        # the words of a frontier share one length
+        if frontier[0].length >= max_length:
+            raise InvalidGamma(
+                "hierarchical enumeration exceeded %d letters; "
+                "predicate is too permissive" % max_length
+            )
+        frontier = [w for w in _extensions(frontier, letters) if predicate(w)]
+        members.update(frontier)
     return frozenset(members)
 
 
@@ -405,17 +401,7 @@ def remainder_set(members: Collection[MultiIndex], m: int, mu: int) -> frozenset
     base = frozenset(members)
     if not base:
         return frozenset([EMPTY_INDEX])
-    letters = alphabet(m, mu)
-    out = set()
-    for w in base:
-        blocked = w.components and w.components[0].is_jump
-        for c in letters:
-            if blocked and c.is_jump:
-                continue
-            cand = MultiIndex((c,) + w.components)
-            if cand not in base:
-                out.add(cand)
-    return frozenset(out)
+    return frozenset(w for w in _extensions(base, alphabet(m, mu)) if w not in base)
 
 
 @dataclass(frozen=True)

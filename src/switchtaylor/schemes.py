@@ -169,12 +169,15 @@ def merge_records(parts) -> JumpRecords:
 def jump_records(chain: ChainPath, noise: NoisePath, edges) -> JumpRecords:
     """Locate chain switches inside each window of an edge sequence.
 
-    Edges must be increasing grid times of the noise path.  A switch at time
-    tau is assigned to the window (edges[i], edges[i+1]] containing it, and
-    the record's ``rows`` holds the window index i; the first two switches
-    per window are recorded in full, the third by its Wiener offset alone.
+    Edges must be strictly increasing grid times of the noise path.  A
+    switch at time tau is assigned to the window (edges[i], edges[i+1]]
+    containing it, and the record's ``rows`` holds the window index i; the
+    first two switches per window are recorded in full, the third by its
+    Wiener offset alone.
     """
     edges = np.asarray(edges, dtype=float).reshape(-1)
+    if edges.size < 2 or not (edges[1:] > edges[:-1]).all():
+        raise InvalidGrid("jump_records: edges must be at least two increasing times")
     jt = chain.jump_times
     # jump times are sorted: the ones in (edges[0], edges[-1]] are one slice
     lo, hi = np.searchsorted(jt, edges[[0, -1]], side="right")
@@ -414,7 +417,8 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
     Raises:
       DimensionMismatch: an input's shape disagrees with ``regimes`` or
         with the coefficient set's d and m.
-      UnknownRegime: a regime label in ``regimes`` or ``table`` is below 1.
+      UnknownRegime: a regime label in ``regimes`` or ``table`` is not an
+        integer from 1.
       NonFiniteState: a state left the finite range; its ``step`` and ``row``
         locate the first bad row of the first bad step.
     """
@@ -434,6 +438,9 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
                 "march: %s has shape %s, expected %s" % (name, np.shape(value), shape)
             )
     labels = [regimes] if table is None else [regimes, table.reg1, table.reg2]
+    dtypes = [np.asarray(part).dtype for part in labels]
+    if any(dtype.kind not in "iu" for dtype in dtypes):
+        raise UnknownRegime("march: regime labels are integers, got %s" % dtypes)
     lowest = min(np.min(part, initial=1) for part in labels)
     if lowest < 1:
         raise UnknownRegime("march: regime labels start at 1, got %d" % lowest)

@@ -13,11 +13,11 @@ import pytest
 
 from switchtaylor import (
     CommutativityRequired,
+    DiagonalLinearCoefficients,
     ExperimentPlan,
     GeneratorMatrix,
     GridSpec,
     ModelSpec,
-    ScalarLinearCoefficients,
     build_noise,
     fixture,
     run,
@@ -269,7 +269,7 @@ def test_criterion_6_singleton_regime_degeneration():
     model = ModelSpec(
         name="singleton",
         generator=GeneratorMatrix(np.array([[0.0]])),
-        coefficients=ScalarLinearCoefficients(a=[-0.8], c=[0.45]),
+        coefficients=DiagonalLinearCoefficients(a=[[-0.8]], c=[[0.45]]),
         x0=[1.0],
     )
     chain = ChainPath(0.0, 1.0, 1, np.empty(0), np.empty(0, dtype=np.int64))

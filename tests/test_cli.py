@@ -8,7 +8,17 @@ import textwrap
 
 import pytest
 
-from switchtaylor import build_scheme_sets, cli, errors, sets_as_dict
+from switchtaylor import (
+    GridSpec,
+    build_scheme_sets,
+    cli,
+    errors,
+    fixture,
+    integrate,
+    sets_as_dict,
+    write_trajectory_csv,
+)
+from switchtaylor.convergence import draw_path
 from switchtaylor.cli import run
 
 
@@ -91,6 +101,16 @@ class TestSimulate:
         rows = (tmp_path / "zout" / "trajectory.csv").read_text().splitlines()[1:]
         assert len(rows) == 9
         assert all(float(row.split(",")[1]) == 1.0 for row in rows)
+
+    def test_trajectory_is_draw_path_of_seed_and_zero(self, tmp_path):
+        # base_cfg: linear2, seed 3, first scheme euler, first level 4 on [0, 1]
+        assert run(["simulate", "--config", base_cfg(tmp_path)]) == 0
+        model, grid = fixture("linear2"), GridSpec(0.0, 1.0, 4)
+        chain, noise = draw_path(model, grid, 3, 0)
+        want = integrate(model, "euler", chain, noise, grid.finest_times())
+        write_trajectory_csv(want, str(tmp_path / "want.csv"))
+        got = (tmp_path / "out" / "trajectory.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = base_cfg(tmp_path, outdir="a")

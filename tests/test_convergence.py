@@ -13,6 +13,7 @@ from switchtaylor import (
     ChainPath,
     CoefficientSet,
     ConvergenceReport,
+    DiagonalLinearCoefficients,
     ExperimentPlan,
     GeneratorMatrix,
     GridSpec,
@@ -21,7 +22,6 @@ from switchtaylor import (
     MeanRevertingCoefficients,
     ModelSpec,
     NoisePath,
-    ScalarLinearCoefficients,
     build_noise,
     fit_order,
     fixture,
@@ -138,6 +138,31 @@ def _closed_form_by_path(model, chain, noise, times):
     log = (a - 0.5 * c * c) * np.diff(grid)[:, None] + c * np.diff(w, axis=0)
     states = model.x0 * np.exp(np.vstack([np.zeros(model.d), np.cumsum(log, axis=0)]))
     return states[np.searchsorted(grid, times)]
+
+
+@pytest.mark.parametrize("name", ["linear2", "additive"])
+def test_path_i_of_a_batch_is_draw_path_of_seed_and_i(name):
+    # one seeding policy: SeedSequence((seed, i)) spawns the chain's
+    # generator, then the noise's, and the engine's path i is that draw
+    model = fixture(name)
+    plan = small_plan(model=model, coarse_steps=(4, 8), reference_steps=128, seed=21)
+    grid = GridSpec(0.0, plan.t_end, plan.reference_steps)
+    ref_times = grid.finest_times()
+    indices = range(5, 8)
+    dw, dz, regs, _, _ = convergence._window_data(plan, [4, 8], ref_times, indices, False)
+    for slot, i in enumerate(indices):
+        chain, noise = convergence.draw_path(model, grid, plan.seed, i)
+        want_dw, want_dz = noise.step_aggregates(ref_times)
+        _same_bits(dw[128][slot], want_dw)
+        _same_bits(dz[128][slot], want_dz)
+        _same_bits(regs[128][slot], chain.states_at(ref_times[:-1]))
+        chain_seed, noise_seed = np.random.SeedSequence((plan.seed, i)).spawn(2)
+        rng = np.random.default_rng(chain_seed)
+        want = sample_path(model.generator, 1, 0.0, plan.t_end, rng)
+        _same_bits(chain.jump_times, want.jump_times)
+        _same_bits(chain.states_after, want.states_after)
+        rng = np.random.default_rng(noise_seed)
+        _same_bits(noise.dw, build_noise(grid, chain, model.m, rng).dw)
 
 
 @pytest.mark.parametrize("name", ["linear2", "diagonal3", "additive"])
@@ -380,7 +405,7 @@ def test_nonfinite_path_names_pass_level_step_and_seed_index():
 def test_nonfinite_closed_form_names_pass_level_step_and_seed_index():
     # the closed form is read on the finest tested grid
     _assert_nonfinite_names_the_first_bad_path(
-        ScalarLinearCoefficients(a=[-1.0, np.inf], c=[0.3, 0.3]),
+        DiagonalLinearCoefficients(a=[[-1.0], [np.inf]], c=[[0.3], [0.3]]),
         seed=5,
         what="reference pass (closed-form)",
         level=4,
@@ -391,7 +416,7 @@ def zero_model():
     return ModelSpec(
         name="zero",
         generator=GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]),
-        coefficients=ScalarLinearCoefficients(a=[0.0, 0.0], c=[0.0, 0.0]),
+        coefficients=DiagonalLinearCoefficients(a=[[0.0], [0.0]], c=[[0.0], [0.0]]),
         x0=[1.0],
     )
 

@@ -121,6 +121,52 @@ def test_occupation_and_pair_statistics():
         mc.pair_jump_compensator(TWO_STATE, p, 2, 2, 0.0, 2.0)
 
 
+def _loop_statistics(gen, path, s, t):
+    # the (s, t] statistics from one walk over the path's jumps in order:
+    # jump times, occupation time per state (left limits) and transition
+    # counts, each occupation summed piece by piece from s to t
+    state = path.initial_state
+    for tau, entered in zip(path.jump_times, path.states_after):
+        if tau <= s:
+            state = entered
+    times, pairs = [], {}
+    occupation = {i: 0.0 for i in range(1, gen.m0 + 1)}
+    left = s
+    for tau, entered in zip(path.jump_times, path.states_after):
+        if s < tau <= t:
+            times.append(tau)
+            pairs[state, int(entered)] = pairs.get((state, int(entered)), 0) + 1
+            if tau < t:
+                occupation[state] += tau - left
+                left, state = tau, int(entered)
+    occupation[state] += t - left
+    return times, occupation, pairs
+
+
+def test_chain_queries_equal_a_sequential_loop():
+    gen = mc.GeneratorMatrix(
+        np.array([[-20.0, 15.0, 5.0], [8.0, -10.0, 2.0], [3.0, 30.0, -33.0]])
+    )
+    rng = np.random.default_rng(17)
+    for p in range(40):
+        path = mc.sample_path(gen, 1 + p % 3, 0.0, 3.0, rng)
+        assert path.jump_count > 20
+        jt = path.jump_times
+        # whole span, inner windows, and ends that sit on jump times
+        for s, t in ((0.0, 3.0), (0.1, 0.9), (1.3, 2.7), (jt[0], jt[-1]), (jt[2], jt[9])):
+            times, occupation, pairs = _loop_statistics(gen, path, s, t)
+            assert mc.count_jumps(path, s, t) == len(times)
+            assert mc.jump_times_in(path, s, t).tolist() == times
+            for i0 in range(1, 4):
+                assert mc.occupation_time(path, i0, s, t) == occupation[i0]
+                for k0 in range(1, 4):
+                    want = 0.0
+                    if i0 != k0:
+                        count = pairs.get((i0, k0), 0)
+                        want = count - gen.rate(i0, k0) * occupation[i0]
+                    assert mc.pair_jump_martingale(gen, path, i0, k0, s, t) == want
+
+
 def test_sample_path_determinism_and_range():
     g = mc.GeneratorMatrix(np.array([[-2.0, 1.5, 0.5], [0.5, -1.0, 0.5], [1.0, 2.0, -3.0]]))
     a = mc.sample_path(g, 1, 0.0, 5.0, np.random.default_rng(7))

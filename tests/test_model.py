@@ -248,7 +248,7 @@ class TestModelValidation:
         gen, co = LIN.generator, LIN.coefficients
         with pytest.raises(NonFiniteInput):
             ModelSpec("bad", gen, co, x0=[np.nan])
-        for regime in (0, 1.5):
+        for regime in (0, 1.5, True):
             with pytest.raises(UnknownRegime, match="initial regime"):
                 ModelSpec("bad", gen, co, x0=[1.0], initial_regime=regime)
 

@@ -10,6 +10,7 @@ import pytest
 from switchtaylor import (
     ChainPath,
     CommutativityRequired,
+    DiagonalLinearCoefficients,
     DimensionMismatch,
     GeneratorMatrix,
     GridSpec,
@@ -18,7 +19,6 @@ from switchtaylor import (
     ModelSpec,
     NonFiniteState,
     NotAGridTime,
-    ScalarLinearCoefficients,
     UnknownRegime,
     UnknownScheme,
     build_noise,
@@ -49,7 +49,7 @@ THREE_STATE = GeneratorMatrix(
 SCALAR3 = ModelSpec(
     name="scalar3",
     generator=THREE_STATE,
-    coefficients=ScalarLinearCoefficients(a=[-1.0, 0.5, 0.2], c=[0.3, 0.8, 0.5]),
+    coefficients=DiagonalLinearCoefficients(a=[[-1.0], [0.5], [0.2]], c=[[0.3], [0.8], [0.5]]),
     x0=[1.0],
 )
 
@@ -357,7 +357,7 @@ class TestClassicalDegeneration:
         self.model = ModelSpec(
             name="singleton",
             generator=GeneratorMatrix(np.array([[0.0]])),
-            coefficients=ScalarLinearCoefficients(a=[-0.8], c=[0.45]),
+            coefficients=DiagonalLinearCoefficients(a=[[-0.8]], c=[[0.45]]),
             x0=[1.0],
         )
         self.chain = crafted_chain([], [])
@@ -430,7 +430,7 @@ class TestGatesAndErrors:
         mod = ModelSpec(
             name="explosive",
             generator=GeneratorMatrix(np.array([[0.0]])),
-            coefficients=ScalarLinearCoefficients(a=[np.inf], c=[0.0]),
+            coefficients=DiagonalLinearCoefficients(a=[[np.inf]], c=[[0.0]]),
             x0=[1.0],
         )
         chain = crafted_chain([], [])
@@ -470,7 +470,7 @@ class TestIntegrateOutputs:
         mod = ModelSpec(
             name="flat",
             generator=LIN.generator,
-            coefficients=ScalarLinearCoefficients(a=[0.0, 0.0], c=[0.0, 0.0]),
+            coefficients=DiagonalLinearCoefficients(a=[[0.0], [0.0]], c=[[0.0], [0.0]]),
             x0=[2.5],
         )
         chain = crafted_chain([0.2, 0.7], [2, 1])

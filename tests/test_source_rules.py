@@ -1,13 +1,27 @@
 """Rules the package source keeps."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import switchtaylor
-from switchtaylor import ChainPath, ModelSpec, errors, fit_order, fixture, merge_records
+from switchtaylor import (
+    ChainPath,
+    GridSpec,
+    ModelSpec,
+    build_noise,
+    errors,
+    fit_order,
+    fixture,
+    get_scheme,
+    jump_records,
+    march,
+    merge_records,
+    sample_path,
+)
 
 PACKAGE = Path(switchtaylor.__file__).parent
 
@@ -50,6 +64,18 @@ def test_no_raise_of_builtin_errors():
 
 
 LIN = fixture("linear2")
+CHAIN = ChainPath(0.0, 1.0, 1, [0.3], [2])
+NOISE = build_noise(GridSpec(0.0, 1.0, 4), CHAIN, 1, np.random.default_rng(0))
+EDGES = GridSpec(0.0, 1.0, 4).finest_times()
+TABLE = jump_records(CHAIN, NOISE, EDGES)
+
+
+def _march(regimes=np.ones((1, 4), dtype=np.int64), table=TABLE):
+    # one path on the four windows of EDGES; the first march step runs the checks
+    zeros = np.zeros((1, 4, 1))
+    y0, hs = np.ones((1, 1)), np.diff(EDGES)
+    return next(march(get_scheme("euler"), LIN.coefficients, y0, regimes, hs, zeros, zeros, table))
+
 # inputs on which numpy or attribute lookup would raise a builtin error, or
 # a lookup would quietly answer, unless the package checks them first; the
 # rule above sees only the package's own raise statements
@@ -72,6 +98,33 @@ BAD_CALLS = {
     "ModelSpec-generator-as-coefficients": (
         lambda: ModelSpec("m", LIN.generator, LIN.generator, x0=[1.0]),
         "InvalidCoefficients",
+    ),
+    "ModelSpec-bool-regime": (
+        lambda: ModelSpec("m", LIN.generator, LIN.coefficients, x0=[1.0], initial_regime=True),
+        "UnknownRegime",
+    ),
+    "ChainPath-bool-state": (lambda: ChainPath(0.0, 1.0, True), "StateOutOfRange"),
+    "sample_path-bool-state": (
+        lambda: sample_path(LIN.generator, True, 0.0, 1.0, np.random.default_rng(0)),
+        "StateOutOfRange",
+    ),
+    "march-float-regimes": (lambda: _march(regimes=np.full((1, 4), 1.5)), "UnknownRegime"),
+    "march-bool-regimes": (lambda: _march(regimes=np.ones((1, 4), dtype=bool)), "UnknownRegime"),
+    "march-float-reg1": (
+        lambda: _march(table=replace(TABLE, reg1=TABLE.reg1 + 0.5)),
+        "UnknownRegime",
+    ),
+    "march-float-reg2": (
+        lambda: _march(table=replace(TABLE, reg2=TABLE.reg2 + 0.5)),
+        "UnknownRegime",
+    ),
+    "jump_records-reversed-edges": (
+        lambda: jump_records(CHAIN, NOISE, EDGES[::-1]),
+        "InvalidGrid",
+    ),
+    "jump_records-repeated-edges": (
+        lambda: jump_records(CHAIN, NOISE, EDGES[[0, 1, 1, 2]]),
+        "InvalidGrid",
     ),
 }
 
