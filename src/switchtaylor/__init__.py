@@ -3,19 +3,23 @@
 The package provides, in dependency order:
 
 - ``multi_index``: the word calculus behind the scheme construction and the
-  kept/remainder index sets for orders 0.5, 1.0 and 1.5.
+  kept/remainder index sets for every order from 0.5 to 3.0 in steps of
+  0.5 (the schemes use 0.5, 1.0 and 1.5).
 - ``markov_chain``: finite-state continuous-time chains, their paths and the
   jump-count martingale statistics.
 - ``noise``: Wiener increments together with their time integrals on a
   uniform grid merged with chain jump times.
-- ``model``: regime-dependent drift/diffusion coefficients, the associated
-  differential operators, and built-in model fixtures.
+- ``model``: regime-dependent drift/diffusion coefficients and the
+  associated differential operators.
+- ``fixtures``: the built-in models, looked up by name (``linear2``,
+  ``diagonal3``, ``additive``, ``noncommutative``).
 - ``schemes``: explicit one-step maps of strong order 0.5 (euler), 1.0
   (milstein) and 1.5 (taylor15) with regime-switch corrections, the one
   batched stepping loop that applies them along a grid, and the switch
   records they consume.
 - ``convergence``: coupled coarse/reference experiments that estimate the
   strong order on a model, with reproducible seeding.
+- ``config``: flat key-value run configuration files.
 - ``cli``: the ``switchtaylor`` command line front end.
 """
 

@@ -35,13 +35,12 @@ import sys
 
 import numpy as np
 
+from ._files import opened
 from .config import load_config
 from .convergence import ExperimentPlan, _is_dyadic, draw_path, run as run_study
 from .errors import (
     ConfigError,
-    InvalidGrid,
     ReferenceNotFiner,
-    StateOutOfRange,
     StepTooLargeForChain,
     SwitchTaylorError,
     UnknownFixture,
@@ -60,134 +59,100 @@ __all__ = ["run", "main"]
 _INLINE_KEYS = ("drift_rates", "diffusion_rates", "generator", "x0")
 
 
-def _require(cfg: dict, key: str):
+def _value(cfg: dict, key: str, ok, what: str):
+    """The value at ``key`` if ``ok`` accepts it; ``what`` names such values."""
     if key not in cfg:
         raise ConfigError("%s: missing required key" % key)
-    return cfg[key]
-
-
-def _as_int(cfg: dict, key: str) -> int:
-    value = _require(cfg, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("%s: expected an integer, got %r" % (key, value))
+    value = cfg[key]
+    if not ok(value):
+        raise ConfigError("%s: expected %s, got %r" % (key, what, value))
     return value
 
 
-def _as_float(cfg: dict, key: str) -> float:
-    value = _require(cfg, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("%s: expected a number, got %r" % (key, value))
-    return float(value)
+def _array(cfg: dict, key: str, ok, what: str) -> tuple:
+    """The non-empty array at ``key`` if ``ok`` accepts every entry."""
+
+    def every(v):
+        return isinstance(v, list) and v and all(map(ok, v))
+
+    return tuple(_value(cfg, key, every, "a non-empty array of %s" % what))
 
 
-def _as_str(cfg: dict, key: str) -> str:
-    value = _require(cfg, key)
-    if not isinstance(value, str):
-        raise ConfigError("%s: expected a name, got %r" % (key, value))
-    return value
+# entry rules; the parser yields int, float, str and list, never bool
+def _is_int(v) -> bool:
+    return type(v) is int
 
 
-def _as_float_list(cfg: dict, key: str) -> tuple:
-    value = _require(cfg, key)
-    if not isinstance(value, list) or not value:
-        raise ConfigError("%s: expected a non-empty array" % key)
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError("%s: expected numbers, got %r" % (key, item))
-        out.append(float(item))
-    return tuple(out)
+def _is_finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
 
 
-def _as_matrix(cfg: dict, key: str) -> list:
-    value = _require(cfg, key)
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise ConfigError("%s: expected an array of rows" % key)
-    rows = []
-    for row in value:
-        cleaned = []
-        for item in row:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError("%s: rows must contain numbers, got %r" % (key, item))
-            cleaned.append(float(item))
-        rows.append(cleaned)
-    return rows
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
-def _as_levels(cfg: dict, key: str = "levels") -> tuple:
-    value = _require(cfg, key)
-    if not isinstance(value, list) or not value:
-        raise ConfigError("%s: expected a non-empty array of step counts" % key)
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError("%s: expected integers, got %r" % (key, item))
-        if not _is_dyadic(item):
-            raise ConfigError("%s: step counts must be powers of two, got %d" % (key, item))
-        out.append(item)
-    return tuple(out)
+def _is_level(v) -> bool:
+    return _is_int(v) and _is_dyadic(v)
+
+
+def _as_levels(cfg: dict) -> tuple:
+    return _array(cfg, "levels", _is_level, "power-of-two step counts")
 
 
 def _as_schemes(cfg: dict) -> tuple:
-    value = _require(cfg, "scheme")
-    names = value if isinstance(value, list) else [value]
-    if not names:
-        raise ConfigError("scheme: expected one or more scheme names")
-    for name in names:
-        if not isinstance(name, str):
-            raise ConfigError("scheme: expected scheme names, got %r" % (name,))
-    return tuple(names)
+    if _is_str(cfg.get("scheme")):
+        return (cfg["scheme"],)
+    return _array(cfg, "scheme", _is_str, "scheme names")
 
 
 def _effective_seed(cfg: dict) -> int:
     env = os.environ.get("SWITCHTAYLOR_SEED")
     if env is not None:
         try:
-            seed = int(env, 10)
+            cfg = {"seed": int(env, 10)}
         except ValueError:
             raise ConfigError("seed: SWITCHTAYLOR_SEED must be an integer, got %r" % env)
-    else:
-        seed = _as_int(cfg, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed: must be an unsigned 64-bit value, got %d" % seed)
-    return seed
+    return _value(
+        cfg, "seed", lambda v: _is_int(v) and 0 <= v < 2**64, "an unsigned 64-bit integer"
+    )
 
 
 def _positive_t_end(cfg: dict) -> float:
-    t_end = _as_float(cfg, "t_end")
-    if not math.isfinite(t_end) or t_end <= 0:
-        raise ConfigError("t_end: must be a positive finite horizon, got %r" % t_end)
-    return t_end
+    return float(
+        _value(cfg, "t_end", lambda v: _is_finite(v) and v > 0, "a positive finite horizon")
+    )
 
 
 def _positive_paths(cfg: dict) -> int:
-    paths = _as_int(cfg, "paths")
-    if paths < 1:
-        raise ConfigError("paths: must be at least 1, got %d" % paths)
-    return paths
+    return _value(cfg, "paths", lambda v: _is_int(v) and v >= 1, "a path count of at least 1")
 
 
 def _inline_generator(cfg: dict) -> GeneratorMatrix:
-    rows = _as_matrix(cfg, "generator")
+    rows = _array(
+        cfg,
+        "generator",
+        lambda row: isinstance(row, list) and all(map(_is_finite, row)),
+        "rows of finite numbers",
+    )
     try:
-        return GeneratorMatrix(np.asarray(rows, dtype=float))
+        return GeneratorMatrix(rows)
     except SwitchTaylorError as exc:
         raise ConfigError("generator: %s" % exc)
 
 
 def _initial_regime(cfg: dict, m0: int) -> int:
-    if "initial_regime" not in cfg:
-        return 1
-    value = _as_int(cfg, "initial_regime")
-    if not 1 <= value <= m0:
-        raise ConfigError("initial_regime: must lie in 1..%d, got %d" % (m0, value))
-    return value
+    return _value(
+        {"initial_regime": 1, **cfg},
+        "initial_regime",
+        lambda v: _is_int(v) and 1 <= v <= m0,
+        "a regime in 1..%d" % m0,
+    )
 
 
 def _model_from_config(cfg: dict) -> ModelSpec:
     if "model" in cfg:
         try:
-            return fixture(_as_str(cfg, "model"))
+            return fixture(_value(cfg, "model", _is_str, "a fixture name"))
         except UnknownFixture as exc:
             raise ConfigError("model: %s" % exc)
     for key in _INLINE_KEYS:
@@ -195,39 +160,30 @@ def _model_from_config(cfg: dict) -> ModelSpec:
             raise ConfigError(
                 "%s: missing required key (set 'model' or the inline coefficients)" % key
             )
-    drift = _as_float_list(cfg, "drift_rates")
-    diffusion = _as_float_list(cfg, "diffusion_rates")
+    rates = [_array(cfg, key, _is_finite, "finite numbers") for key in _INLINE_KEYS[:2]]
     generator = _inline_generator(cfg)
-    if len(drift) != generator.m0:
-        raise ConfigError(
-            "drift_rates: need one rate per regime (%d), got %d" % (generator.m0, len(drift))
-        )
-    if len(diffusion) != generator.m0:
-        raise ConfigError(
-            "diffusion_rates: need one rate per regime (%d), got %d"
-            % (generator.m0, len(diffusion))
-        )
-    x0 = _as_float_list(cfg, "x0")
-    if len(x0) != 1:
-        raise ConfigError("x0: inline models are scalar, expected one entry, got %d" % len(x0))
-    try:
-        return ModelSpec(
-            name="inline",
-            generator=generator,
-            coefficients=DiagonalLinearCoefficients(*np.array([drift, diffusion])[:, :, None]),
-            x0=list(x0),
-            initial_regime=_initial_regime(cfg, generator.m0),
-        )
-    except StateOutOfRange as exc:
-        raise ConfigError("initial_regime: %s" % exc)
-    except SwitchTaylorError as exc:
-        raise ConfigError("x0: %s" % exc)
+    for key, values in zip(_INLINE_KEYS[:2], rates):
+        if len(values) != generator.m0:
+            raise ConfigError(
+                "%s: need one rate per regime (%d), got %d" % (key, generator.m0, len(values))
+            )
+    x0 = _value(
+        cfg,
+        "x0",
+        lambda v: isinstance(v, list) and len(v) == 1 and _is_finite(v[0]),
+        "an array of one finite number (inline models are scalar)",
+    )
+    return ModelSpec(
+        name="inline",
+        generator=generator,
+        coefficients=DiagonalLinearCoefficients(*np.array(rates, dtype=float)[:, :, None]),
+        x0=x0,
+        initial_regime=_initial_regime(cfg, generator.m0),
+    )
 
 
 def _output_dir(cfg: dict) -> str:
-    out = cfg.get("output", ".")
-    if not isinstance(out, str):
-        raise ConfigError("output: expected a directory path, got %r" % (out,))
+    out = _value({"output": ".", **cfg}, "output", _is_str, "a directory path")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -252,7 +208,7 @@ def _cmd_sets(args) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sets_%.1f.json" % sets.gamma)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with opened(path, "w") as handle:
             json.dump(sets_as_dict(sets), handle, indent=2)
             handle.write("\n")
         print("wrote %s" % path)
@@ -327,10 +283,7 @@ def _cmd_simulate(args) -> int:
     seed = _effective_seed(cfg)
     out = _output_dir(cfg)
 
-    try:
-        grid = GridSpec(0.0, t_end, levels[0])
-    except InvalidGrid as exc:
-        raise ConfigError("levels: %s" % exc)
+    grid = GridSpec(0.0, t_end, levels[0])
     chain, noise = draw_path(model, grid, seed, 0)
     try:
         trajectory = integrate(model, schemes[0], chain, noise, grid.finest_times())
@@ -349,7 +302,7 @@ def _build_plan(cfg: dict, model: ModelSpec, schemes, seed: int) -> ExperimentPl
             schemes=schemes,
             t_end=_positive_t_end(cfg),
             coarse_steps=_as_levels(cfg),
-            reference_steps=_as_int(cfg, "reference"),
+            reference_steps=_value(cfg, "reference", _is_level, "a power-of-two step count"),
             paths=_positive_paths(cfg),
             seed=seed,
         )
@@ -357,7 +310,7 @@ def _build_plan(cfg: dict, model: ModelSpec, schemes, seed: int) -> ExperimentPl
         raise ConfigError("scheme: %s" % exc)
     except ReferenceNotFiner as exc:
         raise ConfigError("reference: %s" % exc)
-    except (InvalidGrid, StepTooLargeForChain) as exc:
+    except StepTooLargeForChain as exc:
         raise ConfigError("levels: %s" % exc)
 
 
@@ -374,14 +327,14 @@ def _cmd_convergence(args) -> int:
     for name in plan.schemes:
         report = reports[name]
         csv_path = os.path.join(out, "convergence_%s.csv" % name)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
+        with opened(csv_path, "w") as handle:
             handle.write("h,mean_error,stderr\n")
             for row in report.rows:
                 handle.write(
                     "%.17g,%.17g,%.17g\n" % (row.h, row.mean_error, row.stderr)
                 )
         dat_path = os.path.join(out, "loglog_%s.dat" % name)
-        with open(dat_path, "w", encoding="utf-8", newline="\n") as handle:
+        with opened(dat_path, "w") as handle:
             handle.write("# h root_mean_sup_square_error\n")
             for row in report.rows:
                 handle.write("%.17g %.17g\n" % (row.h, math.sqrt(row.mean_error)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numbers
 import re
 
+from ._files import opened
 from .errors import ConfigError
 
 __all__ = ["parse_config", "format_config", "load_config", "save_config"]
@@ -102,13 +103,10 @@ def _format_value(value, key: str) -> str:
     if isinstance(value, numbers.Real):
         return repr(float(value))
     if isinstance(value, str):
-        if not _BARE_RE.match(value) or _INT_RE.match(value):
+        # bare, so only a string the parser reads back as itself
+        if not (_BARE_RE.match(value) and _parse_value(value, key) == value):
             raise ConfigError("%s: string %r cannot be written unambiguously" % (key, value))
-        try:
-            float(value)
-        except ValueError:
-            return value
-        raise ConfigError("%s: string %r cannot be written unambiguously" % (key, value))
+        return value
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(_format_value(item, key) for item in value)
     raise ConfigError("%s: cannot serialize value of type %s" % (key, type(value).__name__))
@@ -135,5 +133,5 @@ def load_config(path) -> dict:
 
 def save_config(mapping, path) -> None:
     text = format_config(mapping)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with opened(path, "w") as handle:
         handle.write(text)

@@ -63,7 +63,7 @@ from .errors import (
     ReferenceNotFiner,
     StepTooLargeForChain,
 )
-from .markov_chain import sample_path
+from .markov_chain import _number, sample_path
 from .model import ModelSpec, check_commutativity
 from .noise import GridSpec, build_noise, window_aggregates
 from .schemes import (
@@ -126,6 +126,7 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "t_end", _number(self.t_end))
         if not 0 < self.t_end < np.inf:
             raise InvalidGrid("t_end must be positive and finite, got %r" % (self.t_end,))
         schemes = tuple(dict.fromkeys(self.schemes))
@@ -225,14 +226,6 @@ def reference_scheme_for(model: ModelSpec) -> str:
     if report.satisfied(1):
         return "milstein"
     return "euler"
-
-
-def _number(value) -> float:
-    # NaN for a value that is not a number, which the range checks refuse
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return np.nan
 
 
 def fit_order(rows):

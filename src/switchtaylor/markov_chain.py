@@ -56,7 +56,10 @@ class GeneratorMatrix:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)
+        try:
+            q = np.array(self.q, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidGenerator("generator must be a square matrix of numbers") from None
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise InvalidGenerator("generator must be a square matrix")
         if not np.isfinite(q).all():
@@ -87,8 +90,8 @@ class GeneratorMatrix:
 
     def rate(self, i0: int, k0: int) -> float:
         """Entry q[i0, k0] with 1-based state labels."""
-        _check_state(self.m0, i0)
-        _check_state(self.m0, k0)
+        _check_state(i0, self.m0)
+        _check_state(k0, self.m0)
         return float(self.q[i0 - 1, k0 - 1])
 
 
@@ -110,14 +113,15 @@ class ChainPath:
         times = np.array(self.jump_times, dtype=float)
         labels = np.asarray(self.states_after)
         states = np.array(labels, dtype=np.int64)
-        if not -np.inf < self.t0 < self.t_end < np.inf:
+        t0, t_end = _number(self.t0), _number(self.t_end)
+        if not -np.inf < t0 < t_end < np.inf:
             raise IntervalOutOfRange("need finite t0 < t_end")
         if times.shape != states.shape or times.ndim != 1:
             raise StateOutOfRange("one entered state per jump time")
         if times.size:
             if (np.diff(times) <= 0).any():
                 raise IntervalOutOfRange("jump times must be strictly increasing")
-            if times[0] <= self.t0 or times[-1] > self.t_end:
+            if times[0] <= t0 or times[-1] > t_end:
                 raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
         if (
             not _is_label(self.initial_state)
@@ -131,6 +135,8 @@ class ChainPath:
             )
         times.setflags(write=False)
         states.setflags(write=False)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "jump_times", times)
         object.__setattr__(self, "states_after", states)
 
@@ -148,7 +154,10 @@ class ChainPath:
 
     def states_at(self, times) -> np.ndarray:
         """Vectorized right-continuous states at an array of times."""
-        times = np.asarray(times, dtype=float)
+        try:
+            times = np.asarray(times, dtype=float)
+        except (TypeError, ValueError):
+            times = np.array(np.nan)
         if times.size and not (times.min() >= self.t0 and times.max() <= self.t_end):
             raise IntervalOutOfRange("query outside the sampled span")
         k = np.searchsorted(self.jump_times, times, side="right")
@@ -156,6 +165,7 @@ class ChainPath:
         return all_states[k]
 
     def _state(self, t: float, side: str) -> int:
+        t = _number(t)
         if not (self.t0 <= t <= self.t_end):
             raise IntervalOutOfRange(
                 "time %r outside the sampled span [%r, %r]" % (t, self.t0, self.t_end)
@@ -186,7 +196,8 @@ def sample_path(
     Returns:
       ChainPath on [t0, t_end].
     """
-    _check_state(generator.m0, initial_state)
+    _check_state(initial_state, generator.m0)
+    t0, t_end = _number(t0), _number(t_end)
     if not -np.inf < t0 < t_end < np.inf:
         # a NaN or infinite end would never stop the holding-time loop
         raise IntervalOutOfRange("need finite t0 < t_end")
@@ -217,13 +228,23 @@ def _is_label(state) -> bool:
     return isinstance(state, numbers.Integral) and not isinstance(state, bool)
 
 
-def _check_state(m0: int, state: int):
-    if not _is_label(state) or not 1 <= state <= m0:
-        raise StateOutOfRange("state %r outside 1..%d" % (state, m0))
+def _check_state(state, m0=None):
+    # an integer label from 1, and at most m0 where the state count is known
+    if not _is_label(state) or state < 1 or (m0 is not None and state > m0):
+        raise StateOutOfRange("state %r outside 1..%s" % (state, m0 or "m0"))
+
+
+def _number(value) -> float:
+    # NaN for a value that is not a number, which the range checks refuse
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return np.nan
 
 
 def _jumps_in(path: ChainPath, s: float, t: float) -> slice:
     # the positions in path.jump_times of the jumps on (s, t]
+    s, t = _number(s), _number(t)
     if not (path.t0 <= s < t <= path.t_end):
         raise IntervalOutOfRange(
             "need %r <= s < t <= %r, got (s, t) = (%r, %r)" % (path.t0, path.t_end, s, t)
@@ -246,8 +267,7 @@ def jump_times_in(path: ChainPath, s: float, t: float) -> np.ndarray:
 def occupation_time(path: ChainPath, state: int, s: float, t: float) -> float:
     """Lebesgue measure of {u in (s, t] : left limit of the state at u is i0}."""
     inner = path.jump_times[_jumps_in(path, s, t)]
-    if state < 1:
-        raise StateOutOfRange("states are labelled from 1")
+    _check_state(state)
     cuts = [s, *inner[inner < t], t]
     total = 0.0
     # on (left, right] the left limits equal the state entered at `left`
@@ -259,6 +279,8 @@ def occupation_time(path: ChainPath, state: int, s: float, t: float) -> float:
 
 def pair_jump_count(path: ChainPath, i0: int, k0: int, s: float, t: float) -> int:
     """Number of i0 -> k0 transitions on (s, t]; the pair must be distinct."""
+    _check_state(i0)
+    _check_state(k0)
     if i0 == k0:
         raise SameStatePair("transition counting needs two distinct states")
     span = _jumps_in(path, s, t)
@@ -280,6 +302,8 @@ def pair_jump_martingale(
     generator: GeneratorMatrix, path: ChainPath, i0: int, k0: int, s: float, t: float
 ) -> float:
     """Count minus compensator; identically zero for i0 == k0 by convention."""
+    _check_state(i0, generator.m0)
+    _check_state(k0, generator.m0)
     if i0 == k0:
         return 0.0
     return pair_jump_count(path, i0, k0, s, t) - pair_jump_compensator(

@@ -57,6 +57,7 @@ __all__ = [
     "op_time_diffusion",
     "op_noise_diffusion",
     "op_noise_noise_diffusion",
+    "COMMUTATIVITY_TOL",
     "CommutativityReport",
     "check_commutativity",
     "default_probe_points",
@@ -346,6 +347,9 @@ def op_noise_noise_diffusion(coeffs: CoefficientSet, X, regimes):
 # ---------------------------------------------------------------------------
 # commutativity of the noise columns
 
+# largest gap at which an exchange identity counts as holding
+COMMUTATIVITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CommutativityReport:
@@ -360,13 +364,14 @@ class CommutativityReport:
     second_order_gap: float
     points_checked: int
 
-    def satisfied(self, order: int, tol: float = 1e-8) -> bool:
-        """True when the identities needed up to the given nesting hold."""
+    def satisfied(self, order: int) -> bool:
+        """True when the identities needed up to the given nesting hold
+        within COMMUTATIVITY_TOL."""
         if order <= 0:
             return True
-        if self.first_order_gap > tol:
+        if self.first_order_gap > COMMUTATIVITY_TOL:
             return False
-        return order < 2 or self.second_order_gap <= tol
+        return order < 2 or self.second_order_gap <= COMMUTATIVITY_TOL
 
 
 def default_probe_points(model: ModelSpec) -> np.ndarray:

@@ -67,6 +67,7 @@ from .errors import (
 )
 from .markov_chain import ChainPath
 from .model import (
+    COMMUTATIVITY_TOL,
     ModelSpec,
     _covariance,
     _noise_diffusion,
@@ -104,8 +105,6 @@ __all__ = [
     "Trajectory",
     "write_trajectory_csv",
 ]
-
-COMMUTATIVITY_TOL = 1e-8
 
 # (path, step) rows whose noise weights ``march`` computes in one call: a
 # batch of 64 or more paths takes one step per call, a single path 64 steps
@@ -381,18 +380,16 @@ def get_scheme(name: str) -> SchemeInfo:
         ) from None
 
 
-def require_commutativity(
-    model: ModelSpec, order: int, tol: float = COMMUTATIVITY_TOL
-) -> None:
+def require_commutativity(model: ModelSpec, order: int) -> None:
     """Refuse models whose noise columns break the identities a map needs."""
     if order <= 0 or model.m == 1:
         return
     report = check_commutativity(model)
-    if not report.satisfied(order, tol):
+    if not report.satisfied(order):
         raise CommutativityRequired(
             "model %r breaks the noise-column exchange identities "
             "(first order gap %.3g, second order gap %.3g, tol %.1g)"
-            % (model.name, report.first_order_gap, report.second_order_gap, tol)
+            % (model.name, report.first_order_gap, report.second_order_gap, COMMUTATIVITY_TOL)
         )
 
 

@@ -63,6 +63,26 @@ class TestSets:
         payload = json.loads((tmp_path / "sets_1.0.json").read_text())
         assert payload == sets_as_dict(build_scheme_sets(1.0, 2))
 
+    def test_json_bytes_and_key_order(self, tmp_path, capsys):
+        # a literal, so a change to sets_as_dict cannot move the file unseen
+        want = {
+            "gamma": 1.0,
+            "mu": 2,
+            "m": 1,
+            "drift": [[]],
+            "diffusion": [[], ["1"], ["N1"]],
+            "drift_jump": [],
+            "diffusion_jump": [["N1"]],
+            "drift_remainder": [["0"], ["1"], ["N1"], ["N2"], ["Nb2"]],
+            "diffusion_remainder": [
+                ["0"], ["N2"], ["Nb2"], ["0", "1"], ["0", "N1"],
+                ["1", "1"], ["1", "N1"], ["N1", "1"], ["N2", "1"], ["Nb2", "1"],
+            ],
+        }
+        assert run(["sets", "--gamma", "1.0", "--m", "1", "--out", str(tmp_path)]) == 0
+        got = (tmp_path / "sets_1.0.json").read_bytes()
+        assert got == (json.dumps(want, indent=2) + "\n").encode()
+
     def test_unsupported_order_fails_validation(self, capsys):
         assert run(["sets", "--gamma", "0.7", "--m", "1"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -296,6 +316,70 @@ class TestValidationExitCodes:
         assert run([]) == 1
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+INLINE_KEYS = ("drift_rates", "diffusion_rates", "generator", "x0", "initial_regime")
+INLINE_CFG = """
+drift_rates = [0.5, -0.25]
+diffusion_rates = [0.3, 0.6]
+generator = [[-1.0, 1.0], [1.0, -1.0]]
+x0 = [1.5]
+initial_regime = 2
+"""
+FIXTURE_CFG = """
+model = linear2
+"""
+STUDY_CFG = """
+t_end = 1.0
+scheme = [euler, milstein]
+levels = [4, 8]
+reference = 256
+paths = 4
+seed = 3
+output = %s
+"""
+
+# every key the command line reads, with bad values of each kind: a bool
+# (the parser reads True as a name), a name, a float where an integer is
+# due, an empty array, a step count that is not a power of two, NaN or inf
+# where a finite number is due, and the wrong shape
+BAD_VALUES = {
+    "model": ["True", "3", "[]", "[linear2]"],
+    "drift_rates": ["[0.5, True]", "[0.5, x]", "[]", "[0.5, nan]", "0.5", "[0.5]"],
+    "diffusion_rates": ["[0.3, True]", "[]", "[0.3, nan]", "[0.3, inf]", "[[0.3], [0.6]]"],
+    "generator": [
+        "True",
+        "[]",
+        "[[-1.0, 1.0], [1.0, nan]]",
+        "[[-1.0, 1.0], [1.0, x]]",
+        "[[-1.0, 1.0], [1.0]]",
+        "[-1.0, 1.0]",
+    ],
+    "x0": ["True", "[]", "[nan]", "[x]", "1.5", "[1.5, 1.5]"],
+    "initial_regime": ["True", "x", "1.0", "[]", "3", "0"],
+    "t_end": ["True", "x", "[]", "nan", "inf", "0", "-1.0"],
+    "scheme": ["True", "heun", "3", "[]", "[euler, 3]"],
+    "levels": ["True", "[4, x]", "[4.0, 8]", "[]", "[4, 12]", "8"],
+    "reference": ["True", "256.0", "[]", "300", "nan"],
+    "paths": ["True", "2.5", "[]", "0", "nan"],
+    "seed": ["True", "1.5", "[]", "nan", "-1", "18446744073709551616"],
+    "output": ["3", "1.5", "[]", "nan"],
+}
+BAD_CASES = [(key, value) for key, values in BAD_VALUES.items() for value in values]
+
+
+@pytest.mark.parametrize("key, value", BAD_CASES, ids=["%s=%s" % case for case in BAD_CASES])
+def test_bad_value_is_reported_under_its_key(key, value, tmp_path, capsys):
+    # a valid study, inline or by fixture, with ``key`` set to the bad value
+    model = INLINE_CFG if key in INLINE_KEYS else FIXTURE_CFG
+    lines = [
+        line
+        for line in (model + STUDY_CFG % (tmp_path / "out")).splitlines()
+        if line and not line.startswith(key + " ")
+    ]
+    cfg = write_cfg(tmp_path / "bad.cfg", "\n".join(lines + ["%s = %s" % (key, value)]))
+    assert run(["convergence", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: %s:" % key)
 
 
 # every package error, split by the exit status the command line gives it:

@@ -10,9 +10,12 @@ import pytest
 import switchtaylor
 from switchtaylor import (
     ChainPath,
+    ExperimentPlan,
+    GeneratorMatrix,
     GridSpec,
     ModelSpec,
     build_noise,
+    count_jumps,
     errors,
     fit_order,
     fixture,
@@ -20,8 +23,13 @@ from switchtaylor import (
     jump_records,
     march,
     merge_records,
+    occupation_time,
+    pair_jump_count,
+    pair_jump_martingale,
     sample_path,
+    validate_word,
 )
+from switchtaylor.multi_index import alphabet
 
 PACKAGE = Path(switchtaylor.__file__).parent
 
@@ -68,6 +76,8 @@ CHAIN = ChainPath(0.0, 1.0, 1, [0.3], [2])
 NOISE = build_noise(GridSpec(0.0, 1.0, 4), CHAIN, 1, np.random.default_rng(0))
 EDGES = GridSpec(0.0, 1.0, 4).finest_times()
 TABLE = jump_records(CHAIN, NOISE, EDGES)
+# two jumps on [0, 2]: 1 -> 2 at 0.5 and 2 -> 1 at 1.25
+PATH = ChainPath(0.0, 2.0, 1, [0.5, 1.25], [2, 1])
 
 
 def _march(regimes=np.ones((1, 4), dtype=np.int64), table=TABLE):
@@ -126,6 +136,44 @@ BAD_CALLS = {
         lambda: jump_records(CHAIN, NOISE, EDGES[[0, 1, 1, 2]]),
         "InvalidGrid",
     ),
+    "occupation_time-bool-state": (
+        lambda: occupation_time(PATH, True, 0.0, 2.0),
+        "StateOutOfRange",
+    ),
+    "occupation_time-float-state": (
+        lambda: occupation_time(PATH, 1.5, 0.0, 2.0),
+        "StateOutOfRange",
+    ),
+    "pair_jump_count-bool-state": (
+        lambda: pair_jump_count(PATH, 2, True, 0.0, 2.0),
+        "StateOutOfRange",
+    ),
+    "pair_jump_count-zero-state": (
+        lambda: pair_jump_count(PATH, 0, 1, 0.0, 2.0),
+        "StateOutOfRange",
+    ),
+    "pair_jump_martingale-bool-state": (
+        lambda: pair_jump_martingale(LIN.generator, PATH, True, 1, 0.0, 2.0),
+        "StateOutOfRange",
+    ),
+    "count_jumps-text-time": (lambda: count_jumps(PATH, "a", 1.0), "IntervalOutOfRange"),
+    "state_at-text-time": (lambda: PATH.state_at("a"), "IntervalOutOfRange"),
+    "states_at-text-times": (lambda: PATH.states_at(["a"]), "IntervalOutOfRange"),
+    "ChainPath-text-t0": (lambda: ChainPath("a", 1.0, 1), "IntervalOutOfRange"),
+    "sample_path-text-t0": (
+        lambda: sample_path(LIN.generator, 1, "a", 1.0, np.random.default_rng(0)),
+        "IntervalOutOfRange",
+    ),
+    "ExperimentPlan-text-t_end": (
+        lambda: ExperimentPlan(LIN, ("euler",), "a", (8,), 256, 1, 0),
+        "InvalidGrid",
+    ),
+    "GeneratorMatrix-ragged": (
+        lambda: GeneratorMatrix([[-1.0, 1.0], [1.0]]),
+        "InvalidGenerator",
+    ),
+    "validate_word-non-letter": (lambda: validate_word([3], 2, 2), "InvalidComponent"),
+    "alphabet-float-m": (lambda: alphabet(2.5, 1), "InvalidComponent"),
 }
 
 
