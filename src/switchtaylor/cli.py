@@ -387,10 +387,7 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except SwitchTaylorError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SwitchTaylorError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

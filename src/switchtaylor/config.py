@@ -14,10 +14,10 @@ are written in shortest round-trip form, so the identity is exact.
 
 from __future__ import annotations
 
-import numbers
 import re
 
 from ._files import opened
+from ._values import is_int, is_real
 from .errors import ConfigError
 
 __all__ = ["parse_config", "format_config", "load_config", "save_config"]
@@ -98,9 +98,9 @@ def parse_config(text: str) -> dict:
 def _format_value(value, key: str) -> str:
     if isinstance(value, bool):
         raise ConfigError("%s: booleans are not part of the config format" % key)
-    if isinstance(value, numbers.Integral):
+    if is_int(value):
         return str(int(value))
-    if isinstance(value, numbers.Real):
+    if is_real(value):
         return repr(float(value))
     if isinstance(value, str):
         # bare, so only a string the parser reads back as itself

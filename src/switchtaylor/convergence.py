@@ -5,13 +5,14 @@ model decides which.  A model whose coefficient set has ``exact`` (the
 regime-wise linear fixtures with diagonal noise) is solvable path by path:
 its reference is the closed-form solution on the finest tested grid merged
 with the path's switch times, evaluated from the same W the schemes read.
-Any other model gets the highest-order map its noise columns admit, run on
-the fine reference grid merged with the chain's jump times.  Every Monte
-Carlo path draws one chain path and one noise path on that reference grid,
-and the reference and each coarse level read literally the same increments
-over shared windows.  The per-path error is the maximum over the coarse
-grid points of the squared distance to the reference, and the empirical
-order is the least-squares slope of log2(sqrt(mean error)) against log2(h).
+Any other model gets the highest-order map its noise columns admit, marched
+over the uniform reference grid and reading each switch from that grid's
+``jump_records`` table.  Every path draws one chain path and one noise path
+on the reference grid merged with its jump times, and the reference and each
+coarse level read literally the same increments over shared windows.  The
+per-path error is the maximum over the coarse grid points of the squared
+distance to the reference, and the empirical order is the least-squares
+slope of log2(sqrt(mean error)) against log2(h).
 
 Reproducibility: path i is ``draw_path(model, grid, seed, i)``, whose
 generators derive from SeedSequence((seed, i)), so path values are
@@ -47,12 +48,12 @@ error naming the pass, the level, the step and the path's seed index.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._values import is_int, number
 from .errors import (
     CouplingMismatch,
     InsufficientLevels,
@@ -63,10 +64,11 @@ from .errors import (
     ReferenceNotFiner,
     StepTooLargeForChain,
 )
-from .markov_chain import _number, sample_path
+from .markov_chain import sample_path
 from .model import ModelSpec, check_commutativity
 from .noise import GridSpec, build_noise, window_aggregates
 from .schemes import (
+    SCHEMES,
     get_scheme,
     jump_records,
     march,
@@ -102,7 +104,7 @@ def _is_dyadic(n: int) -> bool:
 
 def _count(value, what: str) -> int:
     # sizes are integers; a float such as 8.5 would be truncated silently
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_int(value):
         raise InvalidGrid("%s must be an integer, got %r" % (what, value))
     return int(value)
 
@@ -126,15 +128,18 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "t_end", _number(self.t_end))
-        if not 0 < self.t_end < np.inf:
+        t_end = number(self.t_end)
+        if not 0 < t_end < np.inf:
             raise InvalidGrid("t_end must be positive and finite, got %r" % (self.t_end,))
+        object.__setattr__(self, "t_end", t_end)
         schemes = tuple(dict.fromkeys(self.schemes))
         if not schemes:
             raise InvalidGrid("need at least one scheme")
         for name in schemes:
             get_scheme(name)
         object.__setattr__(self, "schemes", schemes)
+        if not hasattr(self.coarse_steps, "__iter__"):
+            raise InvalidGrid("coarse steps must be a collection, got %r" % (self.coarse_steps,))
         steps = tuple(sorted(set(_count(n, "coarse step count") for n in self.coarse_steps)))
         if not steps:
             raise InvalidGrid("need at least one coarse level")
@@ -153,11 +158,8 @@ class ExperimentPlan:
             )
         if self.paths < 1:
             raise InvalidGrid("need at least one path")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not (
-            0 <= int(seed) < 2**64
-        ):
-            raise InvalidSeed("seed must be an integer in [0, 2**64), got %r" % (seed,))
+        if not (is_int(self.seed) and 0 <= int(self.seed) < 2**64):
+            raise InvalidSeed("seed must be an integer in [0, 2**64), got %r" % (self.seed,))
         self._check_step(steps[0])
 
     def _check_step(self, n_steps: int) -> None:
@@ -213,19 +215,16 @@ def reference_scheme_for(model: ModelSpec) -> str:
     """The reference a study of the model compares against.
 
     ``CLOSED_FORM`` when the model's coefficient set has ``exact``;
-    otherwise the name of the highest-order map the model's noise columns
-    admit.
+    otherwise the name of the map in ``SCHEMES`` of highest strong order
+    whose commutativity order the model's noise columns satisfy.
     """
     if callable(getattr(model.coefficients, "exact", None)):
         return CLOSED_FORM
-    if model.m == 1:
-        return "taylor15"
-    report = check_commutativity(model)
-    if report.satisfied(2):
-        return "taylor15"
-    if report.satisfied(1):
-        return "milstein"
-    return "euler"
+    satisfied = check_commutativity(model).satisfied if model.m > 1 else (lambda order: True)
+    return max(
+        (info for info in SCHEMES.values() if satisfied(info.commutativity_order)),
+        key=lambda info: info.strong_order,
+    ).name
 
 
 def fit_order(rows):
@@ -240,17 +239,15 @@ def fit_order(rows):
       NonPositiveError: a mean error is zero, negative, not finite or not a number.
       InvalidGrid: a step size is zero, negative, not finite or not a number.
     """
-    hs = []
-    means = []
-    for row in rows:
-        h, mean = (row.h, row.mean_error) if hasattr(row, "h") else (row[0], row[1])
-        hs.append(_number(h))
-        means.append(_number(mean))
-    if len(hs) < 3:
-        raise InsufficientLevels("order fit needs at least 3 levels, got %d" % len(hs))
+    pairs = [(row.h, row.mean_error) if hasattr(row, "h") else (row[0], row[1]) for row in rows]
+    if len(pairs) < 3:
+        raise InsufficientLevels("order fit needs at least 3 levels, got %d" % len(pairs))
+    hs = [number(h) for h, _ in pairs]
     if not all(0 < h < np.inf for h in hs):
-        raise InvalidGrid("order fit needs positive finite step sizes, got %s" % (hs,))
-    means_arr = np.asarray(means)
+        raise InvalidGrid(
+            "order fit needs positive finite step sizes, got %s" % ([h for h, _ in pairs],)
+        )
+    means_arr = np.array([number(mean) for _, mean in pairs])
     if not np.isfinite(means_arr).all() or np.any(means_arr <= 0):
         raise NonPositiveError("order fit needs positive finite mean errors")
     x = np.log2(np.asarray(hs))
@@ -501,8 +498,6 @@ def _merge(a, b):
 
 def _tree_reduce(parts):
     items = list(parts)
-    if not items:
-        return {}
     while len(items) > 1:
         merged = []
         for i in range(0, len(items) - 1, 2):

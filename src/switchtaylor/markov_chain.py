@@ -16,12 +16,12 @@ rate, holds whenever t - s < 1 / (2 qmax).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._files import opened
+from ._values import is_int, number
 from .errors import (
     IntervalOutOfRange,
     InvalidGenerator,
@@ -113,7 +113,7 @@ class ChainPath:
         times = np.array(self.jump_times, dtype=float)
         labels = np.asarray(self.states_after)
         states = np.array(labels, dtype=np.int64)
-        t0, t_end = _number(self.t0), _number(self.t_end)
+        t0, t_end = number(self.t0), number(self.t_end)
         if not -np.inf < t0 < t_end < np.inf:
             raise IntervalOutOfRange("need finite t0 < t_end")
         if times.shape != states.shape or times.ndim != 1:
@@ -124,7 +124,7 @@ class ChainPath:
             if times[0] <= t0 or times[-1] > t_end:
                 raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
         if (
-            not _is_label(self.initial_state)
+            not is_int(self.initial_state)
             or (labels.size and labels.dtype.kind not in "iu")
             or self.initial_state < 1
             or (states < 1).any()
@@ -165,12 +165,12 @@ class ChainPath:
         return all_states[k]
 
     def _state(self, t: float, side: str) -> int:
-        t = _number(t)
-        if not (self.t0 <= t <= self.t_end):
+        u = number(t)
+        if not (self.t0 <= u <= self.t_end):
             raise IntervalOutOfRange(
                 "time %r outside the sampled span [%r, %r]" % (t, self.t0, self.t_end)
             )
-        k = int(np.searchsorted(self.jump_times, t, side=side))
+        k = int(np.searchsorted(self.jump_times, u, side=side))
         return self.initial_state if k == 0 else int(self.states_after[k - 1])
 
 
@@ -197,7 +197,7 @@ def sample_path(
       ChainPath on [t0, t_end].
     """
     _check_state(initial_state, generator.m0)
-    t0, t_end = _number(t0), _number(t_end)
+    t0, t_end = number(t0), number(t_end)
     if not -np.inf < t0 < t_end < np.inf:
         # a NaN or infinite end would never stop the holding-time loop
         raise IntervalOutOfRange("need finite t0 < t_end")
@@ -223,33 +223,20 @@ def sample_path(
     return ChainPath(t0, t_end, initial_state, np.array(times), np.array(states, dtype=np.int64))
 
 
-def _is_label(state) -> bool:
-    # an integer; bool is an Integral but not a label
-    return isinstance(state, numbers.Integral) and not isinstance(state, bool)
-
-
 def _check_state(state, m0=None):
     # an integer label from 1, and at most m0 where the state count is known
-    if not _is_label(state) or state < 1 or (m0 is not None and state > m0):
+    if not is_int(state) or state < 1 or (m0 is not None and state > m0):
         raise StateOutOfRange("state %r outside 1..%s" % (state, m0 or "m0"))
-
-
-def _number(value) -> float:
-    # NaN for a value that is not a number, which the range checks refuse
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return np.nan
 
 
 def _jumps_in(path: ChainPath, s: float, t: float) -> slice:
     # the positions in path.jump_times of the jumps on (s, t]
-    s, t = _number(s), _number(t)
-    if not (path.t0 <= s < t <= path.t_end):
+    span = number(s), number(t)
+    if not (path.t0 <= span[0] < span[1] <= path.t_end):
         raise IntervalOutOfRange(
             "need %r <= s < t <= %r, got (s, t) = (%r, %r)" % (path.t0, path.t_end, s, t)
         )
-    lo, hi = np.searchsorted(path.jump_times, (s, t), side="right")
+    lo, hi = np.searchsorted(path.jump_times, span, side="right")
     return slice(int(lo), int(hi))
 
 

@@ -32,11 +32,11 @@ benchmark's per-layer tracer (``perfbench/layers.py``) wraps them by name.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._values import is_int
 from .errors import (
     DimensionMismatch,
     InvalidCoefficients,
@@ -45,7 +45,7 @@ from .errors import (
     NonFiniteInput,
     UnknownRegime,
 )
-from .markov_chain import GeneratorMatrix, _is_label
+from .markov_chain import GeneratorMatrix
 
 __all__ = [
     "CoefficientSet",
@@ -129,7 +129,7 @@ def check_jet_order(order) -> None:
     """Refuse a jet order other than the integers 0, 1 and 2 (not bools)."""
     if type(order) is int and 0 <= order <= 2:
         return
-    if isinstance(order, bool) or not (isinstance(order, numbers.Integral) and 0 <= order <= 2):
+    if not (is_int(order) and 0 <= order <= 2):
         raise InvalidJetOrder("a coefficient jet has order 0, 1 or 2, got %r" % (order,))
 
 
@@ -213,7 +213,10 @@ class ModelSpec:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise error("%s is a %s, not a %s" % (name, type(value).__name__, kind.__name__))
-        x0 = np.array(self.x0, dtype=float).reshape(-1)
+        try:
+            x0 = np.array(self.x0, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise NonFiniteInput("x0 must be finite numbers, got %r" % (self.x0,)) from None
         if x0.size != self.coefficients.d:
             raise DimensionMismatch(
                 "x0 has %d entries, coefficients expect %d" % (x0.size, self.coefficients.d)
@@ -222,7 +225,7 @@ class ModelSpec:
             raise NonFiniteInput("x0 must be finite")
         regime = self.initial_regime
         # an integer label in 1..m0; a float such as 1.5 would index as 1
-        if not _is_label(regime) or not 1 <= regime <= self.m0:
+        if not is_int(regime) or not 1 <= regime <= self.m0:
             raise UnknownRegime("initial regime %r outside 1..%d" % (regime, self.m0))
         _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)

@@ -18,11 +18,11 @@ as their dimension, exact-jump letters as ``N<r>``, the overflow letter as
 from __future__ import annotations
 
 import enum
-import numbers
 import re
 from dataclasses import dataclass, field, fields
 from typing import Callable, Collection, Iterable, NamedTuple
 
+from ._values import is_int, number
 from .errors import (
     ConsecutiveJumpComponents,
     EmptyIndex,
@@ -63,6 +63,9 @@ __all__ = [
 # nothing in the package uses longer words.
 MAX_GAMMA = 3.0
 
+# hierarchical enumeration stops with an error beyond this word length
+_MAX_WORD_LENGTH = 64
+
 
 class ComponentKind(enum.Enum):
     """The four letter families a word may contain."""
@@ -91,6 +94,8 @@ class Component:
     index: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, ComponentKind) or not is_int(self.index):
+            raise InvalidComponent("no letter has kind %r, index %r" % (self.kind, self.index))
         if self.kind is ComponentKind.TIME:
             if self.index != 0:
                 raise InvalidComponent("time letter carries no index")
@@ -229,7 +234,7 @@ def word(*tags) -> MultiIndex:
     for t in tags:
         if isinstance(t, Component):
             comps.append(t)
-        elif isinstance(t, int):
+        elif is_int(t):
             comps.append(TIME if t == 0 else wiener(t))
         elif isinstance(t, str):
             comps.append(_component_from_tag(t))
@@ -326,7 +331,7 @@ def classify(index: MultiIndex) -> WordClass:
 
 def alphabet(m: int, mu: int) -> tuple[Component, ...]:
     """All letters for m Wiener dimensions and jump threshold mu."""
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (m, mu)):
+    if not all(is_int(n) and n >= 1 for n in (m, mu)):
         raise InvalidComponent("alphabet needs integers m, mu >= 1, got %r and %r" % (m, mu))
     letters = [TIME]
     letters.extend(wiener(j) for j in range(1, m + 1))
@@ -348,7 +353,6 @@ def build_hierarchical_set(
     predicate: Callable[[MultiIndex], bool],
     m: int,
     mu: int,
-    max_length: int = 64,
 ) -> frozenset:
     """Enumerate the admissible words satisfying a membership predicate.
 
@@ -356,7 +360,7 @@ def build_hierarchical_set(
     word is a member, so is the word with its first letter dropped), which
     makes the result closed under that truncation.  Enumeration proceeds by
     prepending alphabet letters, so a non-monotone predicate silently loses
-    members; ``max_length`` guards against runaway growth.
+    members; ``_MAX_WORD_LENGTH`` guards against runaway growth.
     """
     if not predicate(EMPTY_INDEX):
         return frozenset()
@@ -365,10 +369,10 @@ def build_hierarchical_set(
     frontier = [EMPTY_INDEX]
     while frontier:
         # the words of a frontier share one length
-        if frontier[0].length >= max_length:
+        if frontier[0].length >= _MAX_WORD_LENGTH:
             raise InvalidGamma(
                 "hierarchical enumeration exceeded %d letters; "
-                "predicate is too permissive" % max_length
+                "predicate is too permissive" % _MAX_WORD_LENGTH
             )
         frontier = [w for w in _extensions(frontier, letters) if predicate(w)]
         members.update(frontier)
@@ -426,17 +430,18 @@ def build_scheme_sets(gamma: float, m: int) -> SchemeSets:
     Raises:
       InvalidGamma: gamma is not a positive half-integer, or above 3.0.
     """
-    two_gamma = round(2 * float(gamma))
-    if abs(2 * float(gamma) - two_gamma) > 1e-12 or two_gamma < 1:
-        raise InvalidGamma("scheme order must be a positive multiple of 0.5, got %r" % gamma)
-    if float(gamma) > MAX_GAMMA:
+    two = 2 * number(gamma)
+    # NaN and inf fail the first comparison, before round() could see them
+    if not (0.5 <= two < float("inf") and abs(two - round(two)) <= 1e-12):
+        raise InvalidGamma("scheme order must be a positive multiple of 0.5, got %r" % (gamma,))
+    if two > 2 * MAX_GAMMA:
         raise InvalidGamma(
             "enumeration refused for order %s > %s; the sets grow combinatorially"
             % (gamma, MAX_GAMMA)
         )
-    if not isinstance(m, numbers.Integral) or m < 1:
+    if not is_int(m) or m < 1:
         raise InvalidComponent("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
-    mu = two_gamma
+    mu = two_gamma = round(two)
 
     def keep_diffusion(index: MultiIndex) -> bool:
         return eta(index) <= two_gamma - 1

@@ -34,13 +34,13 @@ name, so that name stays.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._files import opened
+from ._values import is_int, is_real, number
 from .errors import IntervalOutOfRange, InvalidGrid, NotAGridTime, TruncatedNoiseFile
 from .markov_chain import ChainPath
 
@@ -72,12 +72,12 @@ class GridSpec:
     def __post_init__(self):
         for end in ("t0", "t_end"):
             value = getattr(self, end)
-            if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+            if not (is_real(value) and np.isfinite(value)):
                 raise InvalidGrid("%s must be a finite real number, got %r" % (end, value))
         if not self.t0 < self.t_end:
             raise InvalidGrid("need t0 < t_end, got %r and %r" % (self.t0, self.t_end))
         n = self.n
-        if not (isinstance(n, numbers.Real) and np.isfinite(n) and int(n) == n and n >= 1):
+        if not (np.isfinite(number(n)) and int(n) == n and n >= 1):
             raise InvalidGrid("the interval count must be a positive integer, got %r" % (n,))
         object.__setattr__(self, "n", int(n))
 
@@ -102,7 +102,7 @@ def sample_increments(deltas, m: int, rng: np.random.Generator):
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or (deltas <= 0).any():
         raise InvalidGrid("interval lengths must be positive")
-    if not isinstance(m, numbers.Integral) or m < 1:
+    if not is_int(m) or m < 1:
         raise InvalidGrid("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
     g = rng.standard_normal((deltas.size, m, 2))
     root = np.sqrt(deltas)

@@ -12,6 +12,7 @@ from switchtaylor import (
     CallableCoefficients,
     ChainPath,
     CoefficientSet,
+    CommutativityReport,
     ConvergenceReport,
     DiagonalLinearCoefficients,
     ExperimentPlan,
@@ -594,6 +595,23 @@ class TestReferenceSelection:
 
     def test_noncommuting_model_falls_back(self):
         assert reference_scheme_for(fixture("noncommutative")) == "euler"
+
+    @pytest.mark.parametrize(
+        "gaps, expected",
+        [((0.0, 0.0), "taylor15"), ((0.0, 1.0), "milstein"), ((1.0, 1.0), "euler")],
+    )
+    def test_gaps_pick_the_highest_order_map_they_admit(self, monkeypatch, gaps, expected):
+        # noncommutative has m = 2, so the ladder reads the commutativity report
+        model = fixture("noncommutative")
+        seen = []
+
+        def report(probed):
+            seen.append(probed)
+            return CommutativityReport(*gaps, points_checked=1)
+
+        monkeypatch.setattr(convergence, "check_commutativity", report)
+        assert reference_scheme_for(model) == expected
+        assert seen == [model]
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from switchtaylor import (
     GridSpec,
     ModelSpec,
     build_noise,
+    build_scheme_sets,
     count_jumps,
     errors,
     fit_order,
@@ -26,10 +27,12 @@ from switchtaylor import (
     occupation_time,
     pair_jump_count,
     pair_jump_martingale,
+    sample_increments,
     sample_path,
     validate_word,
+    word,
 )
-from switchtaylor.multi_index import alphabet
+from switchtaylor.multi_index import Component, ComponentKind, alphabet
 
 PACKAGE = Path(switchtaylor.__file__).parent
 
@@ -174,6 +177,63 @@ BAD_CALLS = {
     ),
     "validate_word-non-letter": (lambda: validate_word([3], 2, 2), "InvalidComponent"),
     "alphabet-float-m": (lambda: alphabet(2.5, 1), "InvalidComponent"),
+    "Component-float-index": (
+        lambda: Component(ComponentKind.WIENER, 1.5),
+        "InvalidComponent",
+    ),
+    "Component-bool-index": (
+        lambda: Component(ComponentKind.WIENER, True),
+        "InvalidComponent",
+    ),
+    "Component-text-kind": (lambda: Component("time", 1), "InvalidComponent"),
+    "Component-text-index": (
+        lambda: Component(ComponentKind.WIENER, "a"),
+        "InvalidComponent",
+    ),
+    "word-bool-letter": (lambda: word(True), "InvalidComponent"),
+    "alphabet-bool-m": (lambda: alphabet(True, 1), "InvalidComponent"),
+    "build_scheme_sets-bool-m": (lambda: build_scheme_sets(1.0, True), "InvalidComponent"),
+    "build_scheme_sets-bool-gamma": (lambda: build_scheme_sets(True, 1), "InvalidGamma"),
+    "build_scheme_sets-text-gamma": (lambda: build_scheme_sets("a", 1), "InvalidGamma"),
+    "build_scheme_sets-inf-gamma": (lambda: build_scheme_sets(np.inf, 1), "InvalidGamma"),
+    "GridSpec-bool-n": (lambda: GridSpec(0.0, 1.0, True), "InvalidGrid"),
+    "GridSpec-bool-t0": (lambda: GridSpec(True, 2.0, 4), "InvalidGrid"),
+    "sample_increments-bool-m": (
+        lambda: sample_increments([0.5], True, np.random.default_rng(0)),
+        "InvalidGrid",
+    ),
+    "ChainPath-text-times": (lambda: ChainPath("0", "1", 1), "IntervalOutOfRange"),
+    "ChainPath-bool-t0": (lambda: ChainPath(True, 2, 1), "IntervalOutOfRange"),
+    "count_jumps-bool-times": (lambda: count_jumps(PATH, False, True), "IntervalOutOfRange"),
+    "state_at-numeric-text": (lambda: PATH.state_at("1"), "IntervalOutOfRange"),
+    "sample_path-bool-t_end": (
+        lambda: sample_path(LIN.generator, 1, 0.0, True, np.random.default_rng(0)),
+        "IntervalOutOfRange",
+    ),
+    "ExperimentPlan-bool-t_end": (
+        lambda: ExperimentPlan(LIN, ("euler",), True, (8,), 256, 1, 0),
+        "InvalidGrid",
+    ),
+    "ExperimentPlan-numeric-text-t_end": (
+        lambda: ExperimentPlan(LIN, ("euler",), "1", (8,), 256, 1, 0),
+        "InvalidGrid",
+    ),
+    "ExperimentPlan-int-coarse_steps": (
+        lambda: ExperimentPlan(LIN, ("euler",), 1.0, 8, 256, 1, 0),
+        "InvalidGrid",
+    ),
+    "fit_order-numeric-text-h": (
+        lambda: fit_order([("0.5", 1.0), (0.25, 0.5), (0.125, 0.2)]),
+        "InvalidGrid",
+    ),
+    "fit_order-bool-h": (
+        lambda: fit_order([(True, 1.0), (0.5, 0.5), (0.25, 0.2)]),
+        "InvalidGrid",
+    ),
+    "ModelSpec-text-x0": (
+        lambda: ModelSpec("m", LIN.generator, LIN.coefficients, x0=["a"]),
+        "NonFiniteInput",
+    ),
 }
 
 
@@ -182,6 +242,24 @@ def test_bad_inputs_raise_package_errors(call, error):
     with pytest.raises(errors.SwitchTaylorError) as caught:
         call()
     assert type(caught.value).__name__ == error
+
+
+def test_one_module_holds_the_integer_and_real_rules():
+    # _values.is_int, is_real and number decide what a count, label or time
+    # is; a second copy of the rule drifts from them
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and module.name != "_values.py":
+                modules = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                if "numbers" in modules:
+                    found.append("%s:%d imports numbers" % (module.name, node.lineno))
+            # a definition, an imported name, a name or an attribute
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            if (name or getattr(node, "attr", None)) in ("_is_label", "_number"):
+                found.append("%s:%d names a removed local rule" % (module.name, node.lineno))
+    assert not found, "; ".join(found)
 
 
 PER_ENTRY_VIEWS = {
