@@ -57,12 +57,14 @@ from ._values import is_int, number
 from .errors import (
     CouplingMismatch,
     InsufficientLevels,
+    InvalidCoefficients,
     InvalidGrid,
     InvalidSeed,
     NonFiniteState,
     NonPositiveError,
     ReferenceNotFiner,
     StepTooLargeForChain,
+    UnknownScheme,
 )
 from .markov_chain import sample_path
 from .model import ModelSpec, check_commutativity
@@ -128,15 +130,24 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.model, ModelSpec):
+            raise InvalidCoefficients(
+                "model is a %s, not a ModelSpec" % type(self.model).__name__
+            )
         t_end = number(self.t_end)
         if not 0 < t_end < np.inf:
             raise InvalidGrid("t_end must be positive and finite, got %r" % (self.t_end,))
         object.__setattr__(self, "t_end", t_end)
-        schemes = tuple(dict.fromkeys(self.schemes))
+        if isinstance(self.schemes, str) or not hasattr(self.schemes, "__iter__"):
+            raise UnknownScheme(
+                "schemes is a %s, not a collection of scheme names" % type(self.schemes).__name__
+            )
+        names = tuple(self.schemes)
+        for name in names:
+            get_scheme(name)
+        schemes = tuple(dict.fromkeys(names))
         if not schemes:
             raise InvalidGrid("need at least one scheme")
-        for name in schemes:
-            get_scheme(name)
         object.__setattr__(self, "schemes", schemes)
         if not hasattr(self.coarse_steps, "__iter__"):
             raise InvalidGrid("coarse steps must be a collection, got %r" % (self.coarse_steps,))

@@ -92,7 +92,8 @@ class NonFiniteInput(ValidationError):
 
 
 class InvalidCoefficients(ValidationError):
-    """A model's coefficients are not a CoefficientSet."""
+    """A model's coefficients are not a CoefficientSet, or a study's model is
+    not a ModelSpec."""
     pass
 
 

@@ -269,7 +269,11 @@ def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
 #
 # Matrix-matrix contractions use stacked matmul; contractions against a
 # single vector keep the two-operand einsum, which measures faster at these
-# sizes.
+# sizes.  The builders that read a second derivative take None for one that
+# is zero and then return their first-derivative term alone: the 1.5 kernel
+# passes None for a Hessian that is zero in every entry of its call, as it
+# is for regime-wise affine coefficients, and then builds no covariance
+# unless the other Hessian needs it.  The skipped terms are exact zeros.
 
 
 def _covariance(sig):
@@ -279,7 +283,10 @@ def _covariance(sig):
 
 
 def _time_drift(b, db, hb, cov):
-    return np.einsum("bp,bkp->bk", b, db) + 0.5 * np.einsum("bpq,bkpq->bk", cov, hb)
+    out = np.einsum("bp,bkp->bk", b, db)
+    if hb is not None:
+        out += 0.5 * np.einsum("bpq,bkpq->bk", cov, hb)
+    return out
 
 
 def _noise_drift(db, sig):
@@ -287,7 +294,10 @@ def _noise_drift(db, sig):
 
 
 def _time_diffusion(b, dsig, hsig, cov):
-    return np.einsum("bp,bkjp->bkj", b, dsig) + 0.5 * np.einsum("bpq,bkjpq->bkj", cov, hsig)
+    out = np.einsum("bp,bkjp->bkj", b, dsig)
+    if hsig is not None:
+        out += 0.5 * np.einsum("bpq,bkjpq->bkj", cov, hsig)
+    return out
 
 
 def _noise_diffusion(dsig, sig_op):
@@ -299,10 +309,11 @@ def _noise_noise_diffusion(sig, dsig, hsig, lj):
     # chain rule: D sigma contracted with L^a sigma = D sigma . sigma;
     # curvature: D^2 sigma contracted with sigma[p, a] sigma[q, c]
     B, d, m = dsig.shape[:3]
-    chain_rule = dsig.reshape(B, d * m, d) @ lj.reshape(B, d, m * m)
-    pairs = sig[:, :, None, :, None] * sig[:, None, :, None, :]
-    curvature = hsig.reshape(B, d * m, d * d) @ pairs.reshape(B, d * d, m * m)
-    return (chain_rule + curvature).reshape(B, d, m, m, m)
+    out = dsig.reshape(B, d * m, d) @ lj.reshape(B, d, m * m)
+    if hsig is not None:
+        pairs = sig[:, :, None, :, None] * sig[:, None, :, None, :]
+        out += hsig.reshape(B, d * m, d * d) @ pairs.reshape(B, d * d, m * m)
+    return out.reshape(B, d, m, m, m)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,14 @@ class GridSpec:
         return times
 
 
+def _floats(value, what: str) -> np.ndarray:
+    # numpy's own refusal of text or ragged input is a bare ValueError
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidGrid("%s must be an array of numbers" % what) from None
+
+
 def sample_increments(deltas, m: int, rng: np.random.Generator):
     """Draw (dW, dZ) for a vector of interval lengths.
 
@@ -99,9 +107,9 @@ def sample_increments(deltas, m: int, rng: np.random.Generator):
     Returns:
       (dw, dz) arrays of shape (n, m).
     """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or (deltas <= 0).any():
-        raise InvalidGrid("interval lengths must be positive")
+    deltas = _floats(deltas, "interval lengths")
+    if deltas.ndim != 1 or not ((deltas > 0) & (deltas < np.inf)).all():
+        raise InvalidGrid("interval lengths must be positive and finite")
     if not is_int(m) or m < 1:
         raise InvalidGrid("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
     g = rng.standard_normal((deltas.size, m, 2))
@@ -120,9 +128,9 @@ class NoisePath:
     """
 
     def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray):
-        times = np.asarray(times, dtype=float)
-        dw = np.asarray(dw, dtype=float)
-        dz = np.asarray(dz, dtype=float)
+        times = _floats(times, "grid times")
+        dw = _floats(dw, "dW")
+        dz = _floats(dz, "dZ")
         if times.ndim != 1 or times.size < 2 or not np.isfinite(times).all():
             raise InvalidGrid("grid times must be finite and strictly increasing")
         deltas = np.diff(times)

@@ -41,7 +41,13 @@ Each kernel call evaluates the coefficient jet once, at the window-start
 regime, with ``coeffs.jet`` of the order its map contracts, and builds its
 operators from it with the builders of ``model``: order 0 (b, sigma) for
 the 0.5 map, order 1 (adding Db, D sigma) for the 1.0 map and order 2
-(adding D^2 b, D^2 sigma) for the 1.5 map.  Rows whose window holds a
+(adding D^2 b, D^2 sigma) for the 1.5 map.  The 1.5 map reads a second
+derivative only in the curvature terms, (1/2) tr(sigma sigma^T D^2) of the
+time operator on b and sigma and the D^2 sigma part of the nested noise
+operators; a Hessian that is zero in every entry of the call, as for
+regime-wise affine coefficients, is dropped with its terms, and sigma
+sigma^T is built only when a Hessian remains.  The skipped terms are exact
+zeros, so results do not change.  Rows whose window holds a
 switch add one call on those rows only, at the first switched regime: order
 0 for the 1.0 map, order 1 for the 1.5 map.  The 1.5 map adds one more
 order-0 call at the second switched regime on rows with two or more
@@ -291,9 +297,13 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None, weights=None):
     if dz is None:
         raise InvalidGrid("the 1.5 scheme needs the time integrals of the noise")
     hdw_dz, pair, triple = _taylor15_weights(h, dw, dz) if weights is None else weights
-    # the coefficient jet at the window-start regime, evaluated once
+    # the coefficient jet at the window-start regime, evaluated once; a
+    # Hessian that is zero in every row of the call (NaN is not) is dropped
+    # with its curvature terms, and sigma sigma^T is built only to feed one
     b, sig, db, dsig, hb, hsig = coeffs.jet(y, regimes, 2)
-    cov = _covariance(sig)
+    hb = hb if hb.any() else None
+    hsig = hsig if hsig.any() else None
+    cov = None if hb is None and hsig is None else _covariance(sig)
     l0b = _time_drift(b, db, hb, cov)
     ljb = _noise_drift(db, sig)
     l0s = _time_diffusion(b, dsig, hsig, cov)
@@ -374,7 +384,7 @@ def get_scheme(name: str) -> SchemeInfo:
     """Registry lookup; raises UnknownScheme for unregistered names."""
     try:
         return SCHEMES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownScheme(
             "unknown scheme %r; available: %s" % (name, ", ".join(sorted(SCHEMES)))
         ) from None

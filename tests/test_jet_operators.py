@@ -4,11 +4,13 @@ kernel call makes.
 
 The reference below is the earlier operator and kernel code: every operator
 re-reads the coefficients it needs and contracts them with unoptimised
-einsum.  On the built-in fixtures the jet-built operators multiply the same
-factors in the same grouping, so results must agree exactly.
-``_CurvedAnalytic`` is the only coefficient set with nonzero second
-derivatives; there the summation order of the curvature terms differs, so it
-is held to a relative gap of 1e-14.
+einsum.  On the regime-wise affine fixtures the jet-built operators multiply
+the same factors in the same grouping, and the 1.5 kernel's skipped
+curvature terms are exact zeros, so results must agree exactly.
+``_CurvedAnalytic`` and the ``noncommutative`` fixture have nonzero second
+derivatives (``noncommutative`` in its diffusion only, so the kernel skips
+one side); there the summation order of the curvature terms differs, so they
+are held to a relative gap of 1e-14.
 """
 
 import numpy as np
@@ -26,7 +28,8 @@ from switchtaylor import (
     op_time_diffusion,
     op_time_drift,
 )
-from switchtaylor.model import _noise_diffusion
+from switchtaylor import schemes
+from switchtaylor.model import _covariance, _noise_diffusion
 from switchtaylor.schemes import SCHEMES, JumpRecords
 from test_model import _CurvedAnalytic
 
@@ -184,9 +187,40 @@ CURVED = ModelSpec(
     coefficients=_CurvedAnalytic(),
     x0=[0.7, 0.4],
 )
-MODELS = {name: fixture(name) for name in ("linear2", "diagonal3", "additive")}
+FLAT = ("linear2", "diagonal3", "additive")
+MODELS = {name: fixture(name) for name in FLAT + ("noncommutative",)}
 MODELS["curved"] = CURVED
 H = 1.0 / 64
+
+
+class _CurvedInRegimeOne(CoefficientSet):
+    """``diagonal3``'s affine coefficients, with ``_CurvedAnalytic``'s jet in
+    regime 1: a call's second derivatives are nonzero on its regime-1 rows
+    only."""
+
+    d = 2
+    m = 2
+
+    def __init__(self):
+        self.flat = MODELS["diagonal3"].coefficients
+        self.curved = _CurvedAnalytic()
+
+    def jet(self, X, regimes, order):
+        one = np.asarray(regimes) == 1
+        return tuple(
+            np.where(one.reshape((-1,) + (1,) * (flat.ndim - 1)), curved, flat)
+            for flat, curved in zip(
+                self.flat.jet(X, regimes, order), self.curved.jet(X, regimes, order)
+            )
+        )
+
+
+ONE_CURVED_ROW = ModelSpec(
+    name="one-curved-row",
+    generator=MODELS["diagonal3"].generator,
+    coefficients=_CurvedInRegimeOne(),
+    x0=MODELS["diagonal3"].x0,
+)
 
 
 def kernel_inputs(model, width, count, seed=11):
@@ -222,8 +256,17 @@ def kernel_inputs(model, width, count, seed=11):
     return model.coefficients, y, regimes, H, dw, dz, jumps
 
 
+def one_curved_row_inputs(width, count):
+    """Kernel arguments on ``ONE_CURVED_ROW`` whose last row alone starts in
+    regime 1, the one regime with nonzero second derivatives."""
+    coeffs, y, regimes, h, dw, dz, jumps = kernel_inputs(ONE_CURVED_ROW, width, count)
+    regimes = np.where(regimes == 1, 2, regimes)
+    regimes[-1] = 1
+    return coeffs, y, regimes, h, dw, dz, jumps
+
+
 def assert_agree(name, got, want):
-    if name == "curved":
+    if name not in FLAT:
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-14 * scale
     else:
@@ -265,7 +308,7 @@ def test_commutativity_gaps_match_reference(name):
     points = model.x0 * (1.0 + 0.3 * np.random.default_rng(5).standard_normal((9, model.d)))
     report = check_commutativity(model, points)
     gap1, gap2 = ref_commutativity_gaps(model, points)
-    if name == "curved":
+    if name not in FLAT:
         assert report.first_order_gap == pytest.approx(gap1, rel=1e-14)
         assert report.second_order_gap == pytest.approx(gap2, rel=1e-14)
     else:
@@ -279,6 +322,39 @@ def test_kernels_match_reference(name, width, count):
     args = kernel_inputs(MODELS[name], width, count)
     for scheme, ref in REF_KERNELS.items():
         assert_agree(name, SCHEMES[scheme].kernel(*args), ref(*args))
+
+
+@pytest.mark.parametrize("count", [0, "mixed"])
+@pytest.mark.parametrize("width", (7, 512))
+def test_one_curved_row_keeps_the_curvature_of_its_call(width, count):
+    # the 1.5 kernel tests a Hessian over the whole call: one curved row,
+    # the last, keeps the curvature terms of every row
+    args = one_curved_row_inputs(width, count)
+    hessians = args[0].jet(*args[1:3], 2)[4:]
+    for hessian in hessians:
+        rows = np.flatnonzero(hessian.reshape(width, -1).any(axis=1))
+        assert rows.tolist() == [width - 1]
+    for scheme, ref in REF_KERNELS.items():
+        assert_agree("one-curved-row", SCHEMES[scheme].kernel(*args), ref(*args))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["one-curved-row"])
+def test_taylor15_builds_the_covariance_only_for_curvature(name, monkeypatch):
+    # sigma sigma^T feeds the curvature terms alone, so a call whose
+    # Hessians are all zero builds none
+    calls = []
+
+    def counting(sig):
+        calls.append(sig.shape)
+        return _covariance(sig)
+
+    monkeypatch.setattr(schemes, "_covariance", counting)
+    if name == "one-curved-row":
+        args = one_curved_row_inputs(7, "mixed")
+    else:
+        args = kernel_inputs(MODELS[name], 7, "mixed")
+    SCHEMES["taylor15"].kernel(*args)
+    assert len(calls) == (0 if name in FLAT else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from switchtaylor import (
     GeneratorMatrix,
     GridSpec,
     ModelSpec,
+    NoisePath,
     build_noise,
     build_scheme_sets,
     count_jumps,
@@ -234,6 +235,37 @@ BAD_CALLS = {
         lambda: ModelSpec("m", LIN.generator, LIN.coefficients, x0=["a"]),
         "NonFiniteInput",
     ),
+    "ExperimentPlan-int-schemes": (
+        lambda: ExperimentPlan(LIN, 5, 1.0, (8,), 256, 1, 0),
+        "UnknownScheme",
+    ),
+    "ExperimentPlan-text-schemes": (
+        lambda: ExperimentPlan(LIN, "euler", 1.0, (8,), 256, 1, 0),
+        "UnknownScheme",
+    ),
+    "ExperimentPlan-unhashable-scheme": (
+        lambda: ExperimentPlan(LIN, (["euler"],), 1.0, (8,), 256, 1, 0),
+        "UnknownScheme",
+    ),
+    "ExperimentPlan-no-model": (
+        lambda: ExperimentPlan(None, ("euler",), 1.0, (8,), 256, 1, 0),
+        "InvalidCoefficients",
+    ),
+    "sample_increments-text-deltas": (
+        lambda: sample_increments(["a"], 1, np.random.default_rng(0)),
+        "InvalidGrid",
+    ),
+    "sample_increments-nan-delta": (
+        lambda: sample_increments([np.nan], 1, np.random.default_rng(0)),
+        "InvalidGrid",
+    ),
+    "sample_increments-inf-delta": (
+        lambda: sample_increments([np.inf], 1, np.random.default_rng(0)),
+        "InvalidGrid",
+    ),
+    "NoisePath-text-times": (lambda: NoisePath(["a", 1.0], [[0.0]], [[0.0]]), "InvalidGrid"),
+    "NoisePath-text-dw": (lambda: NoisePath([0.0, 1.0], [["a"]], [[0.0]]), "InvalidGrid"),
+    "NoisePath-text-dz": (lambda: NoisePath([0.0, 1.0], [[0.0]], [["a"]]), "InvalidGrid"),
 }
 
 
