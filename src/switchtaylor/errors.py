@@ -87,7 +87,7 @@ class UnknownRegime(ValidationError):
 
 
 class NonFiniteInput(ValidationError):
-    """State vector contains NaN or infinity."""
+    """A state vector, probe point or noise increment holds NaN or infinity."""
     pass
 
 

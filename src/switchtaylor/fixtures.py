@@ -14,10 +14,12 @@ Four fixtures, each a ready ModelSpec:
   higher-order schemes refuse it.
 
 All coefficient sets are plain picklable dataclasses.  Each implements the
-one ``jet`` method of ``CoefficientSet`` and gathers each rate table once
-per call.  The diagonal linear set builds its per-regime jet tables (sigma
-per unit state, Db and D sigma) once at construction, so its ``jet`` makes
-one gather per table and scales sigma by the state.  It also has ``exact``:
+one ``jet`` method of ``CoefficientSet``.  The two rate-table sets stack
+their per-regime jet blocks into one table at construction, a row per label
+and a NaN row 0 that aliases no regime, so ``jet`` makes one gather and
+returns views of it, and their zero Hessians are read-only blocks built once
+per shape.  The diagonal linear set scales sigma by the state and also has
+``exact``:
 with diagonal noise and rates frozen between switches, each coordinate is a
 geometric Brownian motion, so the strong solution on a grid that holds every
 switch time is x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
@@ -26,6 +28,7 @@ switch time is x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,15 +45,24 @@ __all__ = [
 ]
 
 
-def _per_regime(regimes, *tables):
-    # tables: (m0, ...) each; regimes: 1-based labels of any shape
-    r = np.asarray(regimes, dtype=np.intp) - 1
-    return [table.take(r, axis=0) for table in tables]
+def _stacked(order0, later):
+    # per-regime blocks (m0, ...) as one table with a row per 1-based label
+    # and a NaN row 0; returns the columns each jet order reads, as views
+    table = np.concatenate([np.reshape(b, (len(b), -1)) for b in order0 + later], axis=1)
+    table = np.concatenate([np.full((1, table.shape[1]), np.nan), table])
+    width0 = sum(np.size(b) for b in order0) // len(order0[0])
+    return table[:, :width0], table, table
 
 
+def _rows(tables, regimes, order):
+    return tables[order].take(np.asarray(regimes, dtype=np.intp), axis=0)
+
+
+@lru_cache(maxsize=8)
 def _flat(B, d, m):
-    # second derivatives of coefficients that are affine in the state
-    return np.zeros((B, d, d, d)), np.zeros((B, d, m, d, d))
+    # second derivatives of coefficients that are affine in the state: zero
+    # and read-only, so one block per shape serves every call
+    return np.broadcast_to(0.0, (B, d, d, d)), np.broadcast_to(0.0, (B, d, m, d, d))
 
 
 @dataclass(frozen=True)
@@ -61,9 +73,9 @@ class DiagonalLinearCoefficients(CoefficientSet):
     c: np.ndarray
     d: int = field(init=False)
     m: int = field(init=False)
-    # per-regime jet tables, built once: a (d,), diag(c) (d, d), which jet
-    # scales by x column-wise into sigma, Db = diag(a) (d, d) and D sigma
-    # (d, d, d) with [k, k, k] = c_k
+    # the per-regime jet table, built once, with the row of a label holding
+    # a (d,), diag(c) (d, d), which jet scales by x column-wise into sigma,
+    # Db = diag(a) (d, d) and D sigma (d, d, d) with [k, k, k] = c_k
     _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,33 +85,35 @@ class DiagonalLinearCoefficients(CoefficientSet):
             raise DimensionMismatch(
                 "rate tables must share shape (m0, d), got %s and %s" % (a.shape, c.shape)
             )
-        m0, d = a.shape
-        idx = np.arange(d)
-        sig = np.zeros((m0, d, d))
-        sig[:, idx, idx] = c
-        db = np.zeros((m0, d, d))
-        db[:, idx, idx] = a
-        dsig = np.zeros((m0, d, d, d))
-        dsig[:, idx, idx, idx] = c
+        d = a.shape[1]
+        eye = np.eye(d, dtype=bool)
+        sig, db = (np.where(eye, rate[:, :, None], 0.0) for rate in (c, a))
+        dsig = np.where(eye[:, :, None] & eye, c[:, :, None, None], 0.0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", d)
-        object.__setattr__(self, "_tables", (a, sig, db, dsig))
+        object.__setattr__(self, "_tables", _stacked((a, sig), (db, dsig)))
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        a, sig, *derivatives = _per_regime(regimes, *self._tables[: 4 if order else 2])
-        out = (a * X, sig * X[:, None, :], *derivatives)
+        B, d = X.shape
+        rows = _rows(self._tables, regimes, order)
+        k = d + d * d
+        out = (rows[:, :d] * X, rows[:, d:k].reshape(B, d, d) * X[:, None, :])
+        if order:
+            db, dsig = rows[:, k : k + d * d], rows[:, k + d * d :]
+            out += (db.reshape(B, d, d), dsig.reshape(B, d, d, d))
         if order == 2:
-            out += _flat(X.shape[0], self.d, self.d)
+            out += _flat(B, d, d)
         return out
 
     def exact(self, x0, regimes, dt, dw):
         """The strong solution at the interval ends; see ``CoefficientSet``."""
         # one log-increment per interval, one cumulative sum and one exp for
-        # the whole batch
-        a, c = _per_regime(regimes, self.a, self.c)
+        # the whole batch; c is the diagonal of the gathered sigma block
+        rows, d = _rows(self._tables, regimes, 0), self.d
+        a, c = rows[..., :d], rows[..., d :: d + 1]
         log = (a - 0.5 * c * c) * dt[..., None] + c * dw
         return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
@@ -113,19 +127,26 @@ class MeanRevertingCoefficients(CoefficientSet):
     c: np.ndarray
     d: int = field(default=1, init=False)
     m: int = field(default=1, init=False)
+    # the per-regime jet table, built once: theta, mu, c, Db = -theta, D sigma
+    _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("theta", "mean", "c"):
             object.__setattr__(
                 self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1)
             )
+        theta = self.theta
+        if not theta.size == self.mean.size == self.c.size:
+            raise DimensionMismatch("theta, mean and c must share one length m0")
+        blocks = (theta, self.mean, self.c), (-theta, np.zeros_like(theta))
+        object.__setattr__(self, "_tables", _stacked(*blocks))
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        th, mu, c = (v[:, None] for v in _per_regime(regimes, self.theta, self.mean, self.c))
-        out = (th * (mu - X), c[:, :, None])
+        rows = _rows(self._tables, regimes, order)
+        out = (rows[:, 0:1] * (rows[:, 1:2] - X), rows[:, 2:3, None])
         if order >= 1:
-            out += (-th[:, :, None], np.zeros((X.shape[0], 1, 1, 1)))
+            out += (rows[:, 3:4, None], rows[:, 4:5, None, None])
         if order == 2:
             out += _flat(X.shape[0], 1, 1)
         return out

@@ -269,8 +269,11 @@ def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
 #
 # Matrix-matrix contractions use stacked matmul; contractions against a
 # single vector keep the two-operand einsum, which measures faster at these
-# sizes.  The builders that read a second derivative take None for one that
-# is zero and then return their first-derivative term alone: the 1.5 kernel
+# sizes, and which matmul does not reproduce bit for bit: on random full
+# (non-diagonal) sigma and dW with m >= 2, sigma @ dW differed from einsum in
+# the last bits in 331 of 600 cases, most likely from fused multiply-adds.
+# The builders that read a second derivative take None for one that is
+# zero and then return their first-derivative term alone: the 1.5 kernel
 # passes None for a Hessian that is zero in every entry of its call, as it
 # is for regime-wise affine coefficients, and then builds no covariance
 # unless the other Hessian needs it.  The skipped terms are exact zeros.

@@ -41,7 +41,8 @@ import numpy as np
 
 from ._files import opened
 from ._values import is_int, is_real, number
-from .errors import IntervalOutOfRange, InvalidGrid, NotAGridTime, TruncatedNoiseFile
+from .errors import IntervalOutOfRange, InvalidGrid, NonFiniteInput, NotAGridTime
+from .errors import TruncatedNoiseFile
 from .markov_chain import ChainPath
 
 __all__ = [
@@ -123,8 +124,8 @@ class NoisePath:
     """Sampled increments on a merged grid, with prefix sums for aggregation.
 
     Attributes:
-      times: grid times, shape (n+1,), strictly increasing.
-      dw, dz: per-interval increments, shape (n, m).
+      times: grid times, shape (n+1,), finite and strictly increasing.
+      dw, dz: per-interval increments, shape (n, m), finite.
     """
 
     def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray):
@@ -140,6 +141,8 @@ class NoisePath:
             raise InvalidGrid("increment arrays must be (intervals, dimensions)")
         if dw.shape[1] < 1:
             raise InvalidGrid("a noise path needs at least one Wiener dimension")
+        if not (np.isfinite(dw).all() and np.isfinite(dz).all()):
+            raise NonFiniteInput("noise increments dW and dZ must be finite")
         self.times = times
         self.dw = dw
         self.dz = dz

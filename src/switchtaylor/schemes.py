@@ -31,11 +31,13 @@ dW^j dW^a - 1{j=a} h and its cubic analogue (Kloeden & Platen 1992,
 ch. 10).  ``SchemeInfo.weights`` is the one formula for them over any
 leading axes: () for the 0.5 map, (pair,) for the 1.0 map and
 (h dW - dZ, pair, triple) for the 1.5 map.  ``march`` computes them with
-one call per block of ``WEIGHT_BLOCK_ROWS`` (path, step) rows, hands each
-kernel call its step's slice, and searches the jump table once for the
-record range of every step.  A kernel called with its seven positional
-arguments alone computes its weights through the same function, so both
-routes give the same bits.
+one call per block of ``WEIGHT_BLOCK_ROWS`` (path, step) rows, cuts each
+block's step sizes (as Python floats), dW, dZ, regimes and weights once into
+per-step sequences, and searches the jump table once for the record range
+of every step.  Its finiteness test counts the finite entries of each new
+state, exact and free of overflow.  A kernel called with its seven
+positional arguments alone computes its weights through the same function,
+so both routes give the same bits.
 
 Each kernel call evaluates the coefficient jet once, at the window-start
 regime, with ``coeffs.jet`` of the order its map contracts, and builds its
@@ -301,8 +303,8 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None, weights=None):
     # Hessian that is zero in every row of the call (NaN is not) is dropped
     # with its curvature terms, and sigma sigma^T is built only to feed one
     b, sig, db, dsig, hb, hsig = coeffs.jet(y, regimes, 2)
-    hb = hb if hb.any() else None
-    hsig = hsig if hsig.any() else None
+    hb = hb if np.count_nonzero(hb) else None
+    hsig = hsig if np.count_nonzero(hsig) else None
     cov = None if hb is None and hsig is None else _covariance(sig)
     l0b = _time_drift(b, db, hb, cov)
     ljb = _noise_drift(db, sig)
@@ -418,8 +420,9 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
     with the (P, d) states after each step.
 
     The noise weights of ``WEIGHT_BLOCK_ROWS`` (path, step) rows at a time
-    come from one ``info.weights`` call, and the table is searched once for
-    the record range of every step.
+    come from one ``info.weights`` call, each block's inputs are cut once
+    into per-step parts, and the table is searched once for the record
+    range of every step.
 
     Raises:
       DimensionMismatch: an input's shape disagrees with ``regimes`` or
@@ -451,17 +454,10 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
     lowest = min(np.min(part, initial=1) for part in labels)
     if lowest < 1:
         raise UnknownRegime("march: regime labels start at 1, got %d" % lowest)
-    bounds = None
+    bounds = [0] * (n_steps + 1)
     if table is not None:
-        steps = np.arange(n_steps + 1) * width
-        bounds = np.searchsorted(table.rows, steps).tolist()
+        bounds = np.searchsorted(table.rows, np.arange(n_steps + 1) * width).tolist()
     return _march(info, coeffs, y0, regimes, hs, dw, dz, table, bounds)
-
-
-def _step_major(a):
-    # (P, S, ...) -> contiguous (S, P, ...): each step's slice of a block is
-    # then laid out as a per-step array of the same values would be
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
 def _march(info, coeffs, y, regimes, hs, dw, dz, table, bounds):
@@ -470,22 +466,16 @@ def _march(info, coeffs, y, regimes, hs, dw, dz, table, bounds):
     block = max(1, WEIGHT_BLOCK_ROWS // width)
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        weights = info.weights(
-            hs[start:stop, None], _step_major(dw[:, start:stop]), _step_major(dz[:, start:stop])
-        )
-        for n in range(start, stop):
-            jumps = None if table is None else table._between(bounds[n], bounds[n + 1], n * width)
-            y = kernel(
-                coeffs,
-                y,
-                regimes[:, n],
-                hs[n],
-                dw[:, n],
-                dz[:, n],
-                jumps,
-                weights=tuple(w[n - start] for w in weights),
-            )
-            if not np.isfinite(y).all():
+        # the block's inputs, each cut once into per-step parts: (P, S, ...)
+        # to contiguous (S, P, ...), laid out as per-step arrays would be
+        parts = [np.ascontiguousarray(a[:, start:stop].swapaxes(0, 1)) for a in (regimes, dw, dz)]
+        weights = info.weights(hs[start:stop, None], *parts[1:])
+        parts += [hs[start:stop].tolist(), zip(*weights) if weights else [()] * (stop - start)]
+        for n, regs, dw_n, dz_n, h, weights_n in zip(range(start, stop), *parts):
+            lo, hi = bounds[n], bounds[n + 1]
+            jumps = table._between(lo, hi, n * width) if lo != hi else None
+            y = kernel(coeffs, y, regs, h, dw_n, dz_n, jumps, weights=weights_n)
+            if np.count_nonzero(np.isfinite(y)) != y.size:
                 row = int(np.argmin(np.isfinite(y).all(axis=1)))
                 raise NonFiniteState(
                     "state left the finite range at step %d on batch row %d" % (n, row),

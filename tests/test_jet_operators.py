@@ -18,7 +18,9 @@ import pytest
 
 from switchtaylor import (
     CoefficientSet,
+    DiagonalLinearCoefficients,
     GeneratorMatrix,
+    MeanRevertingCoefficients,
     ModelSpec,
     check_commutativity,
     fixture,
@@ -423,3 +425,85 @@ def test_taylor15_switch_rows_add_a_partial_jet(count):
     if more.any():
         expected.append((0, y[rows[more]], jumps.reg2[more]))
     assert_calls(calls, expected)
+
+
+# ---------------------------------------------------------------------------
+# the rate-table sets: one gather from a stacked table equals one gather per
+# table
+
+
+def ref_table_jet(coeffs, X, regimes, order):
+    """The jet from one gather per per-regime table, indexed by label - 1."""
+    B, d = X.shape
+    r = np.asarray(regimes) - 1
+    if isinstance(coeffs, MeanRevertingCoefficients):
+        th, mu, c = (t.take(r)[:, None] for t in (coeffs.theta, coeffs.mean, coeffs.c))
+        out = (th * (mu - X), c[:, :, None], -th[:, :, None], np.zeros((B, 1, 1, 1)))
+    else:
+        idx = np.arange(d)
+        m0 = coeffs.a.shape[0]
+        sig, db, dsig = np.zeros((m0, d, d)), np.zeros((m0, d, d)), np.zeros((m0, d, d, d))
+        sig[:, idx, idx] = coeffs.c
+        db[:, idx, idx] = coeffs.a
+        dsig[:, idx, idx, idx] = coeffs.c
+        out = (coeffs.a.take(r, axis=0) * X, sig.take(r, axis=0) * X[:, None, :])
+        out += (db.take(r, axis=0), dsig.take(r, axis=0))
+    out = out[: 2 * order + 2]
+    if order == 2:
+        out += (np.zeros((B, d, d, d)), np.zeros((B, d, coeffs.m, d, d)))
+    return out
+
+
+TABLE_SETS = {
+    "linear2": fixture("linear2").coefficients,
+    "diagonal3": fixture("diagonal3").coefficients,
+    "additive": fixture("additive").coefficients,
+    "diagonal-d3": DiagonalLinearCoefficients(
+        a=np.arange(12.0).reshape(4, 3) - 5.5, c=0.1 * np.arange(12.0).reshape(4, 3) + 0.05
+    ),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 7, 512])
+@pytest.mark.parametrize("name", sorted(TABLE_SETS))
+def test_stacked_jet_equals_one_gather_per_table(name, width, order):
+    coeffs = TABLE_SETS[name]
+    m0 = len(coeffs.c)
+    rng = np.random.default_rng(width)
+    # every regime, at width 1 one call each; negative states give -0.0
+    labels = [np.full(1, k) for k in range(1, m0 + 1)] if width == 1 else [
+        rng.permutation(np.arange(width) % m0 + 1)
+    ]
+    for regimes in labels:
+        X = rng.standard_normal((width, coeffs.d))
+        got = coeffs.jet(X, regimes, order)
+        want = ref_table_jet(coeffs, X, regimes, order)
+        assert len(got) == len(want) == 2 * order + 2
+        for part, ref in zip(got, want):
+            assert part.shape == ref.shape and part.dtype == ref.dtype
+            assert part.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SETS))
+def test_stacked_jet_shares_no_writable_memory_between_calls(name):
+    coeffs = TABLE_SETS[name]
+    X = np.ones((3, coeffs.d))
+    first = coeffs.jet(X, np.array([1, 2, 1]), 2)
+    second = coeffs.jet(X, np.array([2, 1, 2]), 2)
+    for part in first[4:]:
+        with pytest.raises(ValueError):
+            part[...] = 1.0
+    for p in first:
+        for q in second:
+            if np.shares_memory(p, q):
+                assert not (p.flags.writeable or q.flags.writeable)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SETS))
+def test_label_zero_reads_no_regime(name):
+    # row 0 of the stacked table is NaN, so label 0 aliases no regime
+    coeffs = TABLE_SETS[name]
+    b, sig, db, dsig = coeffs.jet(np.ones((1, coeffs.d)), np.array([0]), 1)
+    for part in (b, sig, db, dsig):
+        assert np.isnan(part).all()

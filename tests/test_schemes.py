@@ -594,6 +594,31 @@ def test_march_equals_direct_kernel_calls_bit_for_bit(name, scheme, P, n):
     assert np.stack(got).tobytes() == np.stack(want).tobytes()
 
 
+@pytest.mark.parametrize("P", [1, 3, 65])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_march_finiteness_test_reads_entries_not_sums(scheme, P):
+    """Finite entries pass however large their sum, and the first
+    non-finite entry stops march at its own step and row."""
+    # regime 2 drifts infinitely fast; zero noise leaves regime 1 at rest
+    coeffs = DiagonalLinearCoefficients(a=[[0.0, 0.0], [np.inf, 0.0]], c=[[0.0, 0.0]] * 2)
+    n = 9
+    y0 = np.full((P, 2), 1.5e308)
+    regimes = np.ones((P, n), dtype=np.int64)
+    hs = np.full(n, 1.0 / n)
+    dw = np.zeros((P, n, 2))
+    info = SCHEMES[scheme]
+    states = [y.copy() for _, y in march(info, coeffs, y0, regimes, hs, dw, dw, None)]
+    assert len(states) == n
+    assert np.stack(states).tobytes() == np.stack([y0] * n).tobytes()
+    # the first bad step holds two bad rows, a later step a lower one
+    regimes[P // 2 :, 5] = 2
+    regimes[0, 7] = 2
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as caught:
+        for _ in march(info, coeffs, y0, regimes, hs, dw, dw, None):
+            pass
+    assert (caught.value.step, caught.value.row) == (5, P // 2)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_block_weights_equal_per_step_weights(m):
     rng = np.random.default_rng(m)

@@ -1,6 +1,8 @@
 """Rules the package source keeps."""
 
 import ast
+import io
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from switchtaylor import (
     fixture,
     get_scheme,
     jump_records,
+    load_noise,
     march,
     merge_records,
     occupation_time,
@@ -266,6 +269,12 @@ BAD_CALLS = {
     "NoisePath-text-times": (lambda: NoisePath(["a", 1.0], [[0.0]], [[0.0]]), "InvalidGrid"),
     "NoisePath-text-dw": (lambda: NoisePath([0.0, 1.0], [["a"]], [[0.0]]), "InvalidGrid"),
     "NoisePath-text-dz": (lambda: NoisePath([0.0, 1.0], [[0.0]], [["a"]]), "InvalidGrid"),
+    "NoisePath-nan-dw": (lambda: NoisePath([0.0, 1.0], [[np.nan]], [[0.0]]), "NonFiniteInput"),
+    "NoisePath-inf-dz": (lambda: NoisePath([0.0, 1.0], [[0.0]], [[np.inf]]), "NonFiniteInput"),
+    "load_noise-nan-dw": (
+        lambda: load_noise(io.BytesIO(struct.pack("<QQ4d", 2, 1, 0.0, 1.0, np.nan, 0.0))),
+        "NonFiniteInput",
+    ),
 }
 
 
