@@ -466,15 +466,18 @@ def _march(info, coeffs, y, regimes, hs, dw, dz, table, bounds):
     block = max(1, WEIGHT_BLOCK_ROWS // width)
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        # the block's inputs, each cut once into per-step parts: (P, S, ...)
+        # each input of the block cut once into per-step parts: (P, S, ...)
         # to contiguous (S, P, ...), laid out as per-step arrays would be
-        parts = [np.ascontiguousarray(a[:, start:stop].swapaxes(0, 1)) for a in (regimes, dw, dz)]
-        weights = info.weights(hs[start:stop, None], *parts[1:])
-        parts += [hs[start:stop].tolist(), zip(*weights) if weights else [()] * (stop - start)]
-        for n, regs, dw_n, dz_n, h, weights_n in zip(range(start, stop), *parts):
+        regs, dw_b, dz_b = (
+            np.ascontiguousarray(a[:, start:stop].swapaxes(0, 1)) for a in (regimes, dw, dz)
+        )
+        weights = info.weights(hs[start:stop, None], dw_b, dz_b)
+        per_step = zip(*weights) if weights else [()] * (stop - start)
+        steps = zip(range(start, stop), regs, hs[start:stop].tolist(), dw_b, dz_b, per_step)
+        for n, regs_n, h, dw_n, dz_n, weights_n in steps:
             lo, hi = bounds[n], bounds[n + 1]
             jumps = table._between(lo, hi, n * width) if lo != hi else None
-            y = kernel(coeffs, y, regs, h, dw_n, dz_n, jumps, weights=weights_n)
+            y = kernel(coeffs, y, regs_n, h, dw_n, dz_n, jumps, weights=weights_n)
             if np.count_nonzero(np.isfinite(y)) != y.size:
                 row = int(np.argmin(np.isfinite(y).all(axis=1)))
                 raise NonFiniteState(
