@@ -428,12 +428,12 @@ def test_taylor15_switch_rows_add_a_partial_jet(count):
 
 
 # ---------------------------------------------------------------------------
-# the rate-table sets: one gather from a stacked table equals one gather per
-# table
+# the rate-table sets: labelled tables, read without a label shift, and
+# Hessians shared between calls
 
 
 def ref_table_jet(coeffs, X, regimes, order):
-    """The jet from one gather per per-regime table, indexed by label - 1."""
+    """The jet from per-regime tables without a NaN row, indexed by label - 1."""
     B, d = X.shape
     r = np.asarray(regimes) - 1
     if isinstance(coeffs, MeanRevertingCoefficients):
@@ -467,7 +467,7 @@ TABLE_SETS = {
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("width", [1, 7, 512])
 @pytest.mark.parametrize("name", sorted(TABLE_SETS))
-def test_stacked_jet_equals_one_gather_per_table(name, width, order):
+def test_table_jet_equals_a_shifted_gather_reference(name, width, order):
     coeffs = TABLE_SETS[name]
     m0 = len(coeffs.c)
     rng = np.random.default_rng(width)
@@ -486,7 +486,7 @@ def test_stacked_jet_equals_one_gather_per_table(name, width, order):
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_SETS))
-def test_stacked_jet_shares_no_writable_memory_between_calls(name):
+def test_table_jet_shares_no_writable_memory_between_calls(name):
     coeffs = TABLE_SETS[name]
     X = np.ones((3, coeffs.d))
     first = coeffs.jet(X, np.array([1, 2, 1]), 2)
@@ -502,8 +502,8 @@ def test_stacked_jet_shares_no_writable_memory_between_calls(name):
 
 @pytest.mark.parametrize("name", sorted(TABLE_SETS))
 def test_label_zero_reads_no_regime(name):
-    # row 0 of the stacked table is NaN, so label 0 aliases no regime
+    # row 0 of every per-regime table is NaN, so label 0 aliases no regime
     coeffs = TABLE_SETS[name]
-    b, sig, db, dsig = coeffs.jet(np.ones((1, coeffs.d)), np.array([0]), 1)
-    for part in (b, sig, db, dsig):
+    b, sig, db, _ = coeffs.jet(np.ones((1, coeffs.d)), np.array([0]), 1)
+    for part in (b, sig, db):
         assert np.isnan(part).all()
