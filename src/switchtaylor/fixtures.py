@@ -19,10 +19,10 @@ per call.  The diagonal linear set builds its per-regime jet tables (sigma
 per unit state, Db and D sigma) once at construction, so its ``jet`` makes
 one gather per table and scales sigma by the state.  Each per-regime table
 has a NaN row 0 on top, so that a 1-based label indexes its row directly
-and label 0 aliases no regime, and zero Hessians are read-only blocks built
-once per shape.  (One stacked table, gathered once and read through views,
-was measured slower: at batch width 512 its strided views cost more than
-the separate gathers.)  The diagonal linear set also has ``exact``:
+and label 0 aliases no regime; zero Hessians are read-only blocks built once
+per shape.  One stacked table read through views was measured slower: at
+batch width 512 its strided views cost more than the separate gathers.
+The diagonal linear set also has ``exact``:
 with diagonal noise and rates frozen between switches, each coordinate is a
 geometric Brownian motion, so the strong solution on a grid that holds every
 switch time is x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
@@ -62,10 +62,9 @@ def _per_regime(regimes, *tables):
 
 @lru_cache(maxsize=8)
 def _flat(B, d, m):
-    # second derivatives of coefficients that are affine in the state: zero
-    # and read-only, so one block per shape serves every call.  They stay
-    # contiguous: count_nonzero over a broadcast view of one zero takes
-    # twice as long at batch width 512.
+    # second derivatives of coefficients that are affine in the state: zero,
+    # read-only and contiguous (count_nonzero over a broadcast zero is twice
+    # as slow at batch width 512), so one block per shape serves every call
     out = np.zeros((B, d, d, d)), np.zeros((B, d, m, d, d))
     for part in out:
         part.setflags(write=False)

@@ -256,7 +256,8 @@ def test_outputs_match_the_committed_digests():
         "bit_identity.json was written on numpy %s (%s), this is numpy %s (%s); "
         "digests are only comparable on the same numpy and platform.  Regenerate "
         "the file on the parent commit with `python tests/test_bit_identity.py "
-        "--write` to compare here" % (made["numpy"], made["platform"], here["numpy"], here["platform"])
+        "--write` to compare here"
+        % (made["numpy"], made["platform"], here["numpy"], here["platform"])
     )
     got = digests()
     want = golden["digests"]
