@@ -35,7 +35,7 @@ from switchtaylor import cli, fixture, fixture_names, integrate
 from switchtaylor.convergence import ExperimentPlan, draw_path, run, strong_error
 from switchtaylor.errors import NonFiniteState
 from switchtaylor.noise import GridSpec
-from switchtaylor.schemes import SCHEMES, JumpRecords
+from switchtaylor.schemes import SCHEMES, JumpRecords, jump_records
 
 GOLDEN = Path(__file__).with_name("bit_identity.json")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -126,6 +126,28 @@ def _trajectory_items():
             for scheme in schemes:
                 traj = integrate(model, scheme, chain, noise, grid.finest_times())
                 yield "integrate.%s.%s.seed%d" % (name, scheme, seed), _encode(traj)
+
+
+# seed-5 paths on the desk grid: 1 has no switch on either generator, 7
+# one on diagonal3's and 17 one on the two-state one, 16 three on the
+# two-state one, and 2778 holds four in one window of the coarsest level
+PATH_INDICES = (1, 7, 16, 17, 2778)
+DESK_LEVELS = (8, 16, 32, 64, 1024)
+
+
+def _per_path_items():
+    # the per-path layer of a desk study: the draw, and the switch records
+    # at every coarse level and at the reference level
+    grid = GridSpec(0.0, 1.0, DESK_LEVELS[-1])
+    ref_times = grid.finest_times()
+    for name in fixture_names():
+        model = fixture(name)
+        for index in PATH_INDICES:
+            chain, noise = draw_path(model, grid, 5, index)
+            key = "%s.i%d" % (name, index)
+            yield "draw_path." + key, _encode((chain, noise.times, noise.dw, noise.dz))
+            records = [jump_records(chain, noise, ref_times[:: grid.n // L]) for L in DESK_LEVELS]
+            yield "jump_records." + key, _encode(records)
 
 
 def _planted_records(h, m, m0, rng):
@@ -241,7 +263,7 @@ def environment() -> dict:
 def digests() -> dict:
     """Item name -> sha256 hex digest of its bytes."""
     out = {}
-    for items in (_study_items, _trajectory_items, _kernel_items, _cli_items):
+    for items in (_study_items, _trajectory_items, _per_path_items, _kernel_items, _cli_items):
         for name, data in items():
             assert name not in out, name
             out[name] = hashlib.sha256(data).hexdigest()
