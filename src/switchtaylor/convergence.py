@@ -278,10 +278,12 @@ def fit_order(rows):
 def draw_path(model: ModelSpec, grid: GridSpec, seed: int, index: int):
     """Path ``index`` of the stream ``seed``: (chain, noise) on ``grid``.
 
-    SeedSequence((seed, index)) spawns two generators, the chain's first and
-    then the noise's, so a path does not depend on which others are drawn.
+    The chain's generator and then the noise's are the two children that
+    SeedSequence((seed, index)).spawn(2) returns, built directly with spawn
+    keys (0,) and (1,), so a path does not depend on which others are drawn.
     """
-    chain_seed, noise_seed = np.random.SeedSequence((seed, int(index))).spawn(2)
+    entropy = (seed, int(index))
+    chain_seed, noise_seed = (np.random.SeedSequence(entropy, spawn_key=(k,)) for k in (0, 1))
     rng = np.random.default_rng(chain_seed)
     chain = sample_path(model.generator, model.initial_regime, grid.t0, grid.t_end, rng)
     return chain, build_noise(grid, chain, model.m, np.random.default_rng(noise_seed))
@@ -528,10 +530,12 @@ def _run_engine(plan, levels, schemes):
         range(lo, min(lo + BATCH_PATHS, plan.paths))
         for lo in range(0, plan.paths, BATCH_PATHS)
     ]
-    return _tree_reduce(
-        _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices)
-        for indices in batches
-    )
+    # a diverging path is reported by NonFiniteState, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tree_reduce(
+            _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices)
+            for indices in batches
+        )
 
 
 def _stats(acc):

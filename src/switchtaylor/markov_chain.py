@@ -12,10 +12,16 @@ through left limits), and their difference are exposed as
 The difference has zero mean; the bound
 P(at least N jumps on (s,t]) <= (qmax (t-s))^N, with qmax the largest exit
 rate, holds whenever t - s < 1 / (2 qmax).
+
+A ``GeneratorMatrix`` builds its move tables once, from q: per state the
+mean holding time and the running sum of the off-diagonal rates, the CDF
+that ``sample_path`` searches for the next state.  They are derived from q
+and take no part in ``repr`` or ``==``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +60,8 @@ class GeneratorMatrix:
     """
 
     q: np.ndarray
+    # per state: 1 / -q[i,i], None if absorbing, and the next-state CDF
+    _moves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -77,6 +85,12 @@ class GeneratorMatrix:
             )
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
+        exits = -np.diag(q)
+        moves = tuple(
+            (1.0 / rate if rate > 0.0 else None, tuple(np.cumsum(row).tolist()))
+            for rate, row in zip(exits.tolist(), off)
+        )
+        object.__setattr__(self, "_moves", moves)
 
     @property
     def m0(self) -> int:
@@ -201,23 +215,19 @@ def sample_path(
     if not -np.inf < t0 < t_end < np.inf:
         # a NaN or infinite end would never stop the holding-time loop
         raise IntervalOutOfRange("need finite t0 < t_end")
-    q = generator.q
+    moves = generator._moves
     times = []
     states = []
     t = t0
     state = initial_state
     while True:
-        exit_rate = -q[state - 1, state - 1]
-        if exit_rate <= 0.0:
+        scale, cdf = moves[state - 1]
+        if scale is None:
             break
-        t = t + rng.exponential(1.0 / exit_rate)
+        t = t + rng.exponential(scale)
         if t > t_end:
             break
-        rates = q[state - 1].copy()
-        rates[state - 1] = 0.0
-        cdf = np.cumsum(rates)
-        u = rng.random() * cdf[-1]
-        state = int(np.searchsorted(cdf, u, side="right")) + 1
+        state = bisect_right(cdf, rng.random() * cdf[-1]) + 1
         times.append(t)
         states.append(state)
     return ChainPath(t0, t_end, initial_state, np.array(times), np.array(states, dtype=np.int64))

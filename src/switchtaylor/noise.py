@@ -16,8 +16,10 @@ independent standard normals G1, G2:
 Chain jump times are merged into the grid *before* any Gaussian draw (the
 chain is independent of the Wiener process, so conditioning on the jump times
 is legitimate), which makes every jump time a grid point and removes any need
-for bridge corrections later.  Sampling order is fixed: one draw of shape
-(intervals, dimensions, 2) filled in C order.
+for bridge corrections later.  The merge inserts each jump time that is not
+already a grid time in front of the first grid time above it, which sorts
+the few jumps in without sorting the grid.  Sampling order is fixed: one
+draw of shape (intervals, dimensions, 2) filled in C order.
 
 Increments over coarser spans are exact sums of the stored fine data,
 composed through precomputed prefix sums, so the nesting identities hold to
@@ -134,7 +136,7 @@ class NoisePath:
         dz = _floats(dz, "dZ")
         if times.ndim != 1 or times.size < 2 or not np.isfinite(times).all():
             raise InvalidGrid("grid times must be finite and strictly increasing")
-        deltas = np.diff(times)
+        deltas = times[1:] - times[:-1]
         if (deltas <= 0).any():
             raise InvalidGrid("grid times must be finite and strictly increasing")
         if dw.shape != dz.shape or dw.ndim != 2 or dw.shape[0] != times.size - 1:
@@ -147,11 +149,12 @@ class NoisePath:
         self.dw = dw
         self.dz = dz
         n, m = dw.shape
-        zero = np.zeros((1, m))
-        # W(t) - W(t0) at grid points
-        self._w = np.concatenate([zero, np.cumsum(dw, axis=0)])
-        self._zsum = np.concatenate([zero, np.cumsum(dz, axis=0)])
-        self._wdt = np.concatenate([zero, np.cumsum(self._w[:-1] * deltas[:, None], axis=0)])
+        # W(t) - W(t0), running sum of dZ, running integral of W dt: one block
+        sums = np.zeros((3, n + 1, m))
+        np.add.accumulate(dw, axis=0, out=sums[0, 1:])
+        np.add.accumulate(dz, axis=0, out=sums[1, 1:])
+        np.add.accumulate(sums[0, :-1] * deltas[:, None], axis=0, out=sums[2, 1:])
+        self._w, self._zsum, self._wdt = sums
 
     @property
     def m(self) -> int:
@@ -243,8 +246,10 @@ def build_noise(
         jumps = chain.jump_times
         jumps = jumps[(jumps > grid.t0) & (jumps < grid.t_end)]
         if jumps.size:
-            times = np.union1d(times, jumps)
-    dw, dz = sample_increments(np.diff(times), m, rng)
+            at = np.searchsorted(times, jumps)
+            off = times[at] != jumps
+            times = np.insert(times, at[off], jumps[off])
+    dw, dz = sample_increments(times[1:] - times[:-1], m, rng)
     return NoisePath(times, dw, dz)
 
 

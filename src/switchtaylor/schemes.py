@@ -58,6 +58,7 @@ switches.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -180,61 +181,49 @@ def jump_records(chain: ChainPath, noise: NoisePath, edges) -> JumpRecords:
     switch at time tau is assigned to the window (edges[i], edges[i+1]]
     containing it, and the record's ``rows`` holds the window index i; the
     first two switches per window are recorded in full, the third by its
-    Wiener offset alone.
+    Wiener offset alone.  The switches are the chain's own jump times, so
+    their regimes are read from ``chain.states_after`` without a search.
     """
     edges = np.asarray(edges, dtype=float).reshape(-1)
     if edges.size < 2 or not (edges[1:] > edges[:-1]).all():
         raise InvalidGrid("jump_records: edges must be at least two increasing times")
-    jt = chain.jump_times
+    taus = chain.jump_times.tolist()
     # jump times are sorted: the ones in (edges[0], edges[-1]] are one slice
-    lo, hi = np.searchsorted(jt, edges[[0, -1]], side="right")
-    jt = jt[lo:hi]
+    lo, hi = bisect_right(taus, edges[0]), bisect_right(taus, edges[-1])
     m = noise.m
-    if jt.size == 0:
-        empty = np.empty(0)
-        return JumpRecords(
-            rows=np.empty(0, dtype=np.intp),
-            counts=np.empty(0, dtype=np.int64),
-            dt1=empty,
-            reg1=np.empty(0, dtype=np.int64),
-            w1=np.empty((0, m)),
-            dt2=empty,
-            reg2=np.empty(0, dtype=np.int64),
-            w2=np.empty((0, m)),
-            w3=np.empty((0, m)),
-        )
-    bins = np.searchsorted(edges, jt, side="left") - 1
-    # the switches of one window form a run of equal bins; cuts holds the
-    # start of every run and, last, the end of the final one
-    cuts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1], [True])))
-    first = cuts[:-1]
-    counts = cuts[1:] - first
-    steps = bins[first]
-    starts = edges[steps]
-    tau1 = jt[first]
-    has2 = counts >= 2
-    has3 = counts >= 3
-    # missing later switches are parked at the window start: dt = 0, w = 0
-    last = jt.size - 1
-    tau2 = np.where(has2, jt[np.minimum(first + 1, last)], starts)
-    tau3 = np.where(has3, jt[np.minimum(first + 2, last)], starts)
-    k = steps.size
-    w_start, w1, w2, w3 = noise.w_many(np.concatenate([starts, tau1, tau2, tau3])).reshape(
-        4, k, m
-    )
-    reg1, reg2 = chain.states_at(np.concatenate([tau1, tau2])).reshape(2, k)
-    # every field owns its data: views would keep their larger bases alive
-    # in each of the many per-path records a batch holds
+    if lo == hi:
+        ints, times, offsets = np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, m))
+        rows = np.empty(0, dtype=np.intp)
+        return JumpRecords(rows, ints, times, ints, offsets, times, ints, offsets, offsets)
+    taus = taus[lo:hi]
+    entered = chain.states_after[lo:hi].tolist()
+    bins = (edges.searchsorted(chain.jump_times[lo:hi]) - 1).tolist()
+    # the switches of one window are a run of equal bins; a missing second
+    # or third switch is parked at the window start, so its dt and w are 0
+    windows = []
+    first = 0
+    while first < len(bins):
+        stop = bisect_right(bins, bins[first], first)
+        start = float(edges[bins[first]])
+        later = (taus[first + 1 : min(stop, first + 3)] + [start, start])[:2]
+        regs = entered[first : first + 2] if stop - first > 1 else [entered[first]] * 2
+        windows.append((bins[first], stop - first, start, taus[first], *later, *regs))
+        first = stop
+    rows, counts, starts, tau1, tau2, tau3, reg1, reg2 = zip(*windows)
+    # every field is a new array: a view would keep a larger base alive in
+    # each of the many per-path records a batch holds
+    at = np.array(starts + tau1 + tau2 + tau3).reshape(4, -1)
+    w_start, w1, w2, w3 = noise.w_many(at).reshape(4, -1, m)
     return JumpRecords(
-        rows=steps,
-        counts=counts.astype(np.int64),
-        dt1=tau1 - starts,
-        reg1=reg1.astype(np.int64),
+        rows=np.array(rows, dtype=np.intp),
+        counts=np.array(counts, dtype=np.int64),
+        dt1=at[1] - at[0],
+        reg1=np.array(reg1, dtype=np.int64),
         w1=w1 - w_start,
-        dt2=np.where(has2, tau2 - starts, 0.0),
-        reg2=np.where(has2, reg2, reg1).astype(np.int64),
-        w2=np.where(has2[:, None], w2 - w_start, 0.0),
-        w3=np.where(has3[:, None], w3 - w_start, 0.0),
+        dt2=at[2] - at[0],
+        reg2=np.array(reg2, dtype=np.int64),
+        w2=w2 - w_start,
+        w3=w3 - w_start,
     )
 
 
@@ -546,8 +535,10 @@ def integrate(
         dz[None],
         jump_records(chain, noise, times),
     )
-    for n, y in steps:
-        states[n + 1] = y[0]
+    # a diverging path is reported by NonFiniteState, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, y in steps:
+            states[n + 1] = y[0]
     return Trajectory(
         scheme=scheme,
         model_name=model.name,

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -164,6 +165,30 @@ def test_path_i_of_a_batch_is_draw_path_of_seed_and_i(name):
         _same_bits(chain.states_after, want.states_after)
         rng = np.random.default_rng(noise_seed)
         _same_bits(noise.dw, build_noise(grid, chain, model.m, rng).dw)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_draw_path_generators_are_the_two_spawned_children(monkeypatch, seed):
+    # draw_path builds the children with spawn keys (0,) and (1,) instead of
+    # spawning them; the generators the chain and the noise draw from must
+    # start where those of SeedSequence((seed, i)).spawn(2) start
+    states = []
+
+    def entry_state(fn):
+        def wrapper(*args):
+            states.append(args[-1].bit_generator.state)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(convergence, "sample_path", entry_state(sample_path))
+    monkeypatch.setattr(convergence, "build_noise", entry_state(build_noise))
+    grid = GridSpec(0.0, 1.0, 8)
+    for index in (0, 511, 10**9):
+        states.clear()
+        convergence.draw_path(LIN, grid, seed, index)
+        children = np.random.SeedSequence((seed, index)).spawn(2)
+        assert states == [np.random.default_rng(child).bit_generator.state for child in children]
 
 
 @pytest.mark.parametrize("name", ["linear2", "diagonal3", "additive"])
@@ -411,6 +436,37 @@ def test_nonfinite_closed_form_names_pass_level_step_and_seed_index():
         what="reference pass (closed-form)",
         level=4,
     )
+
+
+def test_diverging_study_stops_without_numpy_warnings():
+    # explicit Euler overflows x^2 on path 503; the study and integrate
+    # report it by NonFiniteState alone, with no RuntimeWarning before it
+    model = fixture("noncommutative")
+    plan = ExperimentPlan(
+        model=model,
+        schemes=("euler",),
+        t_end=1.0,
+        coarse_steps=(4, 8, 16),
+        reference_steps=256,
+        paths=600,
+        seed=0,
+    )
+    grid = GridSpec(0.0, 1.0, 256)
+    chain, noise = convergence.draw_path(model, grid, 0, 503)
+    caller_state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as study:
+            run(plan)
+        with pytest.raises(NonFiniteState) as path:
+            schemes.integrate(model, "euler", chain, noise, grid.finest_times())
+    assert str(study.value) == (
+        "reference pass (euler) at level 256 left the finite range at step 45 on path 503 "
+        "(seed index i of SeedSequence((seed, i)))"
+    )
+    assert str(path.value) == "state left the finite range at step 45 on batch row 0"
+    # numpy's error state is the caller's again once each call returns
+    assert np.geterr() == caller_state
 
 
 def zero_model():

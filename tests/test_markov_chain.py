@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import io
+import pickle
 
 import numpy as np
 import pytest
 
+from switchtaylor import fixture
 from switchtaylor import markov_chain as mc
 from switchtaylor.errors import (
     IntervalOutOfRange,
@@ -179,6 +183,66 @@ def test_sample_path_determinism_and_range():
     # successive states differ
     seq = np.concatenate(([a.initial_state], a.states_after))
     assert (np.diff(seq) != 0).all()
+
+
+def per_jump_reference(generator, initial_state, t0, t_end, rng):
+    """The sampler as it was before the move tables: at every jump it
+    copies the row, zeroes the diagonal, takes the cumulative sum and
+    searches it.  Kept here as the reference the tables must match."""
+    q = generator.q
+    times, states = [], []
+    t, state = t0, initial_state
+    while True:
+        exit_rate = -q[state - 1, state - 1]
+        if exit_rate <= 0.0:
+            break
+        t = t + rng.exponential(1.0 / exit_rate)
+        if t > t_end:
+            break
+        rates = q[state - 1].copy()
+        rates[state - 1] = 0.0
+        cdf = np.cumsum(rates)
+        u = rng.random() * cdf[-1]
+        state = int(np.searchsorted(cdf, u, side="right")) + 1
+        times.append(t)
+        states.append(state)
+    return np.array(times), np.array(states, dtype=np.int64)
+
+
+# state 1 never jumps to 2 directly, and state 3 is absorbing
+ZERO_RATE_AND_ABSORBING = mc.GeneratorMatrix([[-1.5, 0.0, 1.5], [0.5, -2.0, 1.5], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [fixture("linear2").generator, fixture("diagonal3").generator, ZERO_RATE_AND_ABSORBING],
+    ids=["linear2", "diagonal3", "zero-rate-and-absorbing"],
+)
+def test_sample_path_matches_the_per_jump_loop_bit_for_bit(generator):
+    for seed in range(300):
+        initial = seed % generator.m0 + 1
+        args = (generator, initial, 0.0, 4.0)
+        got = mc.sample_path(*args, np.random.default_rng(seed))
+        times, states = per_jump_reference(*args, np.random.default_rng(seed))
+        assert got.jump_times.tobytes() == times.tobytes()
+        assert got.states_after.tobytes() == states.tobytes()
+
+
+def test_move_tables_are_rebuilt_and_ignored_by_eq():
+    g = ZERO_RATE_AND_ABSORBING
+    fresh = mc.GeneratorMatrix(g.q.copy())
+    for clone in (pickle.loads(pickle.dumps(g)), dataclasses.replace(g)):
+        assert clone.q.tobytes() == g.q.tobytes()
+        assert clone._moves == fresh._moves
+    scale, cdf = g._moves[0]
+    assert scale == 1.0 / 1.5 and cdf == (0.0, 0.0, 1.5)
+    assert g._moves[2][0] is None
+    # the tables are derived from q, so neither repr nor == reads them; the
+    # clone shares g's q, since == on two distinct q arrays is ambiguous
+    other = copy.copy(g)
+    object.__setattr__(other, "_moves", ())
+    assert other == g
+    assert "_moves" not in repr(g)
 
 
 def test_absorbing_state():

@@ -15,6 +15,7 @@ from switchtaylor import (
     ChainPath,
     GridSpec,
     InvalidJetOrder,
+    NotAGridTime,
     build_noise,
     fixture,
     fixture_names,
@@ -88,6 +89,48 @@ def test_jump_records_match_a_brute_force_scan(chain, m, seed, data):
     want = brute_force_records(chain, noise, edges)
     for name, values in want.items():
         np.testing.assert_array_equal(getattr(got, name), values, err_msg=name)
+
+
+def planted_records(times, states, edges, m=1, seed=0):
+    # records of a crafted chain on [0, 1], with the brute-force scan's
+    chain = ChainPath(0.0, 1.0, 1, np.array(times), np.array(states, dtype=np.int64))
+    noise = build_noise(GridSpec(0.0, 1.0, 16), chain, m, np.random.default_rng(seed))
+    got = jump_records(chain, noise, edges)
+    want = brute_force_records(chain, noise, edges)
+    for name, values in want.items():
+        np.testing.assert_array_equal(getattr(got, name), values, err_msg=name)
+    return got, noise
+
+
+def test_a_switch_on_an_interior_edge_belongs_to_the_left_window():
+    got, _ = planted_records([0.5, 0.75], [2, 1], [0.0, 0.5, 1.0])
+    assert got.rows.tolist() == [0, 1]
+    assert got.dt1.tolist() == [0.5, 0.25]
+    assert got.reg1.tolist() == [2, 1]
+
+
+def test_a_switch_at_the_end_of_the_span_is_recorded():
+    got, noise = planted_records([0.25, 1.0], [2, 1], [0.0, 0.5, 1.0], m=2)
+    assert got.rows.tolist() == [0, 1] and got.counts.tolist() == [1, 1]
+    assert got.dt1.tolist() == [0.25, 0.5]
+    assert got.reg1.tolist() == [2, 1]
+    np.testing.assert_array_equal(got.w1[1], noise.w_many([1.0])[0] - noise.w_many([0.5])[0])
+
+
+def test_a_fourth_switch_in_one_window_is_not_recorded():
+    got, noise = planted_records([0.1, 0.2, 0.3, 0.4, 0.9], [2, 1, 2, 1, 2], [0.0, 0.5, 1.0])
+    assert got.counts.tolist() == [4, 1]
+    assert got.reg1.tolist() == [2, 2] and got.reg2.tolist() == [1, 2]
+    assert got.dt2.tolist() == [0.2, 0.0]
+    # w3 is the third switch's offset; nothing of the fourth is kept
+    np.testing.assert_array_equal(got.w3[0], noise.w_many([0.3])[0])
+
+
+def test_records_need_the_jump_times_on_the_noise_grid():
+    chain = ChainPath(0.0, 1.0, 1, np.array([0.3]), np.array([2]))
+    noise = build_noise(GridSpec(0.0, 1.0, 16), None, 1, np.random.default_rng(0))
+    with pytest.raises(NotAGridTime):
+        jump_records(chain, noise, [0.0, 0.5, 1.0])
 
 
 @PROPERTY
