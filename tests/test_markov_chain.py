@@ -228,7 +228,7 @@ def test_sample_path_matches_the_per_jump_loop_bit_for_bit(generator):
         assert got.states_after.tobytes() == states.tobytes()
 
 
-def test_move_tables_are_rebuilt_and_ignored_by_eq():
+def test_move_tables_follow_pickle_and_replace_and_are_ignored_by_eq():
     g = ZERO_RATE_AND_ABSORBING
     fresh = mc.GeneratorMatrix(g.q.copy())
     for clone in (pickle.loads(pickle.dumps(g)), dataclasses.replace(g)):

@@ -92,7 +92,7 @@ def test_jump_records_match_a_brute_force_scan(chain, m, seed, data):
 
 
 def planted_records(times, states, edges, m=1, seed=0):
-    # records of a crafted chain on [0, 1], with the brute-force scan's
+    # records of a crafted chain on [0, 1], checked against the brute-force scan
     chain = ChainPath(0.0, 1.0, 1, np.array(times), np.array(states, dtype=np.int64))
     noise = build_noise(GridSpec(0.0, 1.0, 16), chain, m, np.random.default_rng(seed))
     got = jump_records(chain, noise, edges)
