@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _values
 from ._files import opened
-from ._values import is_int, number
 from .errors import (
     IntervalOutOfRange,
     InvalidGenerator,
@@ -64,10 +64,7 @@ class GeneratorMatrix:
     _moves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            q = np.array(self.q, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidGenerator("generator must be a square matrix of numbers") from None
+        q = _values.floats(self.q, "generator", InvalidGenerator).copy()
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise InvalidGenerator("generator must be a square matrix")
         if not np.isfinite(q).all():
@@ -104,8 +101,8 @@ class GeneratorMatrix:
 
     def rate(self, i0: int, k0: int) -> float:
         """Entry q[i0, k0] with 1-based state labels."""
-        _check_state(i0, self.m0)
-        _check_state(k0, self.m0)
+        _values.label(i0, "state", StateOutOfRange, self.m0)
+        _values.label(k0, "state", StateOutOfRange, self.m0)
         return float(self.q[i0 - 1, k0 - 1])
 
 
@@ -124,29 +121,17 @@ class ChainPath:
     states_after: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        times = np.array(self.jump_times, dtype=float)
-        labels = np.asarray(self.states_after)
-        states = np.array(labels, dtype=np.int64)
-        t0, t_end = number(self.t0), number(self.t_end)
+        t0, t_end = _values.number(self.t0), _values.number(self.t_end)
         if not -np.inf < t0 < t_end < np.inf:
             raise IntervalOutOfRange("need finite t0 < t_end")
-        if times.shape != states.shape or times.ndim != 1:
+        # copies, since the path freezes them
+        times = _values.times(self.jump_times, "jump times", IntervalOutOfRange, 0).copy()
+        states = _values.labels(self.states_after, "states", StateOutOfRange).astype(np.int64)
+        if times.shape != states.shape:
             raise StateOutOfRange("one entered state per jump time")
-        if times.size:
-            if (np.diff(times) <= 0).any():
-                raise IntervalOutOfRange("jump times must be strictly increasing")
-            if times[0] <= t0 or times[-1] > t_end:
-                raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
-        if (
-            not is_int(self.initial_state)
-            or (labels.size and labels.dtype.kind not in "iu")
-            or self.initial_state < 1
-            or (states < 1).any()
-        ):
-            raise StateOutOfRange(
-                "states are integer labels from 1, got %r and %r"
-                % (self.initial_state, labels)
-            )
+        if times.size and (times[0] <= t0 or times[-1] > t_end):
+            raise IntervalOutOfRange("jump times must lie inside (t0, t_end]")
+        _values.label(self.initial_state, "initial state", StateOutOfRange)
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "t0", t0)
@@ -168,10 +153,7 @@ class ChainPath:
 
     def states_at(self, times) -> np.ndarray:
         """Vectorized right-continuous states at an array of times."""
-        try:
-            times = np.asarray(times, dtype=float)
-        except (TypeError, ValueError):
-            times = np.array(np.nan)
+        times = _values.floats(times, "query times", IntervalOutOfRange)
         if times.size and not (times.min() >= self.t0 and times.max() <= self.t_end):
             raise IntervalOutOfRange("query outside the sampled span")
         k = np.searchsorted(self.jump_times, times, side="right")
@@ -179,7 +161,7 @@ class ChainPath:
         return all_states[k]
 
     def _state(self, t: float, side: str) -> int:
-        u = number(t)
+        u = _values.number(t)
         if not (self.t0 <= u <= self.t_end):
             raise IntervalOutOfRange(
                 "time %r outside the sampled span [%r, %r]" % (t, self.t0, self.t_end)
@@ -210,8 +192,8 @@ def sample_path(
     Returns:
       ChainPath on [t0, t_end].
     """
-    _check_state(initial_state, generator.m0)
-    t0, t_end = number(t0), number(t_end)
+    _values.label(initial_state, "state", StateOutOfRange, generator.m0)
+    t0, t_end = _values.number(t0), _values.number(t_end)
     if not -np.inf < t0 < t_end < np.inf:
         # a NaN or infinite end would never stop the holding-time loop
         raise IntervalOutOfRange("need finite t0 < t_end")
@@ -233,15 +215,9 @@ def sample_path(
     return ChainPath(t0, t_end, initial_state, np.array(times), np.array(states, dtype=np.int64))
 
 
-def _check_state(state, m0=None):
-    # an integer label from 1, and at most m0 where the state count is known
-    if not is_int(state) or state < 1 or (m0 is not None and state > m0):
-        raise StateOutOfRange("state %r outside 1..%s" % (state, m0 or "m0"))
-
-
 def _jumps_in(path: ChainPath, s: float, t: float) -> slice:
     # the positions in path.jump_times of the jumps on (s, t]
-    span = number(s), number(t)
+    span = _values.number(s), _values.number(t)
     if not (path.t0 <= span[0] < span[1] <= path.t_end):
         raise IntervalOutOfRange(
             "need %r <= s < t <= %r, got (s, t) = (%r, %r)" % (path.t0, path.t_end, s, t)
@@ -264,7 +240,7 @@ def jump_times_in(path: ChainPath, s: float, t: float) -> np.ndarray:
 def occupation_time(path: ChainPath, state: int, s: float, t: float) -> float:
     """Lebesgue measure of {u in (s, t] : left limit of the state at u is i0}."""
     inner = path.jump_times[_jumps_in(path, s, t)]
-    _check_state(state)
+    _values.label(state, "state", StateOutOfRange)
     cuts = [s, *inner[inner < t], t]
     total = 0.0
     # on (left, right] the left limits equal the state entered at `left`
@@ -276,8 +252,8 @@ def occupation_time(path: ChainPath, state: int, s: float, t: float) -> float:
 
 def pair_jump_count(path: ChainPath, i0: int, k0: int, s: float, t: float) -> int:
     """Number of i0 -> k0 transitions on (s, t]; the pair must be distinct."""
-    _check_state(i0)
-    _check_state(k0)
+    _values.label(i0, "state", StateOutOfRange)
+    _values.label(k0, "state", StateOutOfRange)
     if i0 == k0:
         raise SameStatePair("transition counting needs two distinct states")
     span = _jumps_in(path, s, t)
@@ -299,8 +275,8 @@ def pair_jump_martingale(
     generator: GeneratorMatrix, path: ChainPath, i0: int, k0: int, s: float, t: float
 ) -> float:
     """Count minus compensator; identically zero for i0 == k0 by convention."""
-    _check_state(i0, generator.m0)
-    _check_state(k0, generator.m0)
+    _values.label(i0, "state", StateOutOfRange, generator.m0)
+    _values.label(k0, "state", StateOutOfRange, generator.m0)
     if i0 == k0:
         return 0.0
     return pair_jump_count(path, i0, k0, s, t) - pair_jump_compensator(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._values import is_int
+from . import _values
 from .errors import (
     DimensionMismatch,
     InvalidCoefficients,
@@ -129,7 +129,7 @@ def check_jet_order(order) -> None:
     """Refuse a jet order other than the integers 0, 1 and 2 (not bools)."""
     if type(order) is int and 0 <= order <= 2:
         return
-    if not (is_int(order) and 0 <= order <= 2):
+    if not (_values.is_int(order) and 0 <= order <= 2):
         raise InvalidJetOrder("a coefficient jet has order 0, 1 or 2, got %r" % (order,))
 
 
@@ -213,20 +213,14 @@ class ModelSpec:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise error("%s is a %s, not a %s" % (name, type(value).__name__, kind.__name__))
-        try:
-            x0 = np.array(self.x0, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise NonFiniteInput("x0 must be finite numbers, got %r" % (self.x0,)) from None
+        x0 = _values.floats(self.x0, "x0", NonFiniteInput).flatten()
         if x0.size != self.coefficients.d:
             raise DimensionMismatch(
                 "x0 has %d entries, coefficients expect %d" % (x0.size, self.coefficients.d)
             )
         if not np.isfinite(x0).all():
             raise NonFiniteInput("x0 must be finite")
-        regime = self.initial_regime
-        # an integer label in 1..m0; a float such as 1.5 would index as 1
-        if not is_int(regime) or not 1 <= regime <= self.m0:
-            raise UnknownRegime("initial regime %r outside 1..%d" % (regime, self.m0))
+        _values.label(self.initial_regime, "initial regime", UnknownRegime, self.m0)
         _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -419,7 +413,7 @@ def check_commutativity(model: ModelSpec, points=None) -> CommutativityReport:
     """
     if points is None:
         points = default_probe_points(model)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(_values.floats(points, "probe points", NonFiniteInput))
     if points.ndim != 2 or points.shape[1] != model.d or points.shape[0] == 0:
         raise DimensionMismatch(
             "probe points have shape %s, expected (n, %d) with n >= 1" % (points.shape, model.d)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _values
 from ._files import opened
-from ._values import is_int, is_real, number
 from .errors import IntervalOutOfRange, InvalidGrid, NonFiniteInput, NotAGridTime
 from .errors import TruncatedNoiseFile
 from .markov_chain import ChainPath
@@ -75,12 +75,12 @@ class GridSpec:
     def __post_init__(self):
         for end in ("t0", "t_end"):
             value = getattr(self, end)
-            if not (is_real(value) and np.isfinite(value)):
+            if not (_values.is_real(value) and np.isfinite(value)):
                 raise InvalidGrid("%s must be a finite real number, got %r" % (end, value))
         if not self.t0 < self.t_end:
             raise InvalidGrid("need t0 < t_end, got %r and %r" % (self.t0, self.t_end))
         n = self.n
-        if not (np.isfinite(number(n)) and int(n) == n and n >= 1):
+        if not (np.isfinite(_values.number(n)) and int(n) == n and n >= 1):
             raise InvalidGrid("the interval count must be a positive integer, got %r" % (n,))
         object.__setattr__(self, "n", int(n))
 
@@ -89,14 +89,6 @@ class GridSpec:
         times = self.t0 + span * np.arange(self.n + 1) / self.n
         times[-1] = self.t_end
         return times
-
-
-def _floats(value, what: str) -> np.ndarray:
-    # numpy's own refusal of text or ragged input is a bare ValueError
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidGrid("%s must be an array of numbers" % what) from None
 
 
 def sample_increments(deltas, m: int, rng: np.random.Generator):
@@ -110,10 +102,10 @@ def sample_increments(deltas, m: int, rng: np.random.Generator):
     Returns:
       (dw, dz) arrays of shape (n, m).
     """
-    deltas = _floats(deltas, "interval lengths")
+    deltas = _values.floats(deltas, "interval lengths", InvalidGrid)
     if deltas.ndim != 1 or not ((deltas > 0) & (deltas < np.inf)).all():
         raise InvalidGrid("interval lengths must be positive and finite")
-    if not is_int(m) or m < 1:
+    if not _values.is_int(m) or m < 1:
         raise InvalidGrid("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
     g = rng.standard_normal((deltas.size, m, 2))
     root = np.sqrt(deltas)
@@ -131,14 +123,9 @@ class NoisePath:
     """
 
     def __init__(self, times: np.ndarray, dw: np.ndarray, dz: np.ndarray):
-        times = _floats(times, "grid times")
-        dw = _floats(dw, "dW")
-        dz = _floats(dz, "dZ")
-        if times.ndim != 1 or times.size < 2 or not np.isfinite(times).all():
-            raise InvalidGrid("grid times must be finite and strictly increasing")
-        deltas = times[1:] - times[:-1]
-        if (deltas <= 0).any():
-            raise InvalidGrid("grid times must be finite and strictly increasing")
+        times = _values.times(times, "grid times", InvalidGrid)
+        dw = _values.floats(dw, "dW", InvalidGrid)
+        dz = _values.floats(dz, "dZ", InvalidGrid)
         if dw.shape != dz.shape or dw.ndim != 2 or dw.shape[0] != times.size - 1:
             raise InvalidGrid("increment arrays must be (intervals, dimensions)")
         if dw.shape[1] < 1:
@@ -153,6 +140,7 @@ class NoisePath:
         sums = np.zeros((3, n + 1, m))
         np.add.accumulate(dw, axis=0, out=sums[0, 1:])
         np.add.accumulate(dz, axis=0, out=sums[1, 1:])
+        deltas = times[1:] - times[:-1]
         np.add.accumulate(sums[0, :-1] * deltas[:, None], axis=0, out=sums[2, 1:])
         self._w, self._zsum, self._wdt = sums
 
@@ -162,7 +150,7 @@ class NoisePath:
 
     def grid_indices(self, times) -> np.ndarray:
         """Grid indices of an array of times; every entry must be a grid time."""
-        times = np.asarray(times, dtype=float).reshape(-1)
+        times = _values.floats(times, "query times", NotAGridTime).reshape(-1)
         idx = np.searchsorted(self.times, times)
         clipped = np.minimum(idx, self.times.size - 1)
         bad = (idx == self.times.size) | (self.times[clipped] != times)

@@ -64,6 +64,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _values
 from ._files import opened
 from .errors import (
     CommutativityRequired,
@@ -184,9 +185,7 @@ def jump_records(chain: ChainPath, noise: NoisePath, edges) -> JumpRecords:
     Wiener offset alone.  The switches are the chain's own jump times, so
     their regimes are read from ``chain.states_after`` without a search.
     """
-    edges = np.asarray(edges, dtype=float).reshape(-1)
-    if edges.size < 2 or not (edges[1:] > edges[:-1]).all():
-        raise InvalidGrid("jump_records: edges must be at least two increasing times")
+    edges = _values.times(edges, "jump_records: edges", InvalidGrid)
     taus = chain.jump_times.tolist()
     # jump times are sorted: the ones in (edges[0], edges[-1]] are one slice
     lo, hi = bisect_right(taus, edges[0]), bisect_right(taus, edges[-1])
@@ -421,7 +420,9 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
       NonFiniteState: a state left the finite range; its ``step`` and ``row``
         locate the first bad row of the first bad step.
     """
-    regimes = np.asarray(regimes)
+    regimes = _values.labels(regimes, "march: regime labels", UnknownRegime)
+    for part in () if table is None else (table.reg1, table.reg2):
+        _values.labels(part, "march: regime labels", UnknownRegime)
     hs = np.asarray(hs, dtype=float)
     if regimes.ndim != 2:
         raise DimensionMismatch("march: regimes has shape %s, expected (P, n)" % (regimes.shape,))
@@ -436,13 +437,6 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
             raise DimensionMismatch(
                 "march: %s has shape %s, expected %s" % (name, np.shape(value), shape)
             )
-    labels = [regimes] if table is None else [regimes, table.reg1, table.reg2]
-    dtypes = [np.asarray(part).dtype for part in labels]
-    if any(dtype.kind not in "iu" for dtype in dtypes):
-        raise UnknownRegime("march: regime labels are integers, got %s" % dtypes)
-    lowest = min(np.min(part, initial=1) for part in labels)
-    if lowest < 1:
-        raise UnknownRegime("march: regime labels start at 1, got %d" % lowest)
     bounds = [0] * (n_steps + 1)
     if table is not None:
         bounds = np.searchsorted(table.rows, np.arange(n_steps + 1) * width).tolist()
@@ -507,9 +501,7 @@ def integrate(
     """
     info = get_scheme(scheme)
     require_commutativity(model, info.commutativity_order)
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size < 2 or np.any(np.diff(times) <= 0):
-        raise InvalidGrid("need at least two strictly increasing times")
+    times = _values.times(times, "integrate: times", InvalidGrid)
     if times[0] < chain.t0 or times[-1] > chain.t_end:
         raise IntervalOutOfRange(
             "times [%g, %g] leave the chain span [%g, %g]"

@@ -19,11 +19,13 @@ from switchtaylor import (
     NoisePath,
     build_noise,
     build_scheme_sets,
+    check_commutativity,
     count_jumps,
     errors,
     fit_order,
     fixture,
     get_scheme,
+    integrate,
     jump_records,
     load_noise,
     march,
@@ -275,6 +277,40 @@ BAD_CALLS = {
         lambda: load_noise(io.BytesIO(struct.pack("<QQ4d", 2, 1, 0.0, 1.0, np.nan, 0.0))),
         "NonFiniteInput",
     ),
+    "ChainPath-text-jump-times": (
+        lambda: ChainPath(0.0, 1.0, 1, ["a"], [2]),
+        "IntervalOutOfRange",
+    ),
+    "ChainPath-ragged-jump-times": (
+        lambda: ChainPath(0.0, 1.0, 1, [[0.5], [0.6, 0.7]], [2, 1]),
+        "IntervalOutOfRange",
+    ),
+    "ChainPath-nan-jump-time": (
+        lambda: ChainPath(0.0, 1.0, 1, [0.5, np.nan], [2, 1]),
+        "IntervalOutOfRange",
+    ),
+    "ChainPath-text-state": (lambda: ChainPath(0.0, 1.0, 1, [0.5], ["a"]), "StateOutOfRange"),
+    "integrate-text-times": (
+        lambda: integrate(LIN, "euler", CHAIN, NOISE, ["a", "b"]),
+        "InvalidGrid",
+    ),
+    "integrate-2d-times": (lambda: integrate(LIN, "euler", CHAIN, NOISE, EDGES[None]), "InvalidGrid"),
+    "jump_records-text-edges": (lambda: jump_records(CHAIN, NOISE, ["a", "b"]), "InvalidGrid"),
+    "jump_records-ragged-edges": (
+        lambda: jump_records(CHAIN, NOISE, [[0.0], [0.5, 1.0]]),
+        "InvalidGrid",
+    ),
+    "check_commutativity-text-points": (
+        lambda: check_commutativity(LIN, [["a"]]),
+        "NonFiniteInput",
+    ),
+    "check_commutativity-ragged-points": (
+        lambda: check_commutativity(LIN, [[1.0], [1.0, 2.0]]),
+        "NonFiniteInput",
+    ),
+    "grid_indices-text": (lambda: NOISE.grid_indices(["a"]), "NotAGridTime"),
+    "step_aggregates-text": (lambda: NOISE.step_aggregates(["a", "b"]), "NotAGridTime"),
+    "w_many-ragged": (lambda: NOISE.w_many([[0.0], [0.5, 1.0]]), "NotAGridTime"),
 }
 
 
@@ -286,8 +322,9 @@ def test_bad_inputs_raise_package_errors(call, error):
 
 
 def test_one_module_holds_the_integer_and_real_rules():
-    # _values.is_int, is_real and number decide what a count, label or time
-    # is; a second copy of the rule drifts from them
+    # _values decides what a count, label, time, time grid or array of
+    # numbers is; a second copy of a rule drifts from it
+    removed = ("_is_label", "_number", "_floats", "_check_state")
     found = []
     for module in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
@@ -298,7 +335,7 @@ def test_one_module_holds_the_integer_and_real_rules():
                     found.append("%s:%d imports numbers" % (module.name, node.lineno))
             # a definition, an imported name, a name or an attribute
             name = getattr(node, "name", None) or getattr(node, "id", None)
-            if (name or getattr(node, "attr", None)) in ("_is_label", "_number"):
+            if (name or getattr(node, "attr", None)) in removed:
                 found.append("%s:%d names a removed local rule" % (module.name, node.lineno))
     assert not found, "; ".join(found)
 
