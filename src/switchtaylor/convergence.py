@@ -293,11 +293,11 @@ def draw_path(model: ModelSpec, grid: GridSpec, seed: int, index: int):
 # the batched engine
 
 
-def _window_data(plan, levels, ref_times, indices, exact):
+def _window_data(plan, levels, grid, indices, exact):
     """Per-level window data of one batch of paths, keyed by step count:
     (dw, dz) of shape (P, L, m), regimes (P, L) at the window starts, and
     the merged switch-record table, for every level and, under a scheme
-    reference, the reference grid.  The last item is the batch's
+    reference, the reference grid ``grid``.  The last item is the batch's
     closed-form reference states on the finest level when ``exact`` is
     set, and None otherwise."""
     model = plan.model
@@ -305,7 +305,7 @@ def _window_data(plan, levels, ref_times, indices, exact):
     n_ref = plan.reference_steps
     n_fine = max(levels)
     P = len(indices)
-    grid = GridSpec(0.0, plan.t_end, n_ref)
+    ref_times = grid.finest_times()
     recorded = sorted(set(levels) | {n_ref})
     # the levels that get passes; a closed-form reference needs no
     # reference-grid increments, regimes or records
@@ -412,7 +412,7 @@ def _closed_form_states(model, fine_times, w, regs, switches):
     return out
 
 
-def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
+def _batch_partial(plan, levels, schemes, ref_scheme, grid, indices):
     """Process one fixed batch of path indices; return per-(scheme, level)
     accumulators of its sup-squared errors and moment sums (``_accumulator``)."""
     model = plan.model
@@ -424,7 +424,7 @@ def _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices):
     P = len(indices)
 
     dw, dz, regs, tables, ref_keep = _window_data(
-        plan, levels, ref_times, indices, ref_scheme == CLOSED_FORM
+        plan, levels, grid, indices, ref_scheme == CLOSED_FORM
     )
 
     def nonfinite(what, L, step, row):
@@ -525,7 +525,7 @@ def _run_engine(plan, levels, schemes):
     for name in schemes:
         require_commutativity(plan.model, get_scheme(name).commutativity_order)
     ref_scheme = reference_scheme_for(plan.model)
-    ref_times = GridSpec(0.0, plan.t_end, plan.reference_steps).finest_times()
+    grid = GridSpec(0.0, plan.t_end, plan.reference_steps)
     batches = [
         range(lo, min(lo + BATCH_PATHS, plan.paths))
         for lo in range(0, plan.paths, BATCH_PATHS)
@@ -533,7 +533,7 @@ def _run_engine(plan, levels, schemes):
     # a diverging path is reported by NonFiniteState, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         return _tree_reduce(
-            _batch_partial(plan, levels, schemes, ref_scheme, ref_times, indices)
+            _batch_partial(plan, levels, schemes, ref_scheme, grid, indices)
             for indices in batches
         )
 

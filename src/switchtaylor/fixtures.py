@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownFixture
+from .errors import DimensionMismatch, UnknownFixture, UnknownRegime
 from .markov_chain import GeneratorMatrix
 from .model import CoefficientSet, ModelSpec, check_jet_order
 
@@ -55,9 +55,15 @@ def _labelled(table):
 
 
 def _per_regime(regimes, *tables):
-    # labelled tables; regimes: 1-based labels of any shape
+    # labelled tables; regimes: 1-based labels of any shape.  A label above
+    # the regime count fails the gather, so its check costs no call
     r = np.asarray(regimes, dtype=np.intp)
-    return [table.take(r, axis=0) for table in tables]
+    try:
+        return [table.take(r, axis=0) for table in tables]
+    except IndexError:
+        raise UnknownRegime(
+            "regime labels run from 1 to %d, got %d..%d" % (len(tables[0]) - 1, r.min(), r.max())
+        ) from None
 
 
 @lru_cache(maxsize=8)
@@ -71,9 +77,12 @@ def _flat(B, d, m):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalLinearCoefficients(CoefficientSet):
-    """d = m, drift A[i,k] x^k per coordinate, diffusion diag(C[i,k] x^k)."""
+    """d = m, drift A[i,k] x^k per coordinate, diffusion diag(C[i,k] x^k).
+
+    Compares and hashes by identity; nothing compares coefficient sets by value.
+    """
 
     a: np.ndarray
     c: np.ndarray
@@ -123,9 +132,12 @@ class DiagonalLinearCoefficients(CoefficientSet):
         return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanRevertingCoefficients(CoefficientSet):
-    """d = m = 1, drift theta_i (mu_i - x), constant diffusion c_i."""
+    """d = m = 1, drift theta_i (mu_i - x), constant diffusion c_i.
+
+    Compares and hashes by identity; nothing compares coefficient sets by value.
+    """
 
     theta: np.ndarray
     mean: np.ndarray

@@ -51,12 +51,13 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Validated transition-rate matrix of a finite-state chain.
 
     Off-diagonal entries are nonnegative jump rates, diagonal entries are
-    nonpositive, and every row sums to zero within 1e-12.
+    nonpositive, and every row sums to zero within 1e-12.  Two generators
+    are equal when their q are, and hash by q's bytes.
     """
 
     q: np.ndarray
@@ -88,6 +89,14 @@ class GeneratorMatrix:
             for rate, row in zip(exits.tolist(), off)
         )
         object.__setattr__(self, "_moves", moves)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.q, other.q)
+
+    def __hash__(self):
+        return hash(self.q.tobytes())
 
     @property
     def m0(self) -> int:

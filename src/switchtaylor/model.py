@@ -195,9 +195,12 @@ class CallableCoefficients(CoefficientSet):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A regime-switching SDE: coefficients, chain generator, start point."""
+    """A regime-switching SDE: coefficients, chain generator, start point.
+
+    Models compare and hash by identity; nothing compares them by value.
+    """
 
     name: str
     generator: GeneratorMatrix
@@ -246,7 +249,7 @@ def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
     regimes = np.arange(1, m0 + 1)
     try:
         shapes = tuple(part.shape for part in coeffs.jet(X, regimes, 0))
-    except IndexError as exc:
+    except (IndexError, UnknownRegime) as exc:
         raise DimensionMismatch(
             "coefficients cannot be evaluated in all %d regimes of the generator: %s"
             % (m0, exc)

@@ -37,7 +37,7 @@ name, so that name stays.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,12 +65,14 @@ class GridSpec:
     """A uniform grid of ``n`` intervals on [t0, t_end].
 
     Coarser grids are strided slices of ``finest_times()``, so shared points
-    are equal bitwise, not merely approximately.
+    are equal bitwise, not merely approximately.  The times are built once,
+    read-only, and take no part in ``repr`` or ``==``.
     """
 
     t0: float
     t_end: float
     n: int
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for end in ("t0", "t_end"):
@@ -82,13 +84,16 @@ class GridSpec:
         n = self.n
         if not (np.isfinite(_values.number(n)) and int(n) == n and n >= 1):
             raise InvalidGrid("the interval count must be a positive integer, got %r" % (n,))
-        object.__setattr__(self, "n", int(n))
+        n = int(n)
+        object.__setattr__(self, "n", n)
+        times = self.t0 + (self.t_end - self.t0) * np.arange(n + 1) / n
+        times[-1] = self.t_end
+        times.setflags(write=False)
+        object.__setattr__(self, "_times", times)
 
     def finest_times(self) -> np.ndarray:
-        span = self.t_end - self.t0
-        times = self.t0 + span * np.arange(self.n + 1) / self.n
-        times[-1] = self.t_end
-        return times
+        """The n + 1 grid times, one read-only array shared by every call."""
+        return self._times
 
 
 def sample_increments(deltas, m: int, rng: np.random.Generator):

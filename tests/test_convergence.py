@@ -151,7 +151,7 @@ def test_path_i_of_a_batch_is_draw_path_of_seed_and_i(name):
     grid = GridSpec(0.0, plan.t_end, plan.reference_steps)
     ref_times = grid.finest_times()
     indices = range(5, 8)
-    dw, dz, regs, _, _ = convergence._window_data(plan, [4, 8], ref_times, indices, False)
+    dw, dz, regs, _, _ = convergence._window_data(plan, [4, 8], grid, indices, False)
     for slot, i in enumerate(indices):
         chain, noise = convergence.draw_path(model, grid, plan.seed, i)
         want_dw, want_dz = noise.step_aggregates(ref_times)
@@ -216,9 +216,10 @@ def test_batched_window_data_equals_the_per_path_queries(monkeypatch, name):
 
     monkeypatch.setattr(convergence, "sample_path", sample)
     monkeypatch.setattr(convergence, "build_noise", build)
-    ref_times = GridSpec(0.0, 1.0, 512).finest_times()
+    grid = GridSpec(0.0, 1.0, 512)
+    ref_times = grid.finest_times()
     dw, dz, regs, tables, reference = convergence._window_data(
-        plan, list(plan.coarse_steps), ref_times, range(plan.paths), exact
+        plan, list(plan.coarse_steps), grid, range(plan.paths), exact
     )
     assert len(paths) == plan.paths
     levels = (8, 16, 32) if exact else (8, 16, 32, 512)

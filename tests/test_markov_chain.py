@@ -245,6 +245,17 @@ def test_move_tables_follow_pickle_and_replace_and_are_ignored_by_eq():
     assert "_moves" not in repr(g)
 
 
+def test_generators_compare_by_q_and_models_by_identity():
+    # == and hash read arrays without asking numpy for one truth value
+    q = [[-1.0, 1.0], [1.0, -1.0]]
+    a, b = mc.GeneratorMatrix(q), mc.GeneratorMatrix(np.array(q))
+    assert a == b and hash(a) == hash(b) and a != mc.GeneratorMatrix([[-2.0, 2.0], [1.0, -1.0]])
+    model = fixture("linear2")
+    assert model == model and model != fixture("linear2")
+    assert model.coefficients != fixture("linear2").coefficients
+    assert len({model, fixture("linear2")}) == 2
+
+
 def test_absorbing_state():
     g = mc.GeneratorMatrix(np.array([[-1.0, 1.0], [0.0, 0.0]]))
     p = mc.sample_path(g, 2, 0.0, 10.0, np.random.default_rng(0))

@@ -311,6 +311,11 @@ BAD_CALLS = {
     "grid_indices-text": (lambda: NOISE.grid_indices(["a"]), "NotAGridTime"),
     "step_aggregates-text": (lambda: NOISE.step_aggregates(["a", "b"]), "NotAGridTime"),
     "w_many-ragged": (lambda: NOISE.w_many([[0.0], [0.5, 1.0]]), "NotAGridTime"),
+    "jet-above-m0": (
+        lambda: LIN.coefficients.jet(np.ones((1, 1)), np.array([3]), 0),
+        "UnknownRegime",
+    ),
+    "march-above-m0": (lambda: _march(regimes=np.full((1, 4), 3)), "UnknownRegime"),
 }
 
 
