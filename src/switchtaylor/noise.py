@@ -29,9 +29,12 @@ one formula for dW and dZ over a window; it takes prefix sums with leading
 batch axes, so a caller that gathered them for many paths with
 ``NoisePath.prefix_sums`` aggregates the whole batch at once.
 ``NoisePath.step_aggregates`` is its view on one path, and
-``NoisePath.w_many`` reads W itself at grid times.  The benchmark's
-per-layer tracer (``perfbench/layers.py``) wraps ``step_aggregates`` by
-name, so that name stays.
+``NoisePath.w_many`` reads W itself at grid times.  Array inputs are read
+through the rules of ``_values``: grid times, increments and interval
+lengths that are not numbers raise ``InvalidGrid``, query times
+``NotAGridTime``.  The benchmark's per-layer tracer
+(``perfbench/layers.py``) wraps ``step_aggregates`` by name, so that name
+stays.
 """
 
 from __future__ import annotations
