@@ -48,7 +48,7 @@ def floats(value, what: str, error) -> np.ndarray:
 
 def times(value, what: str, error, least: int = 2) -> np.ndarray:
     """A 1-D float array of at least ``least`` finite, strictly increasing times."""
-    t = floats(value, what, error)
+    t = _array(value, float, what, error)
     # NaN fails every comparison, so with the order held only the ends can be inf
     if t.ndim != 1 or t.size < least or (
         t.size and not (-np.inf < t[0] and t[-1] < np.inf and (t[1:] > t[:-1]).all())

@@ -36,6 +36,9 @@ def test_grid_spec_validation():
     g = noise.GridSpec(0.0, 1.0, 16.0)
     assert g.n == 16 and isinstance(g.n, int)
     assert g.finest_times().size == 17
+    # built once, read-only, and outside repr and ==
+    assert g.finest_times() is g.finest_times() and not g.finest_times().flags.writeable
+    assert g == noise.GridSpec(0.0, 1.0, 16) and "_times" not in repr(g)
     inc = np.zeros((2, 1))
     with pytest.raises(InvalidGrid, match="finite"):
         noise.NoisePath(np.array([0.0, 0.5, np.nan]), inc, inc)
