@@ -416,7 +416,8 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
       DimensionMismatch: an input's shape disagrees with ``regimes`` or
         with the coefficient set's d and m.
       UnknownRegime: a regime label in ``regimes`` or ``table`` is not an
-        integer from 1.
+        integer from 1; the rate-table coefficient sets also refuse a label
+        above their regime count, at the step that reads it.
       NonFiniteState: a state left the finite range; its ``step`` and ``row``
         locate the first bad row of the first bad step.
     """
