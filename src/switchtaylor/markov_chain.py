@@ -96,7 +96,8 @@ class GeneratorMatrix:
         return np.array_equal(self.q, other.q)
 
     def __hash__(self):
-        return hash(self.q.tobytes())
+        # + 0.0 turns -0.0, which == counts as equal to 0.0, into 0.0
+        return hash((self.q + 0.0).tobytes())
 
     @property
     def m0(self) -> int:

@@ -250,6 +250,9 @@ def test_generators_compare_by_q_and_models_by_identity():
     q = [[-1.0, 1.0], [1.0, -1.0]]
     a, b = mc.GeneratorMatrix(q), mc.GeneratorMatrix(np.array(q))
     assert a == b and hash(a) == hash(b) and a != mc.GeneratorMatrix([[-2.0, 2.0], [1.0, -1.0]])
+    signed = mc.GeneratorMatrix([[-0.0, 0.0], [0.0, -0.0]])
+    zero = mc.GeneratorMatrix(np.zeros((2, 2)))
+    assert signed == zero and hash(signed) == hash(zero)
     model = fixture("linear2")
     assert model == model and model != fixture("linear2")
     assert model.coefficients != fixture("linear2").coefficients

@@ -294,7 +294,10 @@ BAD_CALLS = {
         lambda: integrate(LIN, "euler", CHAIN, NOISE, ["a", "b"]),
         "InvalidGrid",
     ),
-    "integrate-2d-times": (lambda: integrate(LIN, "euler", CHAIN, NOISE, EDGES[None]), "InvalidGrid"),
+    "integrate-2d-times": (
+        lambda: integrate(LIN, "euler", CHAIN, NOISE, EDGES[None]),
+        "InvalidGrid",
+    ),
     "jump_records-text-edges": (lambda: jump_records(CHAIN, NOISE, ["a", "b"]), "InvalidGrid"),
     "jump_records-ragged-edges": (
         lambda: jump_records(CHAIN, NOISE, [[0.0], [0.5, 1.0]]),
