@@ -67,7 +67,7 @@ from .errors import (
     UnknownScheme,
 )
 from .markov_chain import sample_path
-from .model import ModelSpec, check_commutativity
+from .model import ModelSpec, _einsum, check_commutativity
 from .noise import GridSpec, build_noise, window_aggregates
 from .schemes import (
     SCHEMES,
@@ -473,9 +473,9 @@ def _batch_partial(plan, levels, schemes, ref_scheme, grid, indices):
             moment_sums = np.zeros(L // stride_cmp)
             for n, y in steps(info, L, "scheme %s" % name):
                 diff = y - ref_keep[:, (n + 1) * stride_rel]
-                err = np.maximum(err, np.einsum("bk,bk->b", diff, diff))
+                err = np.maximum(err, _einsum("bk,bk->b", diff, diff))
                 if (n + 1) % stride_cmp == 0:
-                    moment_sums[(n + 1) // stride_cmp - 1] += np.einsum("bk,bk->", y, y)
+                    moment_sums[(n + 1) // stride_cmp - 1] += _einsum("bk,bk->", y, y)
             out[(name, L)] = _accumulator(err, moment_sums)
     return out
 

@@ -54,16 +54,12 @@ def _labelled(table):
     return np.concatenate([np.full((1,) + table.shape[1:], np.nan), table])
 
 
-def _per_regime(regimes, *tables):
-    # labelled tables; regimes: 1-based labels of any shape.  A label above
-    # the regime count fails the gather, so its check costs no call
-    r = np.asarray(regimes, dtype=np.intp)
-    try:
-        return [table.take(r, axis=0) for table in tables]
-    except IndexError:
-        raise UnknownRegime(
-            "regime labels run from 1 to %d, got %d..%d" % (len(tables[0]) - 1, r.min(), r.max())
-        ) from None
+def _unknown_regime(regimes, table):
+    # labels above the regime count or not integers fail a labelled gather
+    r = np.asarray(regimes)
+    return UnknownRegime(
+        "regime labels run from 1 to %d, got %s..%s" % (len(table) - 1, r.min(), r.max())
+    )
 
 
 @lru_cache(maxsize=8)
@@ -117,8 +113,13 @@ class DiagonalLinearCoefficients(CoefficientSet):
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        a, sig, *derivatives = _per_regime(regimes, *self._tables[: 4 if order else 2])
-        out = (a * X, sig * X[:, None, :], *derivatives)
+        a, sig, db, dsig, _ = self._tables
+        try:
+            a, sig = a.take(regimes, 0), sig.take(regimes, 0)
+            derivatives = (db.take(regimes, 0), dsig.take(regimes, 0)) if order else ()
+        except (IndexError, TypeError):
+            raise _unknown_regime(regimes, db) from None
+        out = (a * X, sig * X[:, None, :]) + derivatives
         if order == 2:
             out += _flat(X.shape[0], self.d, self.d)
         return out
@@ -127,7 +128,11 @@ class DiagonalLinearCoefficients(CoefficientSet):
         """The strong solution at the interval ends; see ``CoefficientSet``."""
         # one log-increment per interval, one cumulative sum and one exp for
         # the whole batch
-        a, c = _per_regime(regimes, self._tables[0], self._tables[4])
+        a, c = self._tables[0], self._tables[4]
+        try:
+            a, c = a.take(regimes, 0), c.take(regimes, 0)
+        except (IndexError, TypeError):
+            raise _unknown_regime(regimes, c) from None
         log = (a - 0.5 * c * c) * dt[..., None] + c * dw
         return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
@@ -144,7 +149,7 @@ class MeanRevertingCoefficients(CoefficientSet):
     c: np.ndarray
     d: int = field(default=1, init=False)
     m: int = field(default=1, init=False)
-    # theta, mu and c, labelled
+    # theta, mu and c as (m0, 1) columns, labelled
     _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,12 +157,16 @@ class MeanRevertingCoefficients(CoefficientSet):
             object.__setattr__(
                 self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1)
             )
-        tables = tuple(_labelled(t) for t in (self.theta, self.mean, self.c))
+        tables = tuple(_labelled(t[:, None]) for t in (self.theta, self.mean, self.c))
         object.__setattr__(self, "_tables", tables)
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        th, mu, c = (v[:, None] for v in _per_regime(regimes, *self._tables))
+        th, mu, c = self._tables
+        try:
+            th, mu, c = th.take(regimes, 0), mu.take(regimes, 0), c.take(regimes, 0)
+        except (IndexError, TypeError):
+            raise _unknown_regime(regimes, th) from None
         out = (th * (mu - X), c[:, :, None])
         if order >= 1:
             out += (-th[:, :, None], np.zeros((X.shape[0], 1, 1, 1)))

@@ -269,7 +269,7 @@ def pair_jump_count(path: ChainPath, i0: int, k0: int, s: float, t: float) -> in
     span = _jumps_in(path, s, t)
     before = np.concatenate(([path.initial_state], path.states_after))[span]
     after = path.states_after[span]
-    return int(np.count_nonzero((before == i0) & (after == k0)))
+    return int(((before == i0) & (after == k0)).sum())
 
 
 def pair_jump_compensator(

@@ -21,7 +21,8 @@ only.
 One private builder per operator takes jet arrays and contracts them, so a
 caller that evaluates the jet once can build every operator from it.  The
 kernels in ``schemes`` do that once per call at the window-start regime, and
-``check_commutativity`` once per regime.
+``check_commutativity`` once per regime.  All of them contract through
+``_einsum``, which skips numpy's dispatch (see the comment at the builders).
 
 The six per-entry views of ``jet`` on ``CoefficientSet`` (``drift``,
 ``diffusion``, ``drift_gradient``, ...) and the five public ``op_*``
@@ -274,6 +275,12 @@ def _check_tables(coeffs: CoefficientSet, x0, m0: int) -> None:
 # passes None for a Hessian that is zero in every entry of its call, as it
 # is for regime-wise affine coefficients, and then builds no covariance
 # unless the other Hessian needs it.  The skipped terms are exact zeros.
+#
+# _einsum and _count_nonzero are what ndarray.__array_function__ calls after
+# numpy's NEP 18 dispatch, which they skip at the same bits for the ndarrays
+# passed here: a width-1 contraction on diagonal3 takes 1.42 us, not 2.06 us.
+_einsum = np.einsum._implementation
+_count_nonzero = np.count_nonzero._implementation
 
 
 def _covariance(sig):
@@ -283,9 +290,9 @@ def _covariance(sig):
 
 
 def _time_drift(b, db, hb, cov):
-    out = np.einsum("bp,bkp->bk", b, db)
+    out = _einsum("bp,bkp->bk", b, db)
     if hb is not None:
-        out += 0.5 * np.einsum("bpq,bkpq->bk", cov, hb)
+        out += 0.5 * _einsum("bpq,bkpq->bk", cov, hb)
     return out
 
 
@@ -294,9 +301,9 @@ def _noise_drift(db, sig):
 
 
 def _time_diffusion(b, dsig, hsig, cov):
-    out = np.einsum("bp,bkjp->bkj", b, dsig)
+    out = _einsum("bp,bkjp->bkj", b, dsig)
     if hsig is not None:
-        out += 0.5 * np.einsum("bpq,bkjpq->bkj", cov, hsig)
+        out += 0.5 * _einsum("bpq,bkjpq->bkj", cov, hsig)
     return out
 
 

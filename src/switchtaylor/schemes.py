@@ -53,7 +53,7 @@ zeros, so results do not change.  Rows whose window holds a
 switch add one call on those rows only, at the first switched regime: order
 0 for the 1.0 map, order 1 for the 1.5 map.  The 1.5 map adds one more
 order-0 call at the second switched regime on rows with two or more
-switches.
+switches.  ``model._einsum`` and ``_count_nonzero`` skip numpy's dispatch here.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ from .markov_chain import ChainPath
 from .model import (
     COMMUTATIVITY_TOL,
     ModelSpec,
+    _count_nonzero,
     _covariance,
+    _einsum,
     _noise_diffusion,
     _noise_drift,
     _noise_noise_diffusion,
@@ -264,22 +266,22 @@ def _taylor15_weights(h, dw, dz):
 
 def _euler_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None, weights=None):
     b, sig = coeffs.jet(y, regimes, 0)
-    return y + b * h + np.einsum("bkj,bj->bk", sig, dw)
+    return y + b * h + _einsum("bkj,bj->bk", sig, dw)
 
 
 def _milstein_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None, weights=None):
     (pair,) = _milstein_weights(h, dw, dz) if weights is None else weights
     b, sig, _, dsig = coeffs.jet(y, regimes, 1)
     lj = _noise_diffusion(dsig, sig)
-    out = y + b * h + np.einsum("bkj,bj->bk", sig, dw)
-    out += 0.5 * np.einsum("bkja,bja->bk", lj, pair)
+    out = y + b * h + _einsum("bkj,bj->bk", sig, dw)
+    out += 0.5 * _einsum("bkja,bja->bk", lj, pair)
     if jumps is not None and jumps.rows.size:
         rows = jumps.rows
         sig_after = coeffs.jet(y[rows], jumps.reg1, 0)[1]
         # correction covers the stretch from the switch to the next one,
         # or to the window end when the switch is the only one
         w_cut = np.where((jumps.counts >= 2)[:, None], jumps.w2, dw[rows])
-        out[rows] += np.einsum("bkj,bj->bk", sig_after - sig[rows], w_cut - jumps.w1)
+        out[rows] += _einsum("bkj,bj->bk", sig_after - sig[rows], w_cut - jumps.w1)
     return out
 
 
@@ -291,8 +293,8 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None, weights=None):
     # Hessian that is zero in every row of the call (NaN is not) is dropped
     # with its curvature terms, and sigma sigma^T is built only to feed one
     b, sig, db, dsig, hb, hsig = coeffs.jet(y, regimes, 2)
-    hb = hb if np.count_nonzero(hb) else None
-    hsig = hsig if np.count_nonzero(hsig) else None
+    hb = hb if _count_nonzero(hb) else None
+    hsig = hsig if _count_nonzero(hsig) else None
     cov = None if hb is None and hsig is None else _covariance(sig)
     l0b = _time_drift(b, db, hb, cov)
     ljb = _noise_drift(db, sig)
@@ -301,11 +303,11 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None, weights=None):
     ljjs = _noise_noise_diffusion(sig, dsig, hsig, ljs)
 
     out = y + b * h + 0.5 * l0b * (h * h)
-    out += np.einsum("bka,ba->bk", ljb, dz)
-    out += np.einsum("bkj,bj->bk", sig, dw)
-    out += np.einsum("bkj,bj->bk", l0s, hdw_dz)
-    out += 0.5 * np.einsum("bkja,bja->bk", ljs, pair)
-    out += np.einsum("bkjac,bjac->bk", ljjs, triple) / 6.0
+    out += _einsum("bka,ba->bk", ljb, dz)
+    out += _einsum("bkj,bj->bk", sig, dw)
+    out += _einsum("bkj,bj->bk", l0s, hdw_dz)
+    out += 0.5 * _einsum("bkja,bja->bk", ljs, pair)
+    out += _einsum("bkjac,bjac->bk", ljjs, triple) / 6.0
 
     if jumps is None or not jumps.rows.size:
         return out
@@ -323,21 +325,21 @@ def _taylor15_kernel(coeffs, y, regimes, h, dw, dz, jumps=None, weights=None):
     tail = w_cut - w1
     remain = np.where(more, jumps.dt2, h) - jumps.dt1
     out[rows] += (b1 - b[rows]) * remain[:, None]
-    out[rows] += np.einsum("bkj,bj->bk", sig1 - sig0, tail)
+    out[rows] += _einsum("bkj,bj->bk", sig1 - sig0, tail)
     # switched target, operator coefficients frozen at the start regime
     lj_mixed = _noise_diffusion(dsig1, sig0)
-    out[rows] += np.einsum("bkja,ba,bj->bk", lj_mixed - ljs[rows], w1, tail)
+    out[rows] += _einsum("bkja,ba,bj->bk", lj_mixed - ljs[rows], w1, tail)
     # both operator and target switched; weight from the covered stretch
     lj_after = _noise_diffusion(dsig1, sig1)
     tail_quad = _pair_weight(tail, remain[:, None])
-    out[rows] += 0.5 * np.einsum("bkja,bja->bk", lj_after - ljs[rows], tail_quad)
+    out[rows] += 0.5 * _einsum("bkja,bja->bk", lj_after - ljs[rows], tail_quad)
 
     if more.any():
         rows2 = rows[more]
         sig_after = coeffs.jet(y[rows2], jumps.reg2[more], 0)[1]
         # second-switch correction, cut off at a third switch when present
         w_cut3 = np.where((jumps.counts[more] >= 3)[:, None], jumps.w3[more], dw[rows2])
-        out[rows2] += np.einsum(
+        out[rows2] += _einsum(
             "bkj,bj->bk", sig_after - sig[rows2], w_cut3 - jumps.w2[more]
         )
     return out
@@ -462,7 +464,7 @@ def _march(info, coeffs, y, regimes, hs, dw, dz, table, bounds):
             lo, hi = bounds[n], bounds[n + 1]
             jumps = table._between(lo, hi, n * width) if lo != hi else None
             y = kernel(coeffs, y, regs_n, h, dw_n, dz_n, jumps, weights=weights_n)
-            if np.count_nonzero(np.isfinite(y)) != y.size:
+            if _count_nonzero(np.isfinite(y)) != y.size:
                 row = int(np.argmin(np.isfinite(y).all(axis=1)))
                 raise NonFiniteState(
                     "state left the finite range at step %d on batch row %d" % (n, row),

@@ -38,6 +38,7 @@ from switchtaylor import (
     validate_word,
     word,
 )
+from switchtaylor import model
 from switchtaylor.multi_index import Component, ComponentKind, alphabet
 
 PACKAGE = Path(switchtaylor.__file__).parent
@@ -319,6 +320,10 @@ BAD_CALLS = {
         "UnknownRegime",
     ),
     "march-above-m0": (lambda: _march(regimes=np.full((1, 4), 3)), "UnknownRegime"),
+    "jet-float-label": (
+        lambda: LIN.coefficients.jet(np.ones((1, 1)), np.array([1.5]), 0),
+        "UnknownRegime",
+    ),
 }
 
 
@@ -346,6 +351,27 @@ def test_one_module_holds_the_integer_and_real_rules():
             if (name or getattr(node, "attr", None)) in removed:
                 found.append("%s:%d names a removed local rule" % (module.name, node.lineno))
     assert not found, "; ".join(found)
+
+
+def test_contractions_and_counts_skip_numpy_dispatch():
+    # every einsum and count_nonzero of the package goes through the
+    # bindings in model, numpy's own implementations of the two functions;
+    # an np.<name>(...) call passes numpy's __array_function__ dispatcher
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [
+            "%s:%d" % (module.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("einsum", "count_nonzero")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ]
+    assert not found, "dispatched einsum or count_nonzero calls: %s" % ", ".join(found)
+    assert model._einsum is np.einsum._implementation
+    assert model._count_nonzero is np.count_nonzero._implementation
 
 
 PER_ENTRY_VIEWS = {
