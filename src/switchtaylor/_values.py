@@ -3,7 +3,7 @@ Python but no count, label or time here, and numeric text is no number.
 The array rules raise the calling site's package error, for text or ragged
 input too: ``floats`` reads numbers, ``times`` a 1-D run of finite, strictly
 increasing times and ``labels`` integer labels from 1, as ``label`` does for
-one label."""
+one label.  Exact int and float skip the ``numbers`` ABCs' slow check."""
 
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ import numpy as np
 
 def is_int(value) -> bool:
     """An integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (type(value) is not bool and isinstance(value, numbers.Integral))
 
 
 def is_real(value) -> bool:
     """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    kind = type(value)
+    return kind is float or kind is int or (kind is not bool and isinstance(value, numbers.Real))
 
 
 def number(value) -> float:

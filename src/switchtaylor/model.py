@@ -136,7 +136,7 @@ def check_jet_order(order) -> None:
 
 def _evaluate(fn, x, regime, shape):
     # one call of a per-point coefficient function, checked against its shape
-    value = np.asarray(fn(x, regime), dtype=float)
+    value = _values.floats(fn(x, regime), "a coefficient function's value", InvalidCoefficients)
     if value.size != np.prod(shape, dtype=int):
         raise DimensionMismatch(
             "coefficient function returned %d values, expected shape %s" % (value.size, shape)

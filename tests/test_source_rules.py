@@ -1,9 +1,13 @@
 """Rules the package source keeps."""
 
 import ast
+import enum
 import io
+import numbers
 import struct
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 
 import switchtaylor
 from switchtaylor import (
+    CallableCoefficients,
     ChainPath,
     ExperimentPlan,
     GeneratorMatrix,
@@ -38,7 +43,7 @@ from switchtaylor import (
     validate_word,
     word,
 )
-from switchtaylor import model
+from switchtaylor import _values, model
 from switchtaylor.multi_index import Component, ComponentKind, alphabet
 
 PACKAGE = Path(switchtaylor.__file__).parent
@@ -324,6 +329,12 @@ BAD_CALLS = {
         lambda: LIN.coefficients.jet(np.ones((1, 1)), np.array([1.5]), 0),
         "UnknownRegime",
     ),
+    "CallableCoefficients-text-value": (
+        lambda: CallableCoefficients(lambda x, r: ["a"], lambda x, r: [[0.1]], 1, 1).jet(
+            np.ones((1, 1)), np.array([1]), 0
+        ),
+        "InvalidCoefficients",
+    ),
 }
 
 
@@ -351,6 +362,20 @@ def test_one_module_holds_the_integer_and_real_rules():
             if (name or getattr(node, "attr", None)) in removed:
                 found.append("%s:%d names a removed local rule" % (module.name, node.lineno))
     assert not found, "; ".join(found)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def test_integer_and_real_rules_agree_with_the_numbers_abcs():
+    # the exact-type shortcuts of is_int and is_real answer as the ABC
+    # definitions do, and bool stays refused
+    for value in (3, True, np.bool_(True), np.int64(3), 2.5, np.float64(2.5), Fraction(1, 2),
+                  Decimal("1.5"), "1", None, _Level.LOW):
+        not_bool = not isinstance(value, bool)
+        assert _values.is_int(value) == (isinstance(value, numbers.Integral) and not_bool), value
+        assert _values.is_real(value) == (isinstance(value, numbers.Real) and not_bool), value
 
 
 def test_contractions_and_counts_skip_numpy_dispatch():
