@@ -159,9 +159,9 @@ class NoisePath:
     def grid_indices(self, times) -> np.ndarray:
         """Grid indices of an array of times; every entry must be a grid time."""
         times = _values.floats(times, "query times", NotAGridTime).reshape(-1)
-        idx = np.searchsorted(self.times, times)
-        clipped = np.minimum(idx, self.times.size - 1)
-        bad = (idx == self.times.size) | (self.times[clipped] != times)
+        # a time past the end clips to the last grid time; NaN sorts last
+        idx = self.times.searchsorted(times)
+        bad = self.times.take(idx, mode="clip") != times
         if bad.any():
             raise NotAGridTime(
                 "%r is not a grid time of this path" % (times[bad][0],)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -177,10 +178,24 @@ def test_grid_time_lookup_errors():
     p, _, _ = _path_with_jumps()
     with pytest.raises(NotAGridTime):
         p.grid_indices(0.123456)
+    # before t0, past t_end and NaN each name the first bad query
+    for bad in (-0.25, 1.5, np.nan):
+        with pytest.raises(NotAGridTime, match=re.escape("%r is not" % np.float64(bad))):
+            p.grid_indices([0.0, bad, -1.0])
     with pytest.raises(NotAGridTime):
         p.step_aggregates([0.0, 1.00001])
     with pytest.raises(IntervalOutOfRange):
         p.step_aggregates([p.times[5], p.times[2]])
+
+
+def test_grid_indices_of_the_ends_and_of_a_2d_query():
+    p, _, _ = _path_with_jumps()
+    last = p.times.size - 1
+    assert p.grid_indices([p.times[-1]]).tolist() == [last]
+    assert p.grid_indices(p.times[0]).tolist() == [0]
+    # a 2-D query is read in row-major order
+    query = np.array([[p.times[3], p.times[-1]], [p.times[0], p.times[7]]])
+    assert p.grid_indices(query).tolist() == [3, last, 0, 7]
 
 
 def test_sample_increments_validation():
