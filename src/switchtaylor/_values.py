@@ -1,9 +1,11 @@
 """The package's number, time and label rules.  bool is an ``Integral`` in
 Python but no count, label or time here, and numeric text is no number.
 The array rules raise the calling site's package error, for text or ragged
-input too: ``floats`` reads numbers, ``times`` a 1-D run of finite, strictly
-increasing times and ``labels`` integer labels from 1, as ``label`` does for
-one label.  Exact int and float skip the ``numbers`` ABCs' slow check."""
+input too: ``floats`` reads numbers, ``finite`` numbers that are all finite,
+``times`` a 1-D run of finite, strictly increasing times and ``labels``
+integer labels from 1, as ``label`` does for one label.  No other module
+converts a caller's array with ``dtype=float``.  Exact int and float skip the
+``numbers`` ABCs' slow check."""
 
 from __future__ import annotations
 
@@ -45,6 +47,14 @@ def _array(value, dtype, what: str, error) -> np.ndarray:
 def floats(value, what: str, error) -> np.ndarray:
     """``value`` as a float array, not copied when it is one already."""
     return _array(value, float, what, error)
+
+
+def finite(value, what: str, error) -> np.ndarray:
+    """``floats`` with every entry finite."""
+    a = _array(value, float, what, error)
+    if not np.isfinite(a).all():
+        raise error("%s must be finite" % what)
+    return a
 
 
 def times(value, what: str, error, least: int = 2) -> np.ndarray:

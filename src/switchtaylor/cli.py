@@ -176,7 +176,7 @@ def _model_from_config(cfg: dict) -> ModelSpec:
     return ModelSpec(
         name="inline",
         generator=generator,
-        coefficients=DiagonalLinearCoefficients(*np.array(rates, dtype=float)[:, :, None]),
+        coefficients=DiagonalLinearCoefficients(*([[r] for r in row] for row in rates)),
         x0=x0,
         initial_regime=_initial_regime(cfg, generator.m0),
     )

@@ -92,8 +92,8 @@ class NonFiniteInput(ValidationError):
 
 
 class InvalidCoefficients(ValidationError):
-    """A model's coefficients are not a CoefficientSet, or a study's model is
-    not a ModelSpec."""
+    """A model's coefficients are not a CoefficientSet, a study's model is
+    not a ModelSpec, or a coefficient set's tables, d, m or values are bad."""
     pass
 
 

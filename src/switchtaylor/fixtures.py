@@ -13,16 +13,17 @@ Four fixtures, each a ready ModelSpec:
   columns x^2 and x.  Violates the exchange identities; used to test that
   higher-order schemes refuse it.
 
-All coefficient sets are plain picklable dataclasses.  Each implements the
-one ``jet`` method of ``CoefficientSet`` and gathers each rate table once
-per call.  The diagonal linear set builds its per-regime jet tables (sigma
-per unit state, Db and D sigma) once at construction, so its ``jet`` makes
-one gather per table and scales sigma by the state.  Each per-regime table
-has a NaN row 0 on top, so that a 1-based label indexes its row directly
-and label 0 aliases no regime; zero Hessians are read-only blocks built once
-per shape.  One stacked table read through views was measured slower: at
-batch width 512 its strided views cost more than the separate gathers.
-The diagonal linear set also has ``exact``:
+All coefficient sets are plain picklable dataclasses.  The rate-table sets
+read their tables through ``_values.floats`` (``InvalidCoefficients``).
+Each implements the one ``jet`` method of ``CoefficientSet`` and gathers
+each rate table once per call.  The diagonal linear set builds its
+per-regime jet tables (sigma per unit state, Db and D sigma) once at
+construction, so its ``jet`` makes one gather per table and scales sigma by
+the state.  Each per-regime table has a NaN row 0 on top, so that a 1-based
+label indexes its row directly and label 0 aliases no regime; zero Hessians
+are read-only blocks built once per shape.  One stacked table read through
+views was measured slower: at batch width 512 its strided views cost more
+than the separate gathers.  The diagonal linear set also has ``exact``:
 with diagonal noise and rates frozen between switches, each coordinate is a
 geometric Brownian motion, so the strong solution on a grid that holds every
 switch time is x0 exp(sum of (a - c^2 / 2) dt + c dW) over its intervals.
@@ -35,7 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownFixture, UnknownRegime
+from . import _values
+from .errors import DimensionMismatch, InvalidCoefficients, UnknownFixture, UnknownRegime
 from .markov_chain import GeneratorMatrix
 from .model import CoefficientSet, ModelSpec, check_jet_order
 
@@ -90,8 +92,8 @@ class DiagonalLinearCoefficients(CoefficientSet):
     _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a = _values.floats(self.a, "drift rates a", InvalidCoefficients)
+        c = _values.floats(self.c, "diffusion rates c", InvalidCoefficients)
         if a.ndim != 2 or a.shape != c.shape:
             raise DimensionMismatch(
                 "rate tables must share shape (m0, d), got %s and %s" % (a.shape, c.shape)
@@ -154,9 +156,11 @@ class MeanRevertingCoefficients(CoefficientSet):
 
     def __post_init__(self):
         for name in ("theta", "mean", "c"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            )
+            table = _values.floats(getattr(self, name), "rate table " + name, InvalidCoefficients)
+            object.__setattr__(self, name, table.reshape(-1))
+        sizes = (self.theta.size, self.mean.size, self.c.size)
+        if len(set(sizes)) > 1:
+            raise DimensionMismatch("theta, mean and c have %d, %d and %d entries" % sizes)
         tables = tuple(_labelled(t[:, None]) for t in (self.theta, self.mean, self.c))
         object.__setattr__(self, "_tables", tables)
 

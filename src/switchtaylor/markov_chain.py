@@ -65,11 +65,9 @@ class GeneratorMatrix:
     _moves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = _values.floats(self.q, "generator", InvalidGenerator).copy()
+        q = _values.finite(self.q, "generator", InvalidGenerator).copy()
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise InvalidGenerator("generator must be a square matrix")
-        if not np.isfinite(q).all():
-            raise InvalidGenerator("generator entries must be finite")
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         if (off < 0.0).any():
@@ -106,8 +104,9 @@ class GeneratorMatrix:
 
     @property
     def qmax(self) -> float:
-        """Largest exit rate, max over states of -q[i,i]."""
-        return float(np.max(-np.diag(self.q)))
+        """Largest exit rate, max over states of -q[i,i]; + 0.0 makes it 0.0,
+        not -0.0, for a chain with no exits."""
+        return float(np.max(-np.diag(self.q))) + 0.0
 
     def rate(self, i0: int, k0: int) -> float:
         """Entry q[i0, k0] with 1-based state labels."""

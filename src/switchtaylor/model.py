@@ -147,6 +147,10 @@ def _evaluate(fn, x, regime, shape):
 class CallableCoefficients(CoefficientSet):
     """Coefficient set built from plain per-point callables.
 
+    ``d`` and ``m`` are integers from 1, else ``InvalidCoefficients``.
+    ``jet`` reads its labels through ``_values.labels`` (``UnknownRegime``)
+    and hands each to the functions as an int; they judge labels above m0.
+
     Derivatives fall back to central finite differences with step
     cbrt(machine epsilon) * max(1, |x_p|) per coordinate; second derivatives
     nest the same stencil.  Convenient for ad-hoc models; the built-in
@@ -154,6 +158,9 @@ class CallableCoefficients(CoefficientSet):
     """
 
     def __init__(self, drift_fn, diffusion_fn, d: int, m: int):
+        for name, value in (("d", d), ("m", m)):
+            if not (_values.is_int(value) and value >= 1):
+                raise InvalidCoefficients("%s must be an integer from 1, got %r" % (name, value))
         self.drift_fn = drift_fn
         self.diffusion_fn = diffusion_fn
         self.d = int(d)
@@ -162,17 +169,18 @@ class CallableCoefficients(CoefficientSet):
 
     def jet(self, X, regimes, order):
         check_jet_order(order)
-        drift = self._walk(self.drift_fn, X, regimes, (self.d,), order)
-        diffusion = self._walk(self.diffusion_fn, X, regimes, (self.d, self.m), order)
+        labels = _values.labels(regimes, "regime labels", UnknownRegime).tolist()
+        drift = self._walk(self.drift_fn, X, labels, (self.d,), order)
+        diffusion = self._walk(self.diffusion_fn, X, labels, (self.d, self.m), order)
         return tuple(part for pair in zip(drift, diffusion) for part in pair)
 
-    def _walk(self, fn, X, regimes, shape, order):
+    def _walk(self, fn, X, labels, shape, order):
         # one pass over the rows: value, then the gradient and Hessian
         # stencils around it; the Hessian's centre is the row value
         d = self.d
         out = [np.empty((X.shape[0],) + shape + (d,) * k) for k in range(order + 1)]
         for i in range(X.shape[0]):
-            r = int(regimes[i])
+            r = labels[i]
 
             def f(point):
                 return _evaluate(fn, point, r, shape)
@@ -217,13 +225,11 @@ class ModelSpec:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise error("%s is a %s, not a %s" % (name, type(value).__name__, kind.__name__))
-        x0 = _values.floats(self.x0, "x0", NonFiniteInput).flatten()
+        x0 = _values.finite(self.x0, "x0", NonFiniteInput).flatten()
         if x0.size != self.coefficients.d:
             raise DimensionMismatch(
                 "x0 has %d entries, coefficients expect %d" % (x0.size, self.coefficients.d)
             )
-        if not np.isfinite(x0).all():
-            raise NonFiniteInput("x0 must be finite")
         _values.label(self.initial_regime, "initial regime", UnknownRegime, self.m0)
         _check_tables(self.coefficients, x0, self.generator.m0)
         x0.setflags(write=False)
@@ -423,13 +429,11 @@ def check_commutativity(model: ModelSpec, points=None) -> CommutativityReport:
     """
     if points is None:
         points = default_probe_points(model)
-    points = np.atleast_2d(_values.floats(points, "probe points", NonFiniteInput))
+    points = np.atleast_2d(_values.finite(points, "probe points", NonFiniteInput))
     if points.ndim != 2 or points.shape[1] != model.d or points.shape[0] == 0:
         raise DimensionMismatch(
             "probe points have shape %s, expected (n, %d) with n >= 1" % (points.shape, model.d)
         )
-    if not np.isfinite(points).all():
-        raise NonFiniteInput("probe points must be finite")
     coeffs = model.coefficients
     gap1 = 0.0
     gap2 = 0.0

@@ -256,11 +256,11 @@ def _euler_weights(h, dw, dz):
 
 
 def _milstein_weights(h, dw, dz):
-    return (_pair_weight(dw, np.asarray(h, dtype=float)[..., None]),)
+    return (_pair_weight(dw, _values.floats(h, "step size h", InvalidGrid)[..., None]),)
 
 
 def _taylor15_weights(h, dw, dz):
-    h = np.asarray(h, dtype=float)[..., None]
+    h = _values.floats(h, "step size h", InvalidGrid)[..., None]
     return (h * dw - dz, _pair_weight(dw, h), _triple_weight(dw, h))
 
 
@@ -415,6 +415,7 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
     range of every step.
 
     Raises:
+      InvalidGrid: ``hs`` is not an array of numbers.
       DimensionMismatch: an input's shape disagrees with ``regimes`` or
         with the coefficient set's d and m.
       UnknownRegime: a regime label in ``regimes`` or ``table`` is not an
@@ -426,7 +427,7 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
     regimes = _values.labels(regimes, "march: regime labels", UnknownRegime)
     for part in () if table is None else (table.reg1, table.reg2):
         _values.labels(part, "march: regime labels", UnknownRegime)
-    hs = np.asarray(hs, dtype=float)
+    hs = _values.floats(hs, "march: step sizes", InvalidGrid)
     if regimes.ndim != 2:
         raise DimensionMismatch("march: regimes has shape %s, expected (P, n)" % (regimes.shape,))
     width, n_steps = regimes.shape

@@ -194,6 +194,34 @@ class TestChainStats:
         assert "martingale[1->2]" in out
         assert "violated" not in out
 
+    def test_chain_with_no_exits_reports_zero_rates(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "chain.cfg",
+            """
+            generator = [[0.0, 0.0], [0.0, 0.0]]
+            t_end = 1.0
+            paths = 10
+            seed = 9
+            """,
+        )
+        assert run(["chain-stats", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert " qmax=0\n" in out and out.count(" bound=0 ") == 2 and "-0" not in out
+        assert "martingale: no transitions available, skipped" in out
+
+    def test_generator_the_chain_refuses_names_the_key(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "chain.cfg",
+            """
+            generator = [[-1.0, 2.0], [1.0, -1.0]]
+            t_end = 1.0
+            paths = 10
+            seed = 9
+            """,
+        )
+        assert run(["chain-stats", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: generator: row sums must vanish")
+
     def test_window_must_fit_the_horizon(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "chain.cfg",
@@ -302,6 +330,16 @@ class TestValidationExitCodes:
         assert run(["convergence", "--config", cfg]) == 1
         assert "reference" in capsys.readouterr().err
 
+    def test_levels_too_coarse_for_the_chain_name_the_key(self, tmp_path, capsys):
+        # linear2 has qmax = 1, so a step of 0.5 does not resolve its chain
+        text = (
+            base_cfg(tmp_path)
+            and (tmp_path / "run.cfg").read_text().replace("[4, 8, 16]", "[2, 8, 16]")
+        )
+        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        assert run(["convergence", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: levels: h = 0.5")
+
     def test_unknown_fixture_names_the_model_key(self, tmp_path, capsys):
         text = (
             base_cfg(tmp_path)
@@ -380,6 +418,14 @@ def test_bad_value_is_reported_under_its_key(key, value, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "bad.cfg", "\n".join(lines + ["%s = %s" % (key, value)]))
     assert run(["convergence", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: %s:" % key)
+
+
+@pytest.mark.parametrize("model", [FIXTURE_CFG, INLINE_CFG], ids=["fixture", "inline"])
+def test_chain_stats_reads_the_chain_of_a_model(model, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "chain.cfg", model + "t_end = 1.0\npaths = 10\nseed = 9\n")
+    assert run(["chain-stats", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert " qmax=1\n" in out and "martingale[1->2] " in out
 
 
 # every package error, split by the exit status the command line gives it:

@@ -547,6 +547,12 @@ class TestPlanValidation:
         with pytest.raises(StepTooLargeForChain):
             small_plan(coarse_steps=(2,), reference_steps=32)
 
+    def test_a_chain_with_no_exits_bounds_no_step(self):
+        # qmax = 0: every step resolves a chain that never switches
+        frozen = replace(LIN, generator=GeneratorMatrix(np.zeros((2, 2))))
+        assert frozen.generator.qmax == 0.0
+        assert small_plan(model=frozen, coarse_steps=(1,), reference_steps=16).coarse_steps == (1,)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(UnknownScheme):
             small_plan(schemes=("heun",))

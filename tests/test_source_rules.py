@@ -17,10 +17,13 @@ import switchtaylor
 from switchtaylor import (
     CallableCoefficients,
     ChainPath,
+    DiagonalLinearCoefficients,
     ExperimentPlan,
     GeneratorMatrix,
     GridSpec,
+    MeanRevertingCoefficients,
     ModelSpec,
+    MultiIndex,
     NoisePath,
     build_noise,
     build_scheme_sets,
@@ -29,6 +32,7 @@ from switchtaylor import (
     errors,
     fit_order,
     fixture,
+    format_config,
     get_scheme,
     integrate,
     jump_records,
@@ -38,6 +42,7 @@ from switchtaylor import (
     occupation_time,
     pair_jump_count,
     pair_jump_martingale,
+    parse_config,
     sample_increments,
     sample_path,
     validate_word,
@@ -100,6 +105,18 @@ def _march(regimes=np.ones((1, 4), dtype=np.int64), table=TABLE):
     zeros = np.zeros((1, 4, 1))
     y0, hs = np.ones((1, 1)), np.diff(EDGES)
     return next(march(get_scheme("euler"), LIN.coefficients, y0, regimes, hs, zeros, zeros, table))
+
+def _kernel(name, h=0.25, dz=np.zeros((1, 1))):
+    # one direct kernel call on one linear2 path in regime 1
+    kernel = get_scheme(name).kernel
+    return kernel(LIN.coefficients, np.ones((1, 1)), np.array([1]), h, np.zeros((1, 1)), dz)
+
+
+def _callable_jet(label):
+    # a CallableCoefficients jet at one state with the given regime label
+    coeffs = CallableCoefficients(lambda x, r: [r], lambda x, r: [[0.1]], 1, 1)
+    return coeffs.jet(np.ones((1, 1)), np.array([label]), 0)
+
 
 # inputs on which numpy or attribute lookup would raise a builtin error, or
 # a lookup would quietly answer, unless the package checks them first; the
@@ -335,6 +352,82 @@ BAD_CALLS = {
         ),
         "InvalidCoefficients",
     ),
+    "DiagonalLinearCoefficients-text-rates": (
+        lambda: DiagonalLinearCoefficients(a=[["a"]], c=[[0.1]]),
+        "InvalidCoefficients",
+    ),
+    "DiagonalLinearCoefficients-ragged-rates": (
+        lambda: DiagonalLinearCoefficients(a=[[1.0], [1.0]], c=[[0.1], [0.1, 0.2]]),
+        "InvalidCoefficients",
+    ),
+    "MeanRevertingCoefficients-text-table": (
+        lambda: MeanRevertingCoefficients(theta=["a"], mean=[0.0], c=[0.1]),
+        "InvalidCoefficients",
+    ),
+    "MeanRevertingCoefficients-ragged-table": (
+        lambda: MeanRevertingCoefficients(theta=[1.0], mean=[[0.0], [0.0, 1.0]], c=[0.1]),
+        "InvalidCoefficients",
+    ),
+    "MeanRevertingCoefficients-unequal-tables": (
+        lambda: MeanRevertingCoefficients(theta=[1.0, 2.0], mean=[0.0], c=[0.1]),
+        "DimensionMismatch",
+    ),
+    "CallableCoefficients-text-d": (
+        lambda: CallableCoefficients(lambda x, r: x, lambda x, r: [[0.1]], "a", 1),
+        "InvalidCoefficients",
+    ),
+    "CallableCoefficients-float-d": (
+        lambda: CallableCoefficients(lambda x, r: x, lambda x, r: [[0.1]], 1.5, 1),
+        "InvalidCoefficients",
+    ),
+    "CallableCoefficients-zero-m": (
+        lambda: CallableCoefficients(lambda x, r: x, lambda x, r: [[0.1]], 1, 0),
+        "InvalidCoefficients",
+    ),
+    "CallableCoefficients-jet-float-label": (lambda: _callable_jet(1.5), "UnknownRegime"),
+    "CallableCoefficients-jet-bool-label": (lambda: _callable_jet(True), "UnknownRegime"),
+    "CallableCoefficients-jet-zero-label": (lambda: _callable_jet(0), "UnknownRegime"),
+    "CallableCoefficients-jet-negative-label": (lambda: _callable_jet(-1), "UnknownRegime"),
+    "march-text-step-sizes": (
+        lambda: next(
+            march(
+                get_scheme("euler"), LIN.coefficients, np.ones((1, 1)),
+                np.ones((1, 2), dtype=np.int64), ["a", "b"], np.zeros((1, 2, 1)),
+                np.zeros((1, 2, 1)), None,
+            )
+        ),
+        "InvalidGrid",
+    ),
+    "milstein-kernel-text-h": (lambda: _kernel("milstein", h="a"), "InvalidGrid"),
+    "taylor15-kernel-text-h": (lambda: _kernel("taylor15", h="a"), "InvalidGrid"),
+    "taylor15-kernel-no-dz": (lambda: _kernel("taylor15", dz=None), "InvalidGrid"),
+    "GeneratorMatrix-positive-diagonal": (
+        lambda: GeneratorMatrix([[1.0, 0.0], [0.0, 0.0]]),
+        "InvalidGenerator",
+    ),
+    "ChainPath-more-states-than-jump-times": (
+        lambda: ChainPath(0.0, 1.0, 1, [0.5], [2, 1]),
+        "StateOutOfRange",
+    ),
+    "NoisePath-unequal-increment-shapes": (
+        lambda: NoisePath([0.0, 1.0], [[0.0]], [[0.0, 0.0]]),
+        "InvalidGrid",
+    ),
+    "MeanRevertingCoefficients-jet-above-m0": (
+        lambda: fixture("additive").coefficients.jet(np.ones((1, 1)), np.array([3]), 0),
+        "UnknownRegime",
+    ),
+    "DiagonalLinearCoefficients-exact-above-m0": (
+        lambda: LIN.coefficients.exact(
+            np.ones((1, 1)), np.array([[3]]), np.ones((1, 1)), np.zeros((1, 1, 1))
+        ),
+        "UnknownRegime",
+    ),
+    "MultiIndex-non-Component-letter": (lambda: MultiIndex((3,)), "InvalidComponent"),
+    "parse_config-unbalanced-close": (lambda: parse_config("k = [1]]\n"), "ConfigError"),
+    "parse_config-unbalanced-open": (lambda: parse_config("k = [[1]\n"), "ConfigError"),
+    "format_config-bad-key": (lambda: format_config({"1k": 1}), "ConfigError"),
+    "format_config-bad-type": (lambda: format_config({"k": None}), "ConfigError"),
 }
 
 
@@ -362,6 +455,27 @@ def test_one_module_holds_the_integer_and_real_rules():
             if (name or getattr(node, "attr", None)) in removed:
                 found.append("%s:%d names a removed local rule" % (module.name, node.lineno))
     assert not found, "; ".join(found)
+
+
+def test_only_values_converts_arrays_to_floats():
+    # _values reads a caller's numbers and names the package error for text
+    # or ragged input; a hand-written np.asarray(..., dtype=float) elsewhere
+    # leaks numpy's bare ValueError instead
+    found = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        if module.name == "_values.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [
+            "%s:%d" % (module.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(
+                kw.arg == "dtype" and isinstance(kw.value, ast.Name) and kw.value.id == "float"
+                for kw in node.keywords
+            )
+        ]
+    assert not found, "float conversions outside _values: %s" % ", ".join(found)
 
 
 class _Level(enum.IntEnum):
