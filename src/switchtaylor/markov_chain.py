@@ -104,8 +104,7 @@ class GeneratorMatrix:
 
     @property
     def qmax(self) -> float:
-        """Largest exit rate, max over states of -q[i,i]; + 0.0 makes it 0.0,
-        not -0.0, for a chain with no exits."""
+        """Largest exit rate, max over states of -q[i,i]; 0.0, not -0.0, with no exits."""
         return float(np.max(-np.diag(self.q))) + 0.0
 
     def rate(self, i0: int, k0: int) -> float:

@@ -147,14 +147,13 @@ def _evaluate(fn, x, regime, shape):
 class CallableCoefficients(CoefficientSet):
     """Coefficient set built from plain per-point callables.
 
-    ``d`` and ``m`` are integers from 1, else ``InvalidCoefficients``.
-    ``jet`` reads its labels through ``_values.labels`` (``UnknownRegime``)
-    and hands each to the functions as an int; they judge labels above m0.
-
     Derivatives fall back to central finite differences with step
     cbrt(machine epsilon) * max(1, |x_p|) per coordinate; second derivatives
     nest the same stencil.  Convenient for ad-hoc models; the built-in
-    fixtures ship analytic derivatives instead.
+    fixtures ship analytic derivatives instead.  ``d`` and ``m`` are
+    integers from 1 (``InvalidCoefficients``), and ``jet`` reads its labels
+    through ``_values.labels`` (``UnknownRegime``) and hands each to the
+    functions as an int.
     """
 
     def __init__(self, drift_fn, diffusion_fn, d: int, m: int):

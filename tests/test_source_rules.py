@@ -100,10 +100,10 @@ TABLE = jump_records(CHAIN, NOISE, EDGES)
 PATH = ChainPath(0.0, 2.0, 1, [0.5, 1.25], [2, 1])
 
 
-def _march(regimes=np.ones((1, 4), dtype=np.int64), table=TABLE):
+def _march(regimes=np.ones((1, 4), dtype=np.int64), table=TABLE, hs=np.diff(EDGES)):
     # one path on the four windows of EDGES; the first march step runs the checks
     zeros = np.zeros((1, 4, 1))
-    y0, hs = np.ones((1, 1)), np.diff(EDGES)
+    y0 = np.ones((1, 1))
     return next(march(get_scheme("euler"), LIN.coefficients, y0, regimes, hs, zeros, zeros, table))
 
 def _kernel(name, h=0.25, dz=np.zeros((1, 1))):
@@ -388,16 +388,7 @@ BAD_CALLS = {
     "CallableCoefficients-jet-bool-label": (lambda: _callable_jet(True), "UnknownRegime"),
     "CallableCoefficients-jet-zero-label": (lambda: _callable_jet(0), "UnknownRegime"),
     "CallableCoefficients-jet-negative-label": (lambda: _callable_jet(-1), "UnknownRegime"),
-    "march-text-step-sizes": (
-        lambda: next(
-            march(
-                get_scheme("euler"), LIN.coefficients, np.ones((1, 1)),
-                np.ones((1, 2), dtype=np.int64), ["a", "b"], np.zeros((1, 2, 1)),
-                np.zeros((1, 2, 1)), None,
-            )
-        ),
-        "InvalidGrid",
-    ),
+    "march-text-step-sizes": (lambda: _march(hs=["a"] * 4), "InvalidGrid"),
     "milstein-kernel-text-h": (lambda: _kernel("milstein", h="a"), "InvalidGrid"),
     "taylor15-kernel-text-h": (lambda: _kernel("taylor15", h="a"), "InvalidGrid"),
     "taylor15-kernel-no-dz": (lambda: _kernel("taylor15", dz=None), "InvalidGrid"),
