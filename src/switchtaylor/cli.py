@@ -36,10 +36,13 @@ import sys
 import numpy as np
 
 from ._files import opened
+from ._values import is_int, is_real
 from .config import load_config
 from .convergence import ExperimentPlan, _is_dyadic, draw_path, run as run_study
 from .errors import (
+    CommutativityRequired,
     ConfigError,
+    InsufficientLevels,
     ReferenceNotFiner,
     StepTooLargeForChain,
     SwitchTaylorError,
@@ -79,12 +82,8 @@ def _array(cfg: dict, key: str, ok, what: str) -> tuple:
 
 
 # entry rules; the parser yields int, float, str and list, never bool
-def _is_int(v) -> bool:
-    return type(v) is int
-
-
 def _is_finite(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    return is_real(v) and math.isfinite(v)
 
 
 def _is_str(v) -> bool:
@@ -92,7 +91,7 @@ def _is_str(v) -> bool:
 
 
 def _is_level(v) -> bool:
-    return _is_int(v) and _is_dyadic(v)
+    return is_int(v) and _is_dyadic(v)
 
 
 def _as_levels(cfg: dict) -> tuple:
@@ -113,7 +112,7 @@ def _effective_seed(cfg: dict) -> int:
         except ValueError:
             raise ConfigError("seed: SWITCHTAYLOR_SEED must be an integer, got %r" % env)
     return _value(
-        cfg, "seed", lambda v: _is_int(v) and 0 <= v < 2**64, "an unsigned 64-bit integer"
+        cfg, "seed", lambda v: is_int(v) and 0 <= v < 2**64, "an unsigned 64-bit integer"
     )
 
 
@@ -124,7 +123,7 @@ def _positive_t_end(cfg: dict) -> float:
 
 
 def _positive_paths(cfg: dict) -> int:
-    return _value(cfg, "paths", lambda v: _is_int(v) and v >= 1, "a path count of at least 1")
+    return _value(cfg, "paths", lambda v: is_int(v) and v >= 1, "a path count of at least 1")
 
 
 def _inline_generator(cfg: dict) -> GeneratorMatrix:
@@ -144,7 +143,7 @@ def _initial_regime(cfg: dict, m0: int) -> int:
     return _value(
         {"initial_regime": 1, **cfg},
         "initial_regime",
-        lambda v: _is_int(v) and 1 <= v <= m0,
+        lambda v: is_int(v) and 1 <= v <= m0,
         "a regime in 1..%d" % m0,
     )
 
@@ -287,7 +286,7 @@ def _cmd_simulate(args) -> int:
     chain, noise = draw_path(model, grid, seed, 0)
     try:
         trajectory = integrate(model, schemes[0], chain, noise, grid.finest_times())
-    except UnknownScheme as exc:
+    except (UnknownScheme, CommutativityRequired) as exc:
         raise ConfigError("scheme: %s" % exc)
     path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(trajectory, path)
@@ -322,7 +321,12 @@ def _cmd_convergence(args) -> int:
     out = _output_dir(cfg)
     plan = _build_plan(cfg, model, schemes, seed)
 
-    reports = run_study(plan)
+    try:
+        reports = run_study(plan)
+    except InsufficientLevels as exc:
+        raise ConfigError("levels: %s" % exc)
+    except CommutativityRequired as exc:
+        raise ConfigError("scheme: %s" % exc)
 
     for name in plan.schemes:
         report = reports[name]

@@ -238,6 +238,11 @@ def reference_scheme_for(model: ModelSpec) -> str:
     ).name
 
 
+def _check_level_count(n: int) -> None:
+    if n < 3:
+        raise InsufficientLevels("order fit needs at least 3 levels, got %d" % n)
+
+
 def fit_order(rows):
     """Least-squares order estimate from (h, mean squared error) rows.
 
@@ -251,8 +256,7 @@ def fit_order(rows):
       InvalidGrid: a step size is zero, negative, not finite or not a number.
     """
     pairs = [(row.h, row.mean_error) if hasattr(row, "h") else (row[0], row[1]) for row in rows]
-    if len(pairs) < 3:
-        raise InsufficientLevels("order fit needs at least 3 levels, got %d" % len(pairs))
+    _check_level_count(len(pairs))
     hs = [number(h) for h, _ in pairs]
     if not all(0 < h < np.inf for h in hs):
         raise InvalidGrid(
@@ -574,7 +578,9 @@ def run(plan: ExperimentPlan, threads: int = 1) -> dict:
     The recorded runtime is the wall time of the whole study (the schemes
     share every path, so per-scheme attribution is not meaningful).
     ``threads`` is accepted for existing callers and has no effect.
+    Fewer than three coarse levels raise ``InsufficientLevels`` before any draw.
     """
+    _check_level_count(len(plan.coarse_steps))
     started = time.perf_counter()
     acc = _run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
     elapsed = time.perf_counter() - started

@@ -39,7 +39,7 @@ import numpy as np
 from . import _values
 from .errors import DimensionMismatch, InvalidCoefficients, UnknownFixture, UnknownRegime
 from .markov_chain import GeneratorMatrix
-from .model import CoefficientSet, ModelSpec, check_jet_order
+from .model import CoefficientSet, ModelSpec
 
 __all__ = [
     "DiagonalLinearCoefficients",
@@ -114,7 +114,7 @@ class DiagonalLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "_tables", tables)
 
     def jet(self, X, regimes, order):
-        check_jet_order(order)
+        self._check(X, order)
         a, sig, db, dsig, _ = self._tables
         try:
             a, sig = a.take(regimes, 0), sig.take(regimes, 0)
@@ -128,6 +128,7 @@ class DiagonalLinearCoefficients(CoefficientSet):
 
     def exact(self, x0, regimes, dt, dw):
         """The strong solution at the interval ends; see ``CoefficientSet``."""
+        self._check(x0)
         # one log-increment per interval, one cumulative sum and one exp for
         # the whole batch
         a, c = self._tables[0], self._tables[4]
@@ -165,7 +166,7 @@ class MeanRevertingCoefficients(CoefficientSet):
         object.__setattr__(self, "_tables", tables)
 
     def jet(self, X, regimes, order):
-        check_jet_order(order)
+        self._check(X, order)
         th, mu, c = self._tables
         try:
             th, mu, c = th.take(regimes, 0), mu.take(regimes, 0), c.take(regimes, 0)
@@ -191,7 +192,7 @@ class PolynomialColumnsCoefficients(CoefficientSet):
     m: int = field(default=2, init=False)
 
     def jet(self, X, regimes, order):
-        check_jet_order(order)
+        self._check(X, order)
         B = X.shape[0]
         x = X[:, 0]
         sig = np.empty((B, 1, 2))

@@ -37,7 +37,7 @@ per-step sequences, and searches the jump table once for the record range
 of every step.  Its finiteness test counts the finite entries of each new
 state, exact and free of overflow.  A kernel called with its seven
 positional arguments alone computes its weights through the same function,
-so both routes give the same bits.
+so both routes give the same bits and read ``h`` (``InvalidGrid``).
 
 Each kernel call evaluates the coefficient jet once, at the window-start
 regime, with ``coeffs.jet`` of the order its map contracts, and builds its
@@ -252,6 +252,7 @@ def _triple_weight(dw, h):
 
 
 def _euler_weights(h, dw, dz):
+    _values.floats(h, "step size h", InvalidGrid)
     return ()
 
 
@@ -265,6 +266,7 @@ def _taylor15_weights(h, dw, dz):
 
 
 def _euler_kernel(coeffs, y, regimes, h, dw, dz=None, jumps=None, weights=None):
+    () = _euler_weights(h, dw, dz) if weights is None else weights
     b, sig = coeffs.jet(y, regimes, 0)
     return y + b * h + _einsum("bkj,bj->bk", sig, dw)
 

@@ -273,7 +273,7 @@ class TestConvergence:
             model = noncommutative
             t_end = 1.0
             scheme = milstein
-            levels = [16]
+            levels = [4, 8, 16]
             reference = 256
             paths = 4
             seed = 1
@@ -282,7 +282,8 @@ class TestConvergence:
             % (tmp_path / "nc"),
         )
         assert run(["convergence", "--config", cfg]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: scheme: model 'noncommutative' breaks")
+        assert not any((tmp_path / "nc").iterdir())
 
 
 class TestValidationExitCodes:
@@ -329,6 +330,36 @@ class TestValidationExitCodes:
         cfg = write_cfg(tmp_path / "bad.cfg", text)
         assert run(["convergence", "--config", cfg]) == 1
         assert "reference" in capsys.readouterr().err
+
+    def test_too_few_levels_for_an_order_fit_name_the_key(self, tmp_path, capsys):
+        text = (
+            base_cfg(tmp_path)
+            and (tmp_path / "run.cfg").read_text().replace("[4, 8, 16]", "[8, 16]")
+        )
+        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        assert run(["convergence", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: levels: order fit needs at least 3 levels, got 2\n"
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_scheme_the_model_refuses_names_the_key(self, tmp_path, capsys):
+        text = (
+            base_cfg(tmp_path)
+            and (tmp_path / "run.cfg")
+            .read_text()
+            .replace("model = linear2", "model = noncommutative")
+            .replace("scheme = [euler, milstein, taylor15]", "scheme = milstein")
+        )
+        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        assert run(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: scheme: model 'noncommutative' breaks")
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_a_model_neither_named_nor_inline_names_the_first_inline_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "r.cfg", "t_end = 1.0\nscheme = euler\nlevels = [8]\nseed = 1\n")
+        assert run(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: drift_rates: missing required key (set 'model' or the")
 
     def test_levels_too_coarse_for_the_chain_name_the_key(self, tmp_path, capsys):
         # linear2 has qmax = 1, so a step of 0.5 does not resolve its chain

@@ -1,10 +1,12 @@
 """Strong-error engine: validation, coupling, order fits, determinism."""
 
-import inspect
+import importlib
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ import pytest
 from switchtaylor import (
     CallableCoefficients,
     ChainPath,
-    CoefficientSet,
     CommutativityReport,
     ConvergenceReport,
     DiagonalLinearCoefficients,
@@ -51,6 +52,7 @@ from switchtaylor.errors import (
 )
 
 LIN = fixture("linear2")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def small_plan(**overrides):
@@ -80,7 +82,7 @@ def test_coupling_check_names_path_and_window(monkeypatch):
 
     monkeypatch.setattr(convergence, "window_aggregates", perturbed)
     with pytest.raises(CouplingMismatch, match="path 0: window 0 of the 4-step level"):
-        run(plan)
+        strong_error(plan, 4)
 
 
 def test_coupling_check_reads_the_stored_increments_at_the_reference_level(monkeypatch):
@@ -273,110 +275,77 @@ def test_closed_form_only_where_the_coefficients_have_exact(monkeypatch):
     assert calls["closed form"] == 1
 
 
-def test_engine_makes_the_calls_the_benchmark_tracer_reads(monkeypatch):
-    """perfbench/layers.py derives its sampling, noise and switch-window
-    metrics by wrapping these engine calls, and reads them until the engine
-    carries its own counters (ROADMAP item 1): ``sample_path`` and
-    ``build_noise`` once per path, and ``jump_records`` once per path and
-    per level, the reference included, with the L + 1 edges of the level."""
-    plan = small_plan(coarse_steps=(4, 8), reference_steps=128, paths=2)
-    calls = Counter()
-    edge_sizes = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            if name == "jump_records":
-                edge_sizes[np.asarray(args[2]).size] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in ("sample_path", "build_noise", "jump_records"):
-        monkeypatch.setattr(convergence, name, counted(name, getattr(convergence, name)))
-    convergence._run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
-    assert calls == {"sample_path": 2, "build_noise": 2, "jump_records": 6}
-    assert edge_sizes == {5: 2, 9: 2, 129: 2}
+def _benchmark_layers():
+    # the benchmark's tracer, loaded as tests/test_bit_identity.py loads
+    # the benchmark's workloads
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("layers")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
-def test_names_the_benchmark_tracer_looks_up_exist():
-    """perfbench/layers.py, workloads.py and test_perfbench.py look these
-    names up; a missing one only drops metrics with a warning, which the
-    tier-1 suite would not see.  The package itself calls none of them
-    except ``check_commutativity`` and ``run``.  This test goes with the
-    tracer when the engine carries its own counters (ROADMAP item 1)."""
-    for name in (
-        "op_time_drift",
-        "op_noise_drift",
-        "op_time_diffusion",
-        "op_noise_diffusion",
-        "op_noise_noise_diffusion",
-    ):
-        assert getattr(schemes, name) is getattr(switchtaylor, name)
-    for name in (
-        "drift",
-        "diffusion",
-        "drift_gradient",
-        "diffusion_gradient",
-        "drift_hessian",
-        "diffusion_hessian",
-    ):
-        assert callable(getattr(CoefficientSet, name))
+@pytest.mark.parametrize("name", ["linear2", "additive"])  # closed form, scheme reference
+def test_the_benchmark_tracer_reads_the_calls_the_engine_makes(name):
+    """perfbench/layers.py derives the benchmark's per-layer metrics by
+    wrapping engine names until the engine carries its own counters
+    (ROADMAP item 1).  Under its Tracer, a study at ``threads=1``, as
+    perfbench/run.py's ``per_layer`` traces it, and one path integrated at
+    batch width 1 make exactly the calls those metrics count, every name
+    the tracer wraps is found, and no result moves."""
+    layers = _benchmark_layers()
+    names, kernel = layers.SCHEME_NAMES, layers.KERNEL_PREFIX
+    model = fixture(name)
+    levels, n_ref, P, n_path = (4, 8, 16), 256, 3, 16
+    plan = small_plan(
+        model=model, schemes=names, coarse_steps=levels, reference_steps=n_ref, paths=P
+    )
+    grid = GridSpec(0.0, 1.0, n_path)
+
+    def one_path():
+        chain, noise = convergence.draw_path(model, grid, 7, 0)
+        times = grid.finest_times()
+        return [schemes.integrate(model, s, chain, noise, times).states for s in names]
+
+    untraced = run(plan, threads=2), one_path()
+    study, path = layers.Tracer(1.0 / n_ref), layers.Tracer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a name the tracer cannot find warns
+        with layers.installed(study, switchtaylor, model):
+            reports = run(plan, threads=1)
+        with layers.installed(path, switchtaylor, model):
+            states = one_path()
+    assert not study.broken and not path.broken
+    for got, want in zip(reports.values(), untraced[0].values()):
+        assert (got.rows, got.gamma_hat, got.r2) == (want.rows, want.gamma_hat, want.r2)
+    assert np.stack(states).tobytes() == np.stack(untraced[1]).tobytes()
+
+    # the study: draws, queries and records per path, records per level and
+    # the reference; one kernel call per step of each level's batch march
+    marched = reference_scheme_for(model) != CLOSED_FORM
+    draws = ("markov_chain.sample_path", "noise.build_noise", "markov_chain.states_at")
+    want = dict.fromkeys(draws, P) | {"schemes.jump_records": P * (len(levels) + 1)}
+    want |= {kernel + s: sum(levels) for s in names}
+    steps = {kernel + s: P * sum(levels) for s in names}
+    if marched:
+        want |= {"noise.step_aggregates": P, kernel + "ref": n_ref}
+        steps[kernel + "ref"] = P * n_ref
+    assert (dict(study.calls), dict(study.path_steps)) == (want, steps)
+    windows = {L: int(counts.sum()) for L, counts in study.windows.items()}
+    assert windows == {L: P * L for L in levels + (n_ref,)}
+    # one path, drawn once, then queried once and stepped n_path times per scheme
+    queries = ("markov_chain.states_at", "noise.step_aggregates", "schemes.jump_records")
+    want = dict.fromkeys(draws[:2], 1) | dict.fromkeys(queries, len(names))
+    steps = {kernel + s: n_path for s in names}
+    assert (dict(path.calls), dict(path.path_steps)) == (want | steps, steps)
+
+    # the tracer and the benchmark's kernel sweep look these names up; the
+    # package calls none of them but check_commutativity
+    for op in layers.OP_NAMES:
+        assert getattr(schemes, op) is getattr(switchtaylor, op)
     assert schemes.JumpData is JumpRecords
     assert schemes.check_commutativity is convergence.check_commutativity
     assert schemes.check_commutativity is switchtaylor.check_commutativity
-    assert "threads" in inspect.signature(run).parameters
-
-
-def test_kernels_are_reached_as_the_benchmark_tracer_wraps_them(monkeypatch):
-    """perfbench/layers.py traces a kernel by putting
-    ``replace(info, kernel=wrapper)`` in ``schemes.SCHEMES``; it reads ``h``
-    at positional index 3, to tell reference-step calls apart, and the
-    batch rows of ``y`` at index 1.  ``integrate`` and ``run`` must reach
-    that wrapper with those arguments, and the results must not change."""
-    model = fixture("additive")  # no closed form: the reference is marched
-    plan = small_plan(
-        model=model,
-        schemes=("euler", "milstein", "taylor15"),
-        coarse_steps=(4, 8, 16),
-        reference_steps=256,
-        paths=3,
-    )
-    chain = sample_path(model.generator, 1, 0.0, 1.0, np.random.default_rng(2))
-    noise = build_noise(GridSpec(0.0, 1.0, 16), chain, model.m, np.random.default_rng(3))
-    times = noise.times[::2]
-
-    def outputs():
-        reports = run(plan)
-        rows = [(r.rows, r.gamma_hat, r.r2) for r in reports.values()]
-        paths = [schemes.integrate(model, name, chain, noise, times) for name in plan.schemes]
-        return rows, np.stack([p.states for p in paths])
-
-    plain_rows, plain_paths = outputs()
-    seen = Counter()
-
-    def wrapping(name, kernel):
-        def wrapper(*args, **kwargs):
-            seen[name, float(args[3]), np.shape(args[1])[0]] += 1
-            return kernel(*args, **kwargs)
-
-        return wrapper
-
-    for name, info in list(schemes.SCHEMES.items()):
-        wrapped = replace(info, kernel=wrapping(name, info.kernel))
-        monkeypatch.setitem(schemes.SCHEMES, name, wrapped)
-    rows, paths = outputs()
-    assert rows == plain_rows
-    assert paths.tobytes() == plain_paths.tobytes()
-    want = Counter()
-    for name in plan.schemes:
-        for L in plan.coarse_steps:
-            want[name, 1.0 / L, plan.paths] += L
-        for h in np.diff(times):
-            want[name, float(h), 1] += 1
-    n_ref = plan.reference_steps
-    want[reference_scheme_for(model), 1.0 / n_ref, plan.paths] += n_ref
-    assert seen == want
 
 
 def _first_switch_steps(plan, edges):
@@ -410,7 +379,7 @@ def _assert_nonfinite_names_the_first_bad_path(coefficients, seed, what, level):
     path = min(i for i, s in first_switch_step.items() if s == step)
     assert path > 0
     with pytest.raises(NonFiniteState) as info:
-        run(plan)
+        strong_error(plan, 4)
     assert str(info.value).startswith(
         "%s at level %d left the finite range at step %d on path %d "
         "(seed index i of SeedSequence((seed, i)))" % (what, level, step, path)
@@ -741,9 +710,10 @@ class TestRun:
                 assert a.mean_error == b.mean_error
                 assert a.stderr == b.stderr
 
-    def test_fit_needs_three_levels(self):
+    def test_fit_needs_three_levels(self, monkeypatch):
+        monkeypatch.setattr(convergence, "_run_engine", None)  # refused before any draw
         plan = small_plan(coarse_steps=(4, 8), reference_steps=128)
-        with pytest.raises(InsufficientLevels):
+        with pytest.raises(InsufficientLevels, match=r"^order fit needs at least 3 levels, got 2$"):
             run(plan)
 
     def test_gate_refuses_noncommuting_models_up_front(self):

@@ -48,6 +48,11 @@ def test_generator_validation():
         g.rate(1, 3)
 
 
+def test_a_generator_equals_no_other_kind_of_value():
+    assert TWO_STATE.__eq__(TWO_STATE.q) is NotImplemented
+    assert TWO_STATE != TWO_STATE.q.tolist()
+
+
 def test_path_validation():
     with pytest.raises(IntervalOutOfRange):
         mc.ChainPath(0.0, 0.0, 1)

@@ -280,6 +280,10 @@ class TestModelValidation:
         with pytest.raises(DimensionMismatch, match="returned 2 values, expected shape"):
             ModelSpec("callable", LIN.generator, two_columns, x0=[1.0])
 
+    def test_the_base_coefficient_set_has_no_jet(self):
+        with pytest.raises(NotImplementedError):
+            CoefficientSet().jet(np.ones((1, 1)), np.array([1]), 0)
+
     def test_diagonal_tables_must_share_shape(self):
         with pytest.raises(DimensionMismatch, match="share shape"):
             DiagonalLinearCoefficients(a=[[1.0, 2.0]], c=[[1.0, 2.0, 3.0]])

@@ -165,6 +165,10 @@ def test_counts_and_eta_worked_values():
     assert mi.eta(mi.word("N1", 1, "N1")) == 2
 
 
+def test_time_and_wiener_letters_have_no_jump_value():
+    assert mi.TIME.jump_value == 0 and mi.wiener(2).jump_value == 0
+
+
 def test_drop_and_concat_worked_values():
     w = mi.word(0, "N2", 2, 1, "N3", 0)
     assert str(mi.drop_first(w)) == "(N2,2,1,N3,0)"
@@ -197,6 +201,18 @@ def test_rendering():
     assert mi.render_index(mi.EMPTY_INDEX) == "nu"
     assert str(mi.word(0, "N2", 2, 1, "N3", 0)) == "(0,N2,2,1,N3,0)"
     assert str(mi.word("Nb2")) == "(Nb2)"
+
+
+def test_repr_of_a_word():
+    assert repr(mi.word(0, "N2", 2)) == "MultiIndex((0,N2,2))"
+
+
+def test_word_takes_letters_as_they_are():
+    assert mi.word(mi.TIME, mi.jump_exact(1)).components == (mi.TIME, mi.jump_exact(1))
+
+
+def test_bare_digit_tags_are_time_and_wiener_letters():
+    assert mi.word("0", "2") == mi.word(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +256,10 @@ def test_gamma_guards():
     # the supported ceiling still enumerates
     s = mi.build_scheme_sets(3.0, 1)
     assert mi.EMPTY_INDEX in s.drift
+
+
+def test_a_predicate_that_refuses_the_empty_word_keeps_no_word():
+    assert mi.build_hierarchical_set(lambda w: False, 1, 1) == frozenset()
 
 
 def test_remainder_of_empty_set():

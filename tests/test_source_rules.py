@@ -25,6 +25,7 @@ from switchtaylor import (
     ModelSpec,
     MultiIndex,
     NoisePath,
+    build_hierarchical_set,
     build_noise,
     build_scheme_sets,
     check_commutativity,
@@ -116,6 +117,15 @@ def _callable_jet(label):
     # a CallableCoefficients jet at one state with the given regime label
     coeffs = CallableCoefficients(lambda x, r: [r], lambda x, r: [[0.1]], 1, 1)
     return coeffs.jet(np.ones((1, 1)), np.array([label]), 0)
+
+
+def _jet(coeffs, states, order=0):
+    # a jet of the rows of ``states``, each in regime 1
+    return coeffs.jet(states, np.ones(len(states), dtype=np.int64), order)
+
+
+# constant coefficients in d = 2, whose functions read no state entry
+PLANE = CallableCoefficients(lambda x, r: [0.0, 0.0], lambda x, r: np.eye(2), 2, 2)
 
 
 # inputs on which numpy or attribute lookup would raise a builtin error, or
@@ -389,6 +399,7 @@ BAD_CALLS = {
     "CallableCoefficients-jet-zero-label": (lambda: _callable_jet(0), "UnknownRegime"),
     "CallableCoefficients-jet-negative-label": (lambda: _callable_jet(-1), "UnknownRegime"),
     "march-text-step-sizes": (lambda: _march(hs=["a"] * 4), "InvalidGrid"),
+    "euler-kernel-text-h": (lambda: _kernel("euler", h="a"), "InvalidGrid"),
     "milstein-kernel-text-h": (lambda: _kernel("milstein", h="a"), "InvalidGrid"),
     "taylor15-kernel-text-h": (lambda: _kernel("taylor15", h="a"), "InvalidGrid"),
     "taylor15-kernel-no-dz": (lambda: _kernel("taylor15", dz=None), "InvalidGrid"),
@@ -414,6 +425,46 @@ BAD_CALLS = {
         ),
         "UnknownRegime",
     ),
+    "DiagonalLinearCoefficients-jet-width-1-of-2": (
+        lambda: _jet(fixture("diagonal3").coefficients, np.ones((1, 1))),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-jet-width-5-of-2": (
+        lambda: _jet(fixture("diagonal3").coefficients, np.ones((1, 5))),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-jet-1d-states": (
+        lambda: _jet(LIN.coefficients, np.ones(1)),
+        "DimensionMismatch",
+    ),
+    "MeanRevertingCoefficients-jet-width-2-of-1": (
+        lambda: _jet(fixture("additive").coefficients, np.ones((1, 2))),
+        "DimensionMismatch",
+    ),
+    "PolynomialColumnsCoefficients-jet-width-2-of-1": (
+        lambda: _jet(fixture("noncommutative").coefficients, np.ones((1, 2))),
+        "DimensionMismatch",
+    ),
+    "CallableCoefficients-jet-width-3-of-2": (
+        lambda: _jet(PLANE, np.ones((1, 3)), 1),
+        "DimensionMismatch",
+    ),
+    "CallableCoefficients-jet-width-1-of-2": (
+        lambda: _jet(PLANE, np.ones((1, 1)), 1),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-exact-width-1-of-2": (
+        lambda: fixture("diagonal3").coefficients.exact(
+            np.ones((1, 1)), np.array([[1]]), np.ones((1, 1)), np.zeros((1, 1, 2))
+        ),
+        "DimensionMismatch",
+    ),
+    "build_hierarchical_set-unbounded-time-words": (
+        lambda: build_hierarchical_set(
+            lambda w: all(c.kind is ComponentKind.TIME for c in w.components), 1, 1
+        ),
+        "InvalidGamma",
+    ),
     "MultiIndex-non-Component-letter": (lambda: MultiIndex((3,)), "InvalidComponent"),
     "parse_config-unbalanced-close": (lambda: parse_config("k = [1]]\n"), "ConfigError"),
     "parse_config-unbalanced-open": (lambda: parse_config("k = [[1]\n"), "ConfigError"),
@@ -432,7 +483,7 @@ def test_bad_inputs_raise_package_errors(call, error):
 def test_one_module_holds_the_integer_and_real_rules():
     # _values decides what a count, label, time, time grid or array of
     # numbers is; a second copy of a rule drifts from it
-    removed = ("_is_label", "_number", "_floats", "_check_state")
+    removed = ("_is_label", "_number", "_floats", "_check_state", "_is_int")
     found = []
     for module in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
