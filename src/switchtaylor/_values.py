@@ -26,8 +26,12 @@ def is_real(value) -> bool:
 
 
 def number(value) -> float:
-    """``float(value)`` for a real number, else NaN, which range checks refuse."""
-    return float(value) if is_real(value) else float("nan")
+    """``float(value)`` for a real number, else NaN, which range checks refuse;
+    an integer too large for a float is an infinity of its sign."""
+    try:
+        return float(value) if is_real(value) else float("nan")
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
 
 
 def label(value, what: str, error, m0=None) -> None:
@@ -37,10 +41,10 @@ def label(value, what: str, error, m0=None) -> None:
 
 
 def _array(value, dtype, what: str, error) -> np.ndarray:
-    # numpy's own refusal of text or ragged input is a bare ValueError
+    # numpy refuses text, ragged or oversized input with a bare builtin error
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise error("%s must be an array of numbers" % what) from None
 
 

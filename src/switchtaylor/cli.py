@@ -22,7 +22,8 @@ environment variable SWITCHTAYLOR_SEED overrides it without editing the
 file.  Re-running a config reproduces every output file byte for byte.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 runtime
-failure.  Validation messages name the offending config key.
+failure.  Validation messages name the offending config key; a library
+error the command line meets for one key only takes it from ``_KEY_OF``.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ import sys
 import numpy as np
 
 from ._files import opened
-from ._values import is_int, is_real
+from ._values import is_int, number
 from .config import load_config
 from .convergence import ExperimentPlan, _is_dyadic, draw_path, run as run_study
 from .errors import (
     CommutativityRequired,
     ConfigError,
     InsufficientLevels,
+    InvalidGenerator,
     ReferenceNotFiner,
     StepTooLargeForChain,
     SwitchTaylorError,
@@ -60,6 +62,18 @@ from .schemes import integrate, write_trajectory_csv
 __all__ = ["run", "main"]
 
 _INLINE_KEYS = ("drift_rates", "diffusion_rates", "generator", "x0")
+
+# the config key of each library error that the command line meets for one
+# key only; run writes it before the error's message
+_KEY_OF = {
+    InvalidGenerator: "generator",
+    UnknownFixture: "model",
+    UnknownScheme: "scheme",
+    CommutativityRequired: "scheme",
+    ReferenceNotFiner: "reference",
+    StepTooLargeForChain: "levels",
+    InsufficientLevels: "levels",
+}
 
 
 def _value(cfg: dict, key: str, ok, what: str):
@@ -83,7 +97,7 @@ def _array(cfg: dict, key: str, ok, what: str) -> tuple:
 
 # entry rules; the parser yields int, float, str and list, never bool
 def _is_finite(v) -> bool:
-    return is_real(v) and math.isfinite(v)
+    return math.isfinite(number(v))
 
 
 def _is_str(v) -> bool:
@@ -133,10 +147,7 @@ def _inline_generator(cfg: dict) -> GeneratorMatrix:
         lambda row: isinstance(row, list) and all(map(_is_finite, row)),
         "rows of finite numbers",
     )
-    try:
-        return GeneratorMatrix(rows)
-    except SwitchTaylorError as exc:
-        raise ConfigError("generator: %s" % exc)
+    return GeneratorMatrix(rows)
 
 
 def _initial_regime(cfg: dict, m0: int) -> int:
@@ -150,10 +161,7 @@ def _initial_regime(cfg: dict, m0: int) -> int:
 
 def _model_from_config(cfg: dict) -> ModelSpec:
     if "model" in cfg:
-        try:
-            return fixture(_value(cfg, "model", _is_str, "a fixture name"))
-        except UnknownFixture as exc:
-            raise ConfigError("model: %s" % exc)
+        return fixture(_value(cfg, "model", _is_str, "a fixture name"))
     for key in _INLINE_KEYS:
         if key not in cfg:
             raise ConfigError(
@@ -284,33 +292,11 @@ def _cmd_simulate(args) -> int:
 
     grid = GridSpec(0.0, t_end, levels[0])
     chain, noise = draw_path(model, grid, seed, 0)
-    try:
-        trajectory = integrate(model, schemes[0], chain, noise, grid.finest_times())
-    except (UnknownScheme, CommutativityRequired) as exc:
-        raise ConfigError("scheme: %s" % exc)
+    trajectory = integrate(model, schemes[0], chain, noise, grid.finest_times())
     path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(trajectory, path)
     print("wrote %s" % path)
     return 0
-
-
-def _build_plan(cfg: dict, model: ModelSpec, schemes, seed: int) -> ExperimentPlan:
-    try:
-        return ExperimentPlan(
-            model=model,
-            schemes=schemes,
-            t_end=_positive_t_end(cfg),
-            coarse_steps=_as_levels(cfg),
-            reference_steps=_value(cfg, "reference", _is_level, "a power-of-two step count"),
-            paths=_positive_paths(cfg),
-            seed=seed,
-        )
-    except UnknownScheme as exc:
-        raise ConfigError("scheme: %s" % exc)
-    except ReferenceNotFiner as exc:
-        raise ConfigError("reference: %s" % exc)
-    except StepTooLargeForChain as exc:
-        raise ConfigError("levels: %s" % exc)
 
 
 def _cmd_convergence(args) -> int:
@@ -319,15 +305,16 @@ def _cmd_convergence(args) -> int:
     schemes = _as_schemes(cfg)
     seed = _effective_seed(cfg)
     out = _output_dir(cfg)
-    plan = _build_plan(cfg, model, schemes, seed)
-
-    try:
-        reports = run_study(plan)
-    except InsufficientLevels as exc:
-        raise ConfigError("levels: %s" % exc)
-    except CommutativityRequired as exc:
-        raise ConfigError("scheme: %s" % exc)
-
+    plan = ExperimentPlan(
+        model=model,
+        schemes=schemes,
+        t_end=_positive_t_end(cfg),
+        coarse_steps=_as_levels(cfg),
+        reference_steps=_value(cfg, "reference", _is_level, "a power-of-two step count"),
+        paths=_positive_paths(cfg),
+        seed=seed,
+    )
+    reports = run_study(plan)
     for name in plan.schemes:
         report = reports[name]
         csv_path = os.path.join(out, "convergence_%s.csv" % name)
@@ -389,7 +376,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        key = _KEY_OF.get(type(exc))
+        print("error: %s%s" % ("" if key is None else key + ": ", exc), file=sys.stderr)
         return 1
     except (SwitchTaylorError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

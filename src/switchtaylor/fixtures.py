@@ -37,7 +37,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import _values
-from .errors import DimensionMismatch, InvalidCoefficients, UnknownFixture, UnknownRegime
+from .errors import (
+    DimensionMismatch,
+    InvalidCoefficients,
+    InvalidGrid,
+    UnknownFixture,
+    UnknownRegime,
+)
 from .markov_chain import GeneratorMatrix
 from .model import CoefficientSet, ModelSpec
 
@@ -114,7 +120,7 @@ class DiagonalLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "_tables", tables)
 
     def jet(self, X, regimes, order):
-        self._check(X, order)
+        self._check(X, regimes, order)
         a, sig, db, dsig, _ = self._tables
         try:
             a, sig = a.take(regimes, 0), sig.take(regimes, 0)
@@ -128,7 +134,12 @@ class DiagonalLinearCoefficients(CoefficientSet):
 
     def exact(self, x0, regimes, dt, dw):
         """The strong solution at the interval ends; see ``CoefficientSet``."""
-        self._check(x0)
+        dt = _values.floats(dt, "interval lengths dt", InvalidGrid)
+        dw = _values.floats(dw, "Wiener increments dw", InvalidGrid)
+        self._check(x0, regimes, 0, 2)
+        if dt.shape != regimes.shape or dw.shape != dt.shape + (self.d,):
+            got = "dt %s and dw %s" % (dt.shape, dw.shape)
+            raise DimensionMismatch("%s do not fit regime labels %s" % (got, regimes.shape))
         # one log-increment per interval, one cumulative sum and one exp for
         # the whole batch
         a, c = self._tables[0], self._tables[4]
@@ -166,7 +177,7 @@ class MeanRevertingCoefficients(CoefficientSet):
         object.__setattr__(self, "_tables", tables)
 
     def jet(self, X, regimes, order):
-        self._check(X, order)
+        self._check(X, regimes, order)
         th, mu, c = self._tables
         try:
             th, mu, c = th.take(regimes, 0), mu.take(regimes, 0), c.take(regimes, 0)
@@ -192,7 +203,7 @@ class PolynomialColumnsCoefficients(CoefficientSet):
     m: int = field(default=2, init=False)
 
     def jet(self, X, regimes, order):
-        self._check(X, order)
+        self._check(X, regimes, order)
         B = X.shape[0]
         x = X[:, 0]
         sig = np.empty((B, 1, 2))
@@ -286,7 +297,7 @@ def fixture(name: str) -> ModelSpec:
     """
     try:
         builder = _BUILDERS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownFixture(
             "unknown fixture %r; available: %s" % (name, ", ".join(fixture_names()))
         ) from None

@@ -82,7 +82,8 @@ class CoefficientSet:
 
     The six per-entry methods below are views of ``jet`` that only the
     benchmark's tracer reads; an implementation overrides ``jet`` only, and
-    starts it with ``self._check(X, order)``, as ``exact`` does with x0.
+    starts it with ``self._check(X, regimes, order)``, as ``exact`` does with
+    x0 and its (B, K) labels.
 
     A set whose SDE is solvable path by path may add one optional method,
     ``exact(x0, regimes, dt, dw)``.  It takes start states x0 (B, d) and,
@@ -101,12 +102,18 @@ class CoefficientSet:
         """(b, sigma), then (Db, D sigma) from order 1, (D^2 b, D^2 sigma) at 2."""
         raise NotImplementedError
 
-    def _check(self, X, order=0):
-        """``check_jet_order(order)``; states that are not (B, d) raise DimensionMismatch."""
+    def _check(self, X, regimes, order=0, ndim=1):
+        """``check_jet_order(order)``; states that are not (B, d), or labels
+        that are not an ``ndim``-D array of B rows, raise DimensionMismatch."""
         check_jet_order(order)
         if getattr(X, "ndim", 0) != 2 or X.shape[1] != self.d:
             got = getattr(X, "shape", None)
             raise DimensionMismatch("states have shape %s, expected (B, %d)" % (got, self.d))
+        if getattr(regimes, "ndim", 0) != ndim or len(regimes) != len(X):
+            got = getattr(regimes, "shape", None)
+            raise DimensionMismatch(
+                "regime labels have shape %s, expected %d-D, one per state row" % (got, ndim)
+            )
 
     def drift(self, X, regimes):
         """(B, d) drift values."""
@@ -174,7 +181,7 @@ class CallableCoefficients(CoefficientSet):
         self._eps = float(np.cbrt(np.finfo(float).eps))
 
     def jet(self, X, regimes, order):
-        self._check(X, order)
+        self._check(X, regimes, order)
         labels = _values.labels(regimes, "regime labels", UnknownRegime).tolist()
         drift = self._walk(self.drift_fn, X, labels, (self.d,), order)
         diffusion = self._walk(self.diffusion_fn, X, labels, (self.d, self.m), order)

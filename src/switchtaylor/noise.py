@@ -80,8 +80,9 @@ class GridSpec:
     def __post_init__(self):
         for end in ("t0", "t_end"):
             value = getattr(self, end)
-            if not (_values.is_real(value) and np.isfinite(value)):
+            if not np.isfinite(_values.number(value)):
                 raise InvalidGrid("%s must be a finite real number, got %r" % (end, value))
+            object.__setattr__(self, end, _values.number(value))
         if not self.t0 < self.t_end:
             raise InvalidGrid("need t0 < t_end, got %r and %r" % (self.t0, self.t_end))
         n = self.n

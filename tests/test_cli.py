@@ -408,14 +408,33 @@ seed = 3
 output = %s
 """
 
+# an integer of 401 digits, which no float holds
+BIG = "1" + "0" * 400
+
 # every key the command line reads, with bad values of each kind: a bool
 # (the parser reads True as a name), a name, a float where an integer is
-# due, an empty array, a step count that is not a power of two, NaN or inf
-# where a finite number is due, and the wrong shape
+# due, an empty array, a step count that is not a power of two, NaN, inf or
+# an integer too large for a float where a finite number is due, and the
+# wrong shape
 BAD_VALUES = {
     "model": ["True", "3", "[]", "[linear2]"],
-    "drift_rates": ["[0.5, True]", "[0.5, x]", "[]", "[0.5, nan]", "0.5", "[0.5]"],
-    "diffusion_rates": ["[0.3, True]", "[]", "[0.3, nan]", "[0.3, inf]", "[[0.3], [0.6]]"],
+    "drift_rates": [
+        "[0.5, True]",
+        "[0.5, x]",
+        "[]",
+        "[0.5, nan]",
+        "0.5",
+        "[0.5]",
+        "[0.5, %s]" % BIG,
+    ],
+    "diffusion_rates": [
+        "[0.3, True]",
+        "[]",
+        "[0.3, nan]",
+        "[0.3, inf]",
+        "[[0.3], [0.6]]",
+        "[0.3, %s]" % BIG,
+    ],
     "generator": [
         "True",
         "[]",
@@ -423,10 +442,11 @@ BAD_VALUES = {
         "[[-1.0, 1.0], [1.0, x]]",
         "[[-1.0, 1.0], [1.0]]",
         "[-1.0, 1.0]",
+        "[[-1.0, 1.0], [%s, -1.0]]" % BIG,
     ],
-    "x0": ["True", "[]", "[nan]", "[x]", "1.5", "[1.5, 1.5]"],
+    "x0": ["True", "[]", "[nan]", "[x]", "1.5", "[1.5, 1.5]", "[%s]" % BIG],
     "initial_regime": ["True", "x", "1.0", "[]", "3", "0"],
-    "t_end": ["True", "x", "[]", "nan", "inf", "0", "-1.0"],
+    "t_end": ["True", "x", "[]", "nan", "inf", "0", "-1.0", BIG],
     "scheme": ["True", "heun", "3", "[]", "[euler, 3]"],
     "levels": ["True", "[4, x]", "[4.0, 8]", "[]", "[4, 12]", "8"],
     "reference": ["True", "256.0", "[]", "300", "nan"],
@@ -505,6 +525,19 @@ def test_every_error_class_has_a_pinned_exit_code():
     assert found == VALIDATION_ERRORS | RUNTIME_ERRORS
 
 
+# the library errors the command line meets for one config key only, which
+# it reports under that key wherever they arise
+KEY_OF = {
+    "InvalidGenerator": "generator",
+    "UnknownFixture": "model",
+    "UnknownScheme": "scheme",
+    "CommutativityRequired": "scheme",
+    "ReferenceNotFiner": "reference",
+    "StepTooLargeForChain": "levels",
+    "InsufficientLevels": "levels",
+}
+
+
 @pytest.mark.parametrize("name", sorted(VALIDATION_ERRORS | RUNTIME_ERRORS))
 def test_error_class_exit_code(name, monkeypatch, capsys):
     def fail(args):
@@ -513,7 +546,8 @@ def test_error_class_exit_code(name, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_sets", fail)
     status = run(["sets", "--gamma", "1.0", "--m", "1"])
     assert status == (1 if name in VALIDATION_ERRORS else 2)
-    assert "error: planted failure" in capsys.readouterr().err
+    key = "%s: " % KEY_OF[name] if name in KEY_OF else ""
+    assert capsys.readouterr().err == "error: %splanted failure\n" % key
 
 
 class TestEntryPoint:

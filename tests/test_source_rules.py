@@ -127,6 +127,21 @@ def _jet(coeffs, states, order=0):
 # constant coefficients in d = 2, whose functions read no state entry
 PLANE = CallableCoefficients(lambda x, r: [0.0, 0.0], lambda x, r: np.eye(2), 2, 2)
 
+# an integer too large for a float
+BIG = 10**400
+
+
+def _labels_jet(coeffs, rows, labels):
+    # a jet of ``rows`` unit states under the given regime labels
+    return coeffs.jet(np.ones((rows, coeffs.d)), labels, 0)
+
+
+def _exact(x0_rows=1, regimes=((1,),), dt=((1.0,),), width=1):
+    # linear2's exact solution on one interval of each path unless varied
+    x0 = np.ones((x0_rows, 1))
+    dw = np.zeros((len(dt), len(dt[0]), width))
+    return LIN.coefficients.exact(x0, np.array(regimes), dt, dw)
+
 
 # inputs on which numpy or attribute lookup would raise a builtin error, or
 # a lookup would quietly answer, unless the package checks them first; the
@@ -466,6 +481,66 @@ BAD_CALLS = {
         "InvalidGamma",
     ),
     "MultiIndex-non-Component-letter": (lambda: MultiIndex((3,)), "InvalidComponent"),
+    "ExperimentPlan-oversized-t_end": (
+        lambda: ExperimentPlan(LIN, ("euler",), BIG, (8,), 256, 1, 0),
+        "InvalidGrid",
+    ),
+    "GridSpec-oversized-n": (lambda: GridSpec(0.0, 1.0, BIG), "InvalidGrid"),
+    "GridSpec-oversized-t_end": (lambda: GridSpec(0.0, BIG, 4), "InvalidGrid"),
+    "GridSpec-oversized-negative-t0": (lambda: GridSpec(-BIG, 1.0, 4), "InvalidGrid"),
+    "ChainPath-oversized-t_end": (lambda: ChainPath(0.0, BIG, 1), "IntervalOutOfRange"),
+    "sample_path-oversized-t_end": (
+        lambda: sample_path(LIN.generator, 1, 0.0, BIG, np.random.default_rng(0)),
+        "IntervalOutOfRange",
+    ),
+    "fit_order-oversized-h": (
+        lambda: fit_order([(BIG, 1.0), (0.5, 0.5), (0.25, 0.2)]),
+        "InvalidGrid",
+    ),
+    "sample_increments-oversized-delta": (
+        lambda: sample_increments([BIG], 1, np.random.default_rng(0)),
+        "InvalidGrid",
+    ),
+    "build_scheme_sets-oversized-gamma": (lambda: build_scheme_sets(BIG, 1), "InvalidGamma"),
+    "count_jumps-oversized-time": (lambda: count_jumps(PATH, 0.0, BIG), "IntervalOutOfRange"),
+    "DiagonalLinearCoefficients-jet-two-labels-one-row": (
+        lambda: _labels_jet(LIN.coefficients, 1, np.array([1, 2])),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-jet-scalar-label": (
+        lambda: _labels_jet(LIN.coefficients, 1, np.int64(1)),
+        "DimensionMismatch",
+    ),
+    "MeanRevertingCoefficients-jet-one-label-two-rows": (
+        lambda: _labels_jet(fixture("additive").coefficients, 2, np.array([1])),
+        "DimensionMismatch",
+    ),
+    "PolynomialColumnsCoefficients-jet-two-labels-one-row": (
+        lambda: _labels_jet(fixture("noncommutative").coefficients, 1, np.array([1, 2])),
+        "DimensionMismatch",
+    ),
+    "CallableCoefficients-jet-one-label-two-rows": (
+        lambda: _labels_jet(PLANE, 2, np.array([1])),
+        "DimensionMismatch",
+    ),
+    "CallableCoefficients-jet-two-labels-one-row": (
+        lambda: _labels_jet(PLANE, 1, np.array([1, 2])),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-exact-regimes-longer-than-dt": (
+        lambda: _exact(regimes=((1, 2),), dt=((1.0, 1.0, 1.0),)),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-exact-dw-width-2-of-1": (
+        lambda: _exact(width=2),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-exact-more-states-than-intervals": (
+        lambda: _exact(x0_rows=2),
+        "DimensionMismatch",
+    ),
+    "DiagonalLinearCoefficients-exact-text-dt": (lambda: _exact(dt=(("a",),)), "InvalidGrid"),
+    "fixture-unhashable-name": (lambda: fixture([]), "UnknownFixture"),
     "parse_config-unbalanced-close": (lambda: parse_config("k = [1]]\n"), "ConfigError"),
     "parse_config-unbalanced-open": (lambda: parse_config("k = [[1]\n"), "ConfigError"),
     "format_config-bad-key": (lambda: format_config({"1k": 1}), "ConfigError"),
@@ -478,6 +553,28 @@ def test_bad_inputs_raise_package_errors(call, error):
     with pytest.raises(errors.SwitchTaylorError) as caught:
         call()
     assert type(caught.value).__name__ == error
+
+
+def test_cli_takes_library_error_keys_from_one_table():
+    # cli._KEY_OF names the config key of each library error the command line
+    # meets for one key only, and run reports it; a handler elsewhere in
+    # cli.py that catches a package error to name its key is a second copy
+    package_errors = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.SwitchTaylorError)
+    }
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "run":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                if names & package_errors:
+                    found.append("cli.py:%d" % node.lineno)
+    assert not found, "package errors caught outside run: %s" % ", ".join(found)
 
 
 def test_one_module_holds_the_integer_and_real_rules():
