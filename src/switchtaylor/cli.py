@@ -39,7 +39,7 @@ import numpy as np
 from ._files import opened
 from ._values import is_int, number
 from .config import load_config
-from .convergence import ExperimentPlan, _is_dyadic, draw_path, run as run_study
+from .convergence import ExperimentPlan, _is_count, draw_path, run as run_study
 from .errors import (
     CommutativityRequired,
     ConfigError,
@@ -104,12 +104,8 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
-def _is_level(v) -> bool:
-    return is_int(v) and _is_dyadic(v)
-
-
 def _as_levels(cfg: dict) -> tuple:
-    return _array(cfg, "levels", _is_level, "power-of-two step counts")
+    return _array(cfg, "levels", _is_count, "power-of-two step counts up to 2**53")
 
 
 def _as_schemes(cfg: dict) -> tuple:
@@ -137,7 +133,7 @@ def _positive_t_end(cfg: dict) -> float:
 
 
 def _positive_paths(cfg: dict) -> int:
-    return _value(cfg, "paths", lambda v: is_int(v) and v >= 1, "a path count of at least 1")
+    return _value(cfg, "paths", lambda v: _is_count(v, False), "a path count from 1 to 2**53")
 
 
 def _inline_generator(cfg: dict) -> GeneratorMatrix:
@@ -310,7 +306,9 @@ def _cmd_convergence(args) -> int:
         schemes=schemes,
         t_end=_positive_t_end(cfg),
         coarse_steps=_as_levels(cfg),
-        reference_steps=_value(cfg, "reference", _is_level, "a power-of-two step count"),
+        reference_steps=_value(
+            cfg, "reference", _is_count, "a power-of-two step count up to 2**53"
+        ),
         paths=_positive_paths(cfg),
         seed=seed,
     )

@@ -100,14 +100,16 @@ CLOSED_FORM = "closed-form"
 _REFERENCE_FACTOR = 16
 
 
-def _is_dyadic(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_count(value, dyadic: bool = True) -> bool:
+    """An integer from 1 to 2**53, and a power of two if ``dyadic``."""
+    return is_int(value) and 1 <= value <= 2**53 and not (dyadic and value & (value - 1))
 
 
-def _count(value, what: str) -> int:
+def _count(value, what: str, dyadic: bool = True) -> int:
     # sizes are integers; a float such as 8.5 would be truncated silently
-    if not is_int(value):
-        raise InvalidGrid("%s must be an integer, got %r" % (what, value))
+    if not _is_count(value, dyadic):
+        kind = " and a power of two" if dyadic else ""
+        raise InvalidGrid("%s must be an integer from 1 to 2**53%s, got %r" % (what, kind, value))
     return int(value)
 
 
@@ -119,6 +121,9 @@ class ExperimentPlan:
     every coarse grid nests in the reference grid.  The reference must be at
     least 16 times finer than the finest tested level, and every step size
     (reference included) must stay below 1/(2 qmax) of the chain generator.
+    Step counts and the path count run from 1 to 2**53, the integers a float
+    holds exactly, since a study keeps t_end / n, the grid positions and its
+    path count in floats.
     """
 
     model: ModelSpec
@@ -158,17 +163,12 @@ class ExperimentPlan:
         object.__setattr__(
             self, "reference_steps", _count(self.reference_steps, "reference step count")
         )
-        object.__setattr__(self, "paths", _count(self.paths, "path count"))
-        for n in steps + (self.reference_steps,):
-            if not _is_dyadic(n):
-                raise InvalidGrid("step counts must be powers of two, got %r" % (n,))
+        object.__setattr__(self, "paths", _count(self.paths, "path count", dyadic=False))
         if self.reference_steps < _REFERENCE_FACTOR * steps[-1]:
             raise ReferenceNotFiner(
                 "reference %d is not %dx finer than level %d"
                 % (self.reference_steps, _REFERENCE_FACTOR, steps[-1])
             )
-        if self.paths < 1:
-            raise InvalidGrid("need at least one path")
         if not (is_int(self.seed) and 0 <= int(self.seed) < 2**64):
             raise InvalidSeed("seed must be an integer in [0, 2**64), got %r" % (self.seed,))
         self._check_step(steps[0])
@@ -380,39 +380,35 @@ def _closed_form_states(model, fine_times, w, regs, switches):
     ``w`` (P, n + 1, m) and ``regs`` (P, n) hold W and the window-start
     regimes on that grid, and ``switches`` each path's (times, W, entered
     regimes) for its switches inside the span.  Each path's merged grid is
-    the level's grid plus its switch times, padded up to the batch's widest
-    with zero-length intervals at the end."""
+    the level's grid plus its switch times, placed by position: the k-th
+    switch (k from 0) at time tau goes to column ``fine_times.searchsorted(
+    tau, "right") + k``, after a grid point at tau, which adds a zero-length
+    interval (the (s, t] rule of ``jump_records``), and grid point n to n
+    plus the number of the path's switches before t_n.  The merged grids are
+    padded up to the batch's widest with zero-length intervals at the end."""
     P, n1, m = w.shape
     counts = np.array([jt.size for jt, _, _ in switches])
+    rows = np.repeat(np.arange(P), counts)
+    after = np.searchsorted(fine_times, np.concatenate([sw[0] for sw in switches]), "right")
+    cols = after + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    before = np.bincount(rows * n1 + after, minlength=P * n1).reshape(P, n1).cumsum(axis=1)
+    where = np.arange(n1) + before
     K = n1 + int(counts.max(initial=0))
     times = np.full((P, K), fine_times[-1])
     wk = np.repeat(w[:, -1:], K, axis=1)
     rk = np.ones((P, K), dtype=np.int64)
-    times[:, :n1] = fine_times
-    wk[:, :n1] = w
-    rk[:, : n1 - 1] = regs
-    if counts.any():
-        rows = np.repeat(np.arange(P), counts)
-        cols = n1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        for array, part in ((times, 0), (wk, 1), (rk, 2)):
-            array[rows, cols] = np.concatenate([sw[part] for sw in switches])
-    # a stable sort keeps a grid point ahead of a switch at the same time,
-    # which then adds a zero-length interval
-    order = np.argsort(times, axis=1, kind="stable")
-    times = np.take_along_axis(times, order, axis=1)
-    wk = np.take_along_axis(wk, order[:, :, None], axis=1)
-    rk = np.take_along_axis(rk, order, axis=1)
+    paths = np.arange(P)[:, None]
+    times[paths, where] = fine_times
+    wk[paths, where] = w
+    rk[paths, where[:, :-1]] = regs
+    for array, part in ((times, 0), (wk, 1), (rk, 2)):
+        array[rows, cols] = np.concatenate([sw[part] for sw in switches])
     x0 = np.tile(model.x0, (P, 1))
-    ends = model.coefficients.exact(
-        x0, rk[:, :-1], np.diff(times, axis=1), np.diff(wk, axis=1)
-    )
-    # the merged position of each grid point, whose state ends interval
-    # position - 1
-    where = np.empty_like(order)
-    np.put_along_axis(where, order, np.arange(K)[None, :], axis=1)
+    ends = model.coefficients.exact(x0, rk[:, :-1], np.diff(times, axis=1), np.diff(wk, axis=1))
     out = np.empty((P, n1, model.d))
     out[:, 0] = x0
-    out[:, 1:] = np.take_along_axis(ends, where[:, 1:n1, None] - 1, axis=1)
+    # the state at a grid point ends the interval just before its column
+    out[:, 1:] = np.take_along_axis(ends, where[:, 1:, None] - 1, axis=1)
     return out
 
 
@@ -530,15 +526,13 @@ def _run_engine(plan, levels, schemes):
         require_commutativity(plan.model, get_scheme(name).commutativity_order)
     ref_scheme = reference_scheme_for(plan.model)
     grid = GridSpec(0.0, plan.t_end, plan.reference_steps)
-    batches = [
-        range(lo, min(lo + BATCH_PATHS, plan.paths))
-        for lo in range(0, plan.paths, BATCH_PATHS)
-    ]
+    # each batch's range of path indices is made as the batch runs
+    paths = range(plan.paths)
     # a diverging path is reported by NonFiniteState, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         return _tree_reduce(
-            _batch_partial(plan, levels, schemes, ref_scheme, grid, indices)
-            for indices in batches
+            _batch_partial(plan, levels, schemes, ref_scheme, grid, paths[lo : lo + BATCH_PATHS])
+            for lo in paths[::BATCH_PATHS]
         )
 
 
@@ -558,8 +552,6 @@ def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None):
     reference it measures the scheme's error at that level.
     """
     level = _count(level, "level")
-    if not _is_dyadic(level):
-        raise InvalidGrid("level must be a power of two, got %r" % (level,))
     if level > plan.reference_steps:
         raise ReferenceNotFiner(
             "level %d exceeds the reference %d" % (level, plan.reference_steps)

@@ -86,8 +86,10 @@ class GridSpec:
         if not self.t0 < self.t_end:
             raise InvalidGrid("need t0 < t_end, got %r and %r" % (self.t0, self.t_end))
         n = self.n
-        if not (np.isfinite(_values.number(n)) and int(n) == n and n >= 1):
-            raise InvalidGrid("the interval count must be a positive integer, got %r" % (n,))
+        if not (np.isfinite(_values.number(n)) and int(n) == n and 1 <= n <= 2**53):
+            raise InvalidGrid(
+                "the interval count must be a positive integer from 1 to 2**53, got %r" % (n,)
+            )
         n = int(n)
         object.__setattr__(self, "n", n)
         times = self.t0 + (self.t_end - self.t0) * np.arange(n + 1) / n

@@ -410,12 +410,15 @@ output = %s
 
 # an integer of 401 digits, which no float holds
 BIG = "1" + "0" * 400
+# counts above 2**53, which a float does not hold exactly: a power of two
+# for the step counts, 10**30 for the path count
+HUGE_STEPS = str(2**100)
 
 # every key the command line reads, with bad values of each kind: a bool
 # (the parser reads True as a name), a name, a float where an integer is
 # due, an empty array, a step count that is not a power of two, NaN, inf or
-# an integer too large for a float where a finite number is due, and the
-# wrong shape
+# an integer too large for a float where a finite number is due, a count
+# above 2**53, and the wrong shape
 BAD_VALUES = {
     "model": ["True", "3", "[]", "[linear2]"],
     "drift_rates": [
@@ -448,9 +451,9 @@ BAD_VALUES = {
     "initial_regime": ["True", "x", "1.0", "[]", "3", "0"],
     "t_end": ["True", "x", "[]", "nan", "inf", "0", "-1.0", BIG],
     "scheme": ["True", "heun", "3", "[]", "[euler, 3]"],
-    "levels": ["True", "[4, x]", "[4.0, 8]", "[]", "[4, 12]", "8"],
-    "reference": ["True", "256.0", "[]", "300", "nan"],
-    "paths": ["True", "2.5", "[]", "0", "nan"],
+    "levels": ["True", "[4, x]", "[4.0, 8]", "[]", "[4, 12]", "8", "[4, %s]" % HUGE_STEPS],
+    "reference": ["True", "256.0", "[]", "300", "nan", HUGE_STEPS],
+    "paths": ["True", "2.5", "[]", "0", "nan", str(10**30)],
     "seed": ["True", "1.5", "[]", "nan", "-1", "18446744073709551616"],
     "output": ["3", "1.5", "[]", "nan"],
 }

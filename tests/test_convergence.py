@@ -247,6 +247,74 @@ def test_batched_window_data_equals_the_per_path_queries(monkeypatch, name):
         assert reference is None
 
 
+def _closed_form_by_sorting(model, fine_times, w, regs, switches):
+    # the merge as a sort, kept as the reference of the engine's placement:
+    # each path's switches go after its grid block, a stable argsort puts
+    # every row in time order (a grid point ahead of a switch at its time),
+    # and the inverse permutation finds each grid point's merged column
+    P, n1, _ = w.shape
+    counts = np.array([jt.size for jt, _, _ in switches])
+    K = n1 + int(counts.max(initial=0))
+    times = np.full((P, K), fine_times[-1])
+    wk = np.repeat(w[:, -1:], K, axis=1)
+    rk = np.ones((P, K), dtype=np.int64)
+    times[:, :n1] = fine_times
+    wk[:, :n1] = w
+    rk[:, : n1 - 1] = regs
+    if counts.any():
+        rows = np.repeat(np.arange(P), counts)
+        cols = n1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        for array, part in ((times, 0), (wk, 1), (rk, 2)):
+            array[rows, cols] = np.concatenate([sw[part] for sw in switches])
+    order = np.argsort(times, axis=1, kind="stable")
+    times = np.take_along_axis(times, order, axis=1)
+    wk = np.take_along_axis(wk, order[:, :, None], axis=1)
+    rk = np.take_along_axis(rk, order, axis=1)
+    x0 = np.tile(model.x0, (P, 1))
+    ends = model.coefficients.exact(x0, rk[:, :-1], np.diff(times, axis=1), np.diff(wk, axis=1))
+    where = np.empty_like(order)
+    np.put_along_axis(where, order, np.arange(K)[None, :], axis=1)
+    out = np.empty((P, n1, model.d))
+    out[:, 0] = x0
+    out[:, 1:] = np.take_along_axis(ends, where[:, 1:n1, None] - 1, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["linear2", "diagonal3"])
+@pytest.mark.parametrize("batch", ["planted", "random"])
+def test_closed_form_placement_is_the_sorted_merge(monkeypatch, name, batch):
+    # the engine places each switch and grid point at its merged column;
+    # on the planted switch patterns (a switch on a point of every grid, two
+    # in one coarse window, three and four in one reference window) and on
+    # one full batch of drawn paths it must hand ``exact`` what the sorted
+    # merge hands it, so the states carry the same bytes
+    model = fixture(name)
+    if batch == "planted":
+        levels, n_ref, paths = (8, 16, 32), 512, 8
+        planted = iter(_planted_chains(model))
+        monkeypatch.setattr(
+            convergence, "sample_path", lambda *args: next(planted, None) or sample_path(*args)
+        )
+    else:
+        levels, n_ref, paths = (8, 16, 32, 64), 1024, convergence.BATCH_PATHS
+    plan = small_plan(
+        model=model, schemes=("euler",), coarse_steps=levels, reference_steps=n_ref, paths=paths
+    )
+    pairs = []
+    placed = convergence._closed_form_states
+
+    def both(*args):
+        pairs.append((placed(*args), _closed_form_by_sorting(*args)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(convergence, "_closed_form_states", both)
+    convergence._window_data(
+        plan, list(levels), GridSpec(0.0, 1.0, n_ref), range(plan.paths), True
+    )
+    ((got, want),) = pairs
+    _same_bits(got, want)
+
+
 def test_closed_form_only_where_the_coefficients_have_exact(monkeypatch):
     calls = Counter()
     original = convergence._closed_form_states

@@ -44,8 +44,10 @@ from switchtaylor import (
     pair_jump_count,
     pair_jump_martingale,
     parse_config,
+    run,
     sample_increments,
     sample_path,
+    strong_error,
     validate_word,
     word,
 )
@@ -486,6 +488,26 @@ BAD_CALLS = {
         "InvalidGrid",
     ),
     "GridSpec-oversized-n": (lambda: GridSpec(0.0, 1.0, BIG), "InvalidGrid"),
+    # counts held in a float stay exact only up to 2**53
+    "ExperimentPlan-step-above-2**1023": (
+        lambda: ExperimentPlan(LIN, ("euler",), 1.0, (2**1100,), 2**1104, 1, 0),
+        "InvalidGrid",
+    ),
+    "ExperimentPlan-paths-above-2**53": (
+        lambda: ExperimentPlan(LIN, ("euler",), 1.0, (8,), 256, 2**53 + 1, 0),
+        "InvalidGrid",
+    ),
+    "run-steps-above-2**53": (
+        lambda: run(
+            ExperimentPlan(LIN, ("euler",), 1.0, (2**1000, 2**1001, 2**1002), 2**1006, 1, 0)
+        ),
+        "InvalidGrid",
+    ),
+    "strong_error-level-above-2**53": (
+        lambda: strong_error(ExperimentPlan(LIN, ("euler",), 1.0, (8,), 256, 1, 0), 2**54),
+        "InvalidGrid",
+    ),
+    "GridSpec-n-above-2**53": (lambda: GridSpec(0.0, 1.0, 2**62), "InvalidGrid"),
     "GridSpec-oversized-t_end": (lambda: GridSpec(0.0, BIG, 4), "InvalidGrid"),
     "GridSpec-oversized-negative-t0": (lambda: GridSpec(-BIG, 1.0, 4), "InvalidGrid"),
     "ChainPath-oversized-t_end": (lambda: ChainPath(0.0, BIG, 1), "IntervalOutOfRange"),
@@ -575,6 +597,26 @@ def test_cli_takes_library_error_keys_from_one_table():
                 if names & package_errors:
                     found.append("cli.py:%d" % node.lineno)
     assert not found, "package errors caught outside run: %s" % ", ".join(found)
+
+
+def test_closed_form_merge_places_by_position():
+    # convergence._closed_form_states puts every grid point and switch at its
+    # merged column from one searchsorted; a sort, or the inverse permutation
+    # it needs, redoes what those positions already say
+    tree = ast.parse((PACKAGE / "convergence.py").read_text())
+    (func,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_closed_form_states"
+    ]
+    found = [
+        "convergence.py:%d" % node.lineno
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("argsort", "sort", "sorted", "lexsort", "put_along_axis")
+    ]
+    assert not found, "sorting calls in the closed-form merge: %s" % ", ".join(found)
 
 
 def test_one_module_holds_the_integer_and_real_rules():
