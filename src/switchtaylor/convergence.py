@@ -526,7 +526,7 @@ def _run_engine(plan, levels, schemes):
         require_commutativity(plan.model, get_scheme(name).commutativity_order)
     ref_scheme = reference_scheme_for(plan.model)
     grid = GridSpec(0.0, plan.t_end, plan.reference_steps)
-    # each batch's range of path indices is made as the batch runs
+    # a batch's index range is made as it runs, so no path count lists them all first
     paths = range(plan.paths)
     # a diverging path is reported by NonFiniteState, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
