@@ -1,11 +1,13 @@
-"""The package's number, time and label rules.  bool is an ``Integral`` in
-Python but no count, label or time here, and numeric text is no number.
-The array rules raise the calling site's package error, for text or ragged
-input too: ``floats`` reads numbers, ``finite`` numbers that are all finite,
-``times`` a 1-D run of finite, strictly increasing times and ``labels``
-integer labels from 1, as ``label`` does for one label.  No other module
-converts a caller's array with ``dtype=float``.  Exact int and float skip the
-``numbers`` ABCs' slow check."""
+"""The package's number, count, time and label rules.  bool is an
+``Integral`` in Python but no count, label or time here, and numeric text is
+no number.  ``count`` reads levels, paths, grid intervals and dimensions:
+integers from 1 to 2**53, the ones a float holds exactly.  The array rules
+raise the calling site's package error, for text or ragged input too:
+``floats`` reads numbers, ``finite`` numbers that are all finite, ``times`` a
+1-D run of finite, strictly increasing times and ``labels`` integer labels
+from 1 to the regime count where it is known, as ``label`` does for one label.
+No other module converts a caller's array with ``dtype=float``.  Exact int
+and float skip the ``numbers`` ABCs' slow check."""
 
 from __future__ import annotations
 
@@ -32,6 +34,19 @@ def number(value) -> float:
         return float(value) if is_real(value) else float("nan")
     except OverflowError:
         return float("inf") if value > 0 else float("-inf")
+
+
+def is_count(value, dyadic: bool = False) -> bool:
+    """An integer from 1 to 2**53, and a power of two if ``dyadic``."""
+    return is_int(value) and 1 <= value <= 2**53 and not (dyadic and value & (value - 1))
+
+
+def count(value, what: str, error, dyadic: bool = False) -> int:
+    """``value`` as an int if ``is_count`` accepts it; a float is no count."""
+    if not is_count(value, dyadic):
+        kind = " and a power of two" if dyadic else ""
+        raise error("%s must be an integer from 1 to 2**53%s, got %r" % (what, kind, value))
+    return int(value)
 
 
 def label(value, what: str, error, m0=None) -> None:
@@ -73,11 +88,17 @@ def times(value, what: str, error, least: int = 2) -> np.ndarray:
     return t
 
 
-def labels(value, what: str, error) -> np.ndarray:
-    """An integer array of labels from 1; an empty one passes whatever its dtype."""
-    a = _array(value, None, what, error)
+def labels(value, what: str, error, m0=None) -> np.ndarray:
+    """An integer array of labels from 1, and at most ``m0`` where the count
+    is known; an empty one passes whatever its dtype."""
+    a = value if type(value) is np.ndarray else _array(value, None, what, error)
     if a.size and a.dtype.kind not in "iu":
         raise error("%s must be integers, got dtype %s" % (what, a.dtype))
-    if a.size and a.min() < 1:
-        raise error("%s must start at 1, got %d" % (what, a.min()))
+    # one label is read as a Python int, which is cheaper than a reduction
+    one = a.size == 1
+    lo = a.item() if one else a.min(initial=1)
+    if lo < 1:
+        raise error("%s must start at 1, got %d" % (what, lo))
+    if m0 is not None and (lo if one else a.max(initial=1)) > m0:
+        raise error("%s run from 1 to %d, got %d..%d" % (what, m0, a.min(), a.max()))
     return a

@@ -22,8 +22,9 @@ environment variable SWITCHTAYLOR_SEED overrides it without editing the
 file.  Re-running a config reproduces every output file byte for byte.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 runtime
-failure.  Validation messages name the offending config key; a library
-error the command line meets for one key only takes it from ``_KEY_OF``.
+failure, running out of memory included.  Validation messages name the
+offending config key; a library error the command line meets for one key
+only takes it from ``_KEY_OF``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import sys
 import numpy as np
 
 from ._files import opened
-from ._values import is_int, number
+from ._values import is_count, is_int, number
 from .config import load_config
-from .convergence import ExperimentPlan, _is_count, draw_path, run as run_study
+from .convergence import ExperimentPlan, draw_path, run as run_study
 from .errors import (
     CommutativityRequired,
     ConfigError,
@@ -104,8 +105,12 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
+def _is_steps(v) -> bool:
+    return is_count(v, dyadic=True)
+
+
 def _as_levels(cfg: dict) -> tuple:
-    return _array(cfg, "levels", _is_count, "power-of-two step counts up to 2**53")
+    return _array(cfg, "levels", _is_steps, "power-of-two step counts up to 2**53")
 
 
 def _as_schemes(cfg: dict) -> tuple:
@@ -133,7 +138,7 @@ def _positive_t_end(cfg: dict) -> float:
 
 
 def _positive_paths(cfg: dict) -> int:
-    return _value(cfg, "paths", lambda v: _is_count(v, False), "a path count from 1 to 2**53")
+    return _value(cfg, "paths", is_count, "a path count from 1 to 2**53")
 
 
 def _inline_generator(cfg: dict) -> GeneratorMatrix:
@@ -307,7 +312,7 @@ def _cmd_convergence(args) -> int:
         t_end=_positive_t_end(cfg),
         coarse_steps=_as_levels(cfg),
         reference_steps=_value(
-            cfg, "reference", _is_count, "a power-of-two step count up to 2**53"
+            cfg, "reference", _is_steps, "a power-of-two step count up to 2**53"
         ),
         paths=_positive_paths(cfg),
         seed=seed,
@@ -379,6 +384,9 @@ def run(argv=None) -> int:
         return 1
     except (SwitchTaylorError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
         return 2
 
 

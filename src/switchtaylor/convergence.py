@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._values import is_int, number
+from ._values import count, is_int, number
 from .errors import (
     CouplingMismatch,
     InsufficientLevels,
@@ -100,19 +100,6 @@ CLOSED_FORM = "closed-form"
 _REFERENCE_FACTOR = 16
 
 
-def _is_count(value, dyadic: bool = True) -> bool:
-    """An integer from 1 to 2**53, and a power of two if ``dyadic``."""
-    return is_int(value) and 1 <= value <= 2**53 and not (dyadic and value & (value - 1))
-
-
-def _count(value, what: str, dyadic: bool = True) -> int:
-    # sizes are integers; a float such as 8.5 would be truncated silently
-    if not _is_count(value, dyadic):
-        kind = " and a power of two" if dyadic else ""
-        raise InvalidGrid("%s must be an integer from 1 to 2**53%s, got %r" % (what, kind, value))
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A strong-order study: which schemes, which levels, how many paths.
@@ -156,14 +143,14 @@ class ExperimentPlan:
         object.__setattr__(self, "schemes", schemes)
         if not hasattr(self.coarse_steps, "__iter__"):
             raise InvalidGrid("coarse steps must be a collection, got %r" % (self.coarse_steps,))
-        steps = tuple(sorted(set(_count(n, "coarse step count") for n in self.coarse_steps)))
+        steps = {count(n, "coarse step count", InvalidGrid, dyadic=True) for n in self.coarse_steps}
+        steps = tuple(sorted(steps))
         if not steps:
             raise InvalidGrid("need at least one coarse level")
         object.__setattr__(self, "coarse_steps", steps)
-        object.__setattr__(
-            self, "reference_steps", _count(self.reference_steps, "reference step count")
-        )
-        object.__setattr__(self, "paths", _count(self.paths, "path count", dyadic=False))
+        reference = count(self.reference_steps, "reference step count", InvalidGrid, dyadic=True)
+        object.__setattr__(self, "reference_steps", reference)
+        object.__setattr__(self, "paths", count(self.paths, "path count", InvalidGrid))
         if self.reference_steps < _REFERENCE_FACTOR * steps[-1]:
             raise ReferenceNotFiner(
                 "reference %d is not %dx finer than level %d"
@@ -551,7 +538,7 @@ def strong_error(plan: ExperimentPlan, level: int, scheme: str | None = None):
     reproduces the reference and returns exactly zero; under a closed-form
     reference it measures the scheme's error at that level.
     """
-    level = _count(level, "level")
+    level = count(level, "level", InvalidGrid, dyadic=True)
     if level > plan.reference_steps:
         raise ReferenceNotFiner(
             "level %d exceeds the reference %d" % (level, plan.reference_steps)

@@ -16,12 +16,14 @@ Four fixtures, each a ready ModelSpec:
 All coefficient sets are plain picklable dataclasses.  The rate-table sets
 read their tables through ``_values.floats`` (``InvalidCoefficients``).
 Each implements the one ``jet`` method of ``CoefficientSet`` and gathers
-each rate table once per call.  The diagonal linear set builds its
-per-regime jet tables (sigma per unit state, Db and D sigma) once at
-construction, so its ``jet`` makes one gather per table and scales sigma by
-the state.  Each per-regime table has a NaN row 0 on top, so that a 1-based
-label indexes its row directly and label 0 aliases no regime; zero Hessians
-are read-only blocks built once per shape.  One stacked table read through
+each rate table once per call; their ``m0`` is the table row count, so
+``CoefficientSet._check`` refuses a label outside 1..m0 before any gather.
+The diagonal linear set builds its per-regime jet tables (sigma per unit
+state, Db and D sigma) once at construction, so its ``jet`` makes one gather
+per table and scales sigma by the state.  Each per-regime table has a row 0
+on top only so that a 1-based label indexes its row directly, with no label
+shift per call; it is NaN, and no checked label reads it.  Zero Hessians are
+read-only blocks built once per shape.  One stacked table read through
 views was measured slower: at batch width 512 its strided views cost more
 than the separate gathers.  The diagonal linear set also has ``exact``:
 with diagonal noise and rates frozen between switches, each coordinate is a
@@ -42,7 +44,6 @@ from .errors import (
     InvalidCoefficients,
     InvalidGrid,
     UnknownFixture,
-    UnknownRegime,
 )
 from .markov_chain import GeneratorMatrix
 from .model import CoefficientSet, ModelSpec
@@ -57,17 +58,9 @@ __all__ = [
 
 
 def _labelled(table):
-    # a per-regime table (m0, ...) with a NaN row 0 on top, so that a 1-based
-    # label indexes its regime's row directly and label 0 aliases no regime
+    # a per-regime table (m0, ...) with a NaN row 0 on top, the 1-based offset
+    # that lets a checked label index its regime's row directly
     return np.concatenate([np.full((1,) + table.shape[1:], np.nan), table])
-
-
-def _unknown_regime(regimes, table):
-    # labels above the regime count or not integers fail a labelled gather
-    r = np.asarray(regimes)
-    return UnknownRegime(
-        "regime labels run from 1 to %d, got %s..%s" % (len(table) - 1, r.min(), r.max())
-    )
 
 
 @lru_cache(maxsize=8)
@@ -116,17 +109,15 @@ class DiagonalLinearCoefficients(CoefficientSet):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", d)
+        object.__setattr__(self, "m0", m0)
         tables = tuple(_labelled(t) for t in (a, sig, db, dsig, c))
         object.__setattr__(self, "_tables", tables)
 
     def jet(self, X, regimes, order):
         self._check(X, regimes, order)
         a, sig, db, dsig, _ = self._tables
-        try:
-            a, sig = a.take(regimes, 0), sig.take(regimes, 0)
-            derivatives = (db.take(regimes, 0), dsig.take(regimes, 0)) if order else ()
-        except (IndexError, TypeError):
-            raise _unknown_regime(regimes, db) from None
+        a, sig = a.take(regimes, 0), sig.take(regimes, 0)
+        derivatives = (db.take(regimes, 0), dsig.take(regimes, 0)) if order else ()
         out = (a * X, sig * X[:, None, :]) + derivatives
         if order == 2:
             out += _flat(X.shape[0], self.d, self.d)
@@ -142,11 +133,7 @@ class DiagonalLinearCoefficients(CoefficientSet):
             raise DimensionMismatch("%s do not fit regime labels %s" % (got, regimes.shape))
         # one log-increment per interval, one cumulative sum and one exp for
         # the whole batch
-        a, c = self._tables[0], self._tables[4]
-        try:
-            a, c = a.take(regimes, 0), c.take(regimes, 0)
-        except (IndexError, TypeError):
-            raise _unknown_regime(regimes, c) from None
+        a, c = self._tables[0].take(regimes, 0), self._tables[4].take(regimes, 0)
         log = (a - 0.5 * c * c) * dt[..., None] + c * dw
         return x0[:, None, :] * np.exp(np.cumsum(log, axis=1))
 
@@ -175,14 +162,12 @@ class MeanRevertingCoefficients(CoefficientSet):
             raise DimensionMismatch("theta, mean and c have %d, %d and %d entries" % sizes)
         tables = tuple(_labelled(t[:, None]) for t in (self.theta, self.mean, self.c))
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "m0", sizes[0])
 
     def jet(self, X, regimes, order):
         self._check(X, regimes, order)
         th, mu, c = self._tables
-        try:
-            th, mu, c = th.take(regimes, 0), mu.take(regimes, 0), c.take(regimes, 0)
-        except (IndexError, TypeError):
-            raise _unknown_regime(regimes, th) from None
+        th, mu, c = th.take(regimes, 0), mu.take(regimes, 0), c.take(regimes, 0)
         out = (th * (mu - X), c[:, :, None])
         if order >= 1:
             out += (-th[:, :, None], np.zeros((X.shape[0], 1, 1, 1)))

@@ -83,7 +83,10 @@ class CoefficientSet:
     The six per-entry methods below are views of ``jet`` that only the
     benchmark's tracer reads; an implementation overrides ``jet`` only, and
     starts it with ``self._check(X, regimes, order)``, as ``exact`` does with
-    x0 and its (B, K) labels.
+    x0 and its (B, K) labels.  ``_check`` refuses labels that are not
+    integers from 1 to ``m0``, the regime count: the table row count on the
+    rate-table sets, a plain attribute and no dataclass field, and None, no
+    upper bound, on every other set.
 
     A set whose SDE is solvable path by path may add one optional method,
     ``exact(x0, regimes, dt, dw)``.  It takes start states x0 (B, d) and,
@@ -97,6 +100,7 @@ class CoefficientSet:
 
     d: int
     m: int
+    m0 = None
 
     def jet(self, X, regimes, order: int):
         """(b, sigma), then (Db, D sigma) from order 1, (D^2 b, D^2 sigma) at 2."""
@@ -104,7 +108,8 @@ class CoefficientSet:
 
     def _check(self, X, regimes, order=0, ndim=1):
         """``check_jet_order(order)``; states that are not (B, d), or labels
-        that are not an ``ndim``-D array of B rows, raise DimensionMismatch."""
+        that are not an ``ndim``-D array of B rows, raise DimensionMismatch,
+        and labels outside 1..m0 raise UnknownRegime.  Returns the labels."""
         check_jet_order(order)
         if getattr(X, "ndim", 0) != 2 or X.shape[1] != self.d:
             got = getattr(X, "shape", None)
@@ -114,6 +119,7 @@ class CoefficientSet:
             raise DimensionMismatch(
                 "regime labels have shape %s, expected %d-D, one per state row" % (got, ndim)
             )
+        return _values.labels(regimes, "regime labels", UnknownRegime, self.m0)
 
     def drift(self, X, regimes):
         """(B, d) drift values."""
@@ -165,24 +171,19 @@ class CallableCoefficients(CoefficientSet):
     cbrt(machine epsilon) * max(1, |x_p|) per coordinate; second derivatives
     nest the same stencil.  Convenient for ad-hoc models; the built-in
     fixtures ship analytic derivatives instead.  ``d`` and ``m`` are
-    integers from 1 (``InvalidCoefficients``), and ``jet`` reads its labels
-    through ``_values.labels`` (``UnknownRegime``) and hands each to the
+    counts (``InvalidCoefficients``), and ``jet`` hands each label to the
     functions as an int.
     """
 
     def __init__(self, drift_fn, diffusion_fn, d: int, m: int):
-        for name, value in (("d", d), ("m", m)):
-            if not (_values.is_int(value) and value >= 1):
-                raise InvalidCoefficients("%s must be an integer from 1, got %r" % (name, value))
         self.drift_fn = drift_fn
         self.diffusion_fn = diffusion_fn
-        self.d = int(d)
-        self.m = int(m)
+        self.d = _values.count(d, "d", InvalidCoefficients)
+        self.m = _values.count(m, "m", InvalidCoefficients)
         self._eps = float(np.cbrt(np.finfo(float).eps))
 
     def jet(self, X, regimes, order):
-        self._check(X, regimes, order)
-        labels = _values.labels(regimes, "regime labels", UnknownRegime).tolist()
+        labels = self._check(X, regimes, order).tolist()
         drift = self._walk(self.drift_fn, X, labels, (self.d,), order)
         diffusion = self._walk(self.diffusion_fn, X, labels, (self.d, self.m), order)
         return tuple(part for pair in zip(drift, diffusion) for part in pair)

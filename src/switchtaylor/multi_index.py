@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Callable, Collection, Iterable, NamedTuple
 
-from ._values import is_int, number
+from ._values import is_count, is_int, number
 from .errors import (
     ConsecutiveJumpComponents,
     EmptyIndex,
@@ -63,8 +63,10 @@ __all__ = [
 # nothing in the package uses longer words.
 MAX_GAMMA = 3.0
 
-# hierarchical enumeration stops with an error beyond this word length
-_MAX_WORD_LENGTH = 64
+# an alphabet, hierarchical set or remainder set may hold at most this many
+# letters, 2**20: the largest set of gamma <= 3 and m <= 4, B(A^sigma) at
+# gamma = 3 and m = 4, holds 122 224 words of 828 006 letters
+_MAX_LETTERS = 2**20
 
 
 class ComponentKind(enum.Enum):
@@ -330,9 +332,13 @@ def classify(index: MultiIndex) -> WordClass:
 
 
 def alphabet(m: int, mu: int) -> tuple[Component, ...]:
-    """All letters for m Wiener dimensions and jump threshold mu."""
-    if not all(is_int(n) and n >= 1 for n in (m, mu)):
-        raise InvalidComponent("alphabet needs integers m, mu >= 1, got %r and %r" % (m, mu))
+    """All letters for m Wiener dimensions and jump threshold mu; at most
+    2**20 of them (``_MAX_LETTERS``)."""
+    if not (is_count(m) and is_count(mu) and m + mu + 2 <= _MAX_LETTERS):
+        raise InvalidComponent(
+            "alphabet needs integers m, mu >= 1 and at most %d letters, got %r and %r"
+            % (_MAX_LETTERS, m, mu)
+        )
     letters = [TIME]
     letters.extend(wiener(j) for j in range(1, m + 1))
     letters.extend(jump_exact(r) for r in range(1, mu + 1))
@@ -349,6 +355,23 @@ def _extensions(words, letters):
                 yield MultiIndex((c,) + w.components)
 
 
+def _bounded(words, held=()) -> list:
+    # ``words`` as a list, refused as soon as they and the words ``held``
+    # pass _MAX_LETTERS letters; a bound on letters, not words, also stops a
+    # chain of ever longer words, whose letters grow with its length squared
+    total = sum(w.length for w in held)
+    out = []
+    for w in words:
+        total += w.length
+        if total > _MAX_LETTERS:
+            raise InvalidGamma(
+                "an index set of more than %d letters; the predicate is too permissive "
+                "or the set too large" % _MAX_LETTERS
+            )
+        out.append(w)
+    return out
+
+
 def build_hierarchical_set(
     predicate: Callable[[MultiIndex], bool],
     m: int,
@@ -360,7 +383,9 @@ def build_hierarchical_set(
     word is a member, so is the word with its first letter dropped), which
     makes the result closed under that truncation.  Enumeration proceeds by
     prepending alphabet letters, so a non-monotone predicate silently loses
-    members; ``_MAX_WORD_LENGTH`` guards against runaway growth.
+    members.  A set of more than 2**20 letters (``_MAX_LETTERS``) raises
+    ``InvalidGamma`` as it grows, which stops a predicate that is too
+    permissive.
     """
     if not predicate(EMPTY_INDEX):
         return frozenset()
@@ -368,13 +393,7 @@ def build_hierarchical_set(
     members = {EMPTY_INDEX}
     frontier = [EMPTY_INDEX]
     while frontier:
-        # the words of a frontier share one length
-        if frontier[0].length >= _MAX_WORD_LENGTH:
-            raise InvalidGamma(
-                "hierarchical enumeration exceeded %d letters; "
-                "predicate is too permissive" % _MAX_WORD_LENGTH
-            )
-        frontier = [w for w in _extensions(frontier, letters) if predicate(w)]
+        frontier = _bounded(filter(predicate, _extensions(frontier, letters)), members)
         members.update(frontier)
     return frozenset(members)
 
@@ -384,12 +403,13 @@ def remainder_set(members: Collection[MultiIndex], m: int, mu: int) -> frozenset
 
     For a set A closed under drop_first, these are exactly the words not in
     A whose first-letter truncation lies in A.  The remainder of the empty
-    set is the singleton {empty word}.
+    set is the singleton {empty word}.  A remainder of more than 2**20
+    letters raises ``InvalidGamma``.
     """
     base = frozenset(members)
     if not base:
         return frozenset([EMPTY_INDEX])
-    return frozenset(w for w in _extensions(base, alphabet(m, mu)) if w not in base)
+    return frozenset(_bounded(w for w in _extensions(base, alphabet(m, mu)) if w not in base))
 
 
 @dataclass(frozen=True)
@@ -439,7 +459,7 @@ def build_scheme_sets(gamma: float, m: int) -> SchemeSets:
             "enumeration refused for order %s > %s; the sets grow combinatorially"
             % (gamma, MAX_GAMMA)
         )
-    if not is_int(m) or m < 1:
+    if not is_count(m):
         raise InvalidComponent("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
     mu = two_gamma = round(two)
 

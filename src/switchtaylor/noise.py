@@ -69,7 +69,8 @@ class GridSpec:
 
     Coarser grids are strided slices of ``finest_times()``, so shared points
     are equal bitwise, not merely approximately.  The times are built once,
-    read-only, and take no part in ``repr`` or ``==``.
+    read-only, and take no part in ``repr`` or ``==``.  ``n`` is an int from
+    1 to 2**53, not a float; one too large for memory raises ``InvalidGrid``.
     """
 
     t0: float
@@ -85,14 +86,12 @@ class GridSpec:
             object.__setattr__(self, end, _values.number(value))
         if not self.t0 < self.t_end:
             raise InvalidGrid("need t0 < t_end, got %r and %r" % (self.t0, self.t_end))
-        n = self.n
-        if not (np.isfinite(_values.number(n)) and int(n) == n and 1 <= n <= 2**53):
-            raise InvalidGrid(
-                "the interval count must be a positive integer from 1 to 2**53, got %r" % (n,)
-            )
-        n = int(n)
+        n = _values.count(self.n, "the interval count", InvalidGrid)
         object.__setattr__(self, "n", n)
-        times = self.t0 + (self.t_end - self.t0) * np.arange(n + 1) / n
+        try:
+            times = self.t0 + (self.t_end - self.t0) * np.arange(n + 1) / n
+        except MemoryError:
+            raise InvalidGrid("the interval count %d does not fit in memory" % n) from None
         times[-1] = self.t_end
         times.setflags(write=False)
         object.__setattr__(self, "_times", times)
@@ -116,8 +115,7 @@ def sample_increments(deltas, m: int, rng: np.random.Generator):
     deltas = _values.floats(deltas, "interval lengths", InvalidGrid)
     if deltas.ndim != 1 or not ((deltas > 0) & (deltas < np.inf)).all():
         raise InvalidGrid("interval lengths must be positive and finite")
-    if not _values.is_int(m) or m < 1:
-        raise InvalidGrid("need an integer count of Wiener dimensions >= 1, got %r" % (m,))
+    _values.count(m, "the count of Wiener dimensions", InvalidGrid)
     g = rng.standard_normal((deltas.size, m, 2))
     root = np.sqrt(deltas)
     dw = root[:, None] * g[:, :, 0]

@@ -421,14 +421,14 @@ def march(info, coeffs, y0, regimes, hs, dw, dz, table):
       DimensionMismatch: an input's shape disagrees with ``regimes`` or
         with the coefficient set's d and m.
       UnknownRegime: a regime label in ``regimes`` or ``table`` is not an
-        integer from 1; the rate-table coefficient sets also refuse a label
-        above their regime count, at the step that reads it.
+        integer from 1, or is above the coefficient set's regime count
+        ``m0`` where the set knows it; both before the first step.
       NonFiniteState: a state left the finite range; its ``step`` and ``row``
         locate the first bad row of the first bad step.
     """
-    regimes = _values.labels(regimes, "march: regime labels", UnknownRegime)
+    regimes = _values.labels(regimes, "march: regime labels", UnknownRegime, coeffs.m0)
     for part in () if table is None else (table.reg1, table.reg2):
-        _values.labels(part, "march: regime labels", UnknownRegime)
+        _values.labels(part, "march: regime labels", UnknownRegime, coeffs.m0)
     hs = _values.floats(hs, "march: step sizes", InvalidGrid)
     if regimes.ndim != 2:
         raise DimensionMismatch("march: regimes has shape %s, expected (P, n)" % (regimes.shape,))

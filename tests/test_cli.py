@@ -87,6 +87,13 @@ class TestSets:
         assert run(["sets", "--gamma", "0.7", "--m", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [2**40, 2**70])
+    def test_a_wiener_dimension_beyond_the_letter_bound_fails_validation(self, m, capsys):
+        # refused before any letter is built: 2**70 is no count, and 2**40
+        # letters pass the bound of 2**20 on an index set
+        assert run(["sets", "--gamma", "0.5", "--m", str(m)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimulate:
     def test_writes_trajectory(self, tmp_path, capsys):
@@ -551,6 +558,38 @@ def test_error_class_exit_code(name, monkeypatch, capsys):
     assert status == (1 if name in VALIDATION_ERRORS else 2)
     key = "%s: " % KEY_OF[name] if name in KEY_OF else ""
     assert capsys.readouterr().err == "error: %splanted failure\n" % key
+
+
+# the command line under a 2 GB address-space cap; a count of 2**53 asks for
+# 64 PiB, so it fails at once, where a moderate count could run for hours
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+from switchtaylor import cli
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, key, status, err",
+    [
+        ("convergence", "reference", 1, "error: the interval count %d does not fit" % 2**53),
+        ("chain-stats", "paths", 2, "error: out of memory: "),
+    ],
+    ids=["convergence-reference", "chain-stats-paths"],
+)
+def test_a_count_too_large_for_memory_is_a_package_error(command, key, status, err, tmp_path):
+    with open(base_cfg(tmp_path)) as handle:
+        lines = [line for line in handle.read().splitlines() if not line.startswith(key + " ")]
+    cfg = write_cfg(tmp_path / "huge.cfg", "\n".join(lines + ["%s = %d" % (key, 2**53)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED, command, "--config", cfg],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == status and proc.stdout == ""
+    assert proc.stderr.startswith(err)
 
 
 class TestEntryPoint:

@@ -31,6 +31,7 @@ from switchtaylor import (
     op_time_drift,
 )
 from switchtaylor import schemes
+from switchtaylor.errors import UnknownRegime
 from switchtaylor.model import _covariance, _noise_diffusion
 from switchtaylor.schemes import SCHEMES, JumpRecords
 from test_model import _CurvedAnalytic
@@ -502,8 +503,9 @@ def test_table_jet_shares_no_writable_memory_between_calls(name):
 
 @pytest.mark.parametrize("name", sorted(TABLE_SETS))
 def test_label_zero_reads_no_regime(name):
-    # row 0 of every per-regime table is NaN, so label 0 aliases no regime
+    # row 0 of every per-regime table is only the 1-based offset; label 0 is
+    # refused before any gather, alone or among valid labels
     coeffs = TABLE_SETS[name]
-    b, sig, db, _ = coeffs.jet(np.ones((1, coeffs.d)), np.array([0]), 1)
-    for part in (b, sig, db):
-        assert np.isnan(part).all()
+    for labels in ([0], [1, 0, 2]):
+        with pytest.raises(UnknownRegime, match="^regime labels must start at 1, got 0$"):
+            coeffs.jet(np.ones((len(labels), coeffs.d)), np.array(labels), 1)

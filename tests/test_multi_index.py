@@ -266,6 +266,19 @@ def test_remainder_of_empty_set():
     assert mi.remainder_set([], 3, 2) == frozenset([mi.EMPTY_INDEX])
 
 
+def test_the_letter_bound_stops_every_set_as_it_grows(monkeypatch):
+    # the order-1.5 sets for m = 1: an alphabet of 6 letters, A^sigma of 13
+    # letters and B(A^sigma) of 75; one letter less refuses each, and a set
+    # of exactly the bound builds
+    sets = mi.build_scheme_sets(1.5, 1)
+    for bound, error in ((5, InvalidComponent), (12, InvalidGamma), (74, InvalidGamma)):
+        monkeypatch.setattr(mi, "_MAX_LETTERS", bound)
+        with pytest.raises(error):
+            mi.build_scheme_sets(1.5, 1)
+        monkeypatch.setattr(mi, "_MAX_LETTERS", bound + 1)
+    assert mi.build_scheme_sets(1.5, 1) == sets
+
+
 # ---------------------------------------------------------------------------
 # structural properties on enumerated sets
 

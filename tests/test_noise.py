@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,10 +33,11 @@ def test_grid_spec_validation():
     for t0, t_end, end in ((None, 1.0, "t0"), (0.0, "1", "t_end")):
         with pytest.raises(InvalidGrid, match="^%s must be a finite real number" % end):
             noise.GridSpec(t0, t_end, 4)
-    for n in (np.nan, np.inf, None, "4"):
-        with pytest.raises(InvalidGrid, match="positive integer"):
+    # a float is no interval count, as it is no step count of ExperimentPlan
+    for n in (np.nan, np.inf, None, "4", 16.0):
+        with pytest.raises(InvalidGrid, match="must be an integer from 1 to 2"):
             noise.GridSpec(0.0, 1.0, n)
-    g = noise.GridSpec(0.0, 1.0, 16.0)
+    g = noise.GridSpec(0.0, 1.0, 16)
     assert g.n == 16 and isinstance(g.n, int)
     assert g.finest_times().size == 17
     # built once, read-only, and outside repr and ==
@@ -48,6 +51,23 @@ def test_grid_spec_validation():
             noise.NoisePath(times, inc, inc)
     with pytest.raises(InvalidGrid, match="Wiener dimension"):
         noise.NoisePath(np.array([0.0, 0.5, 1.0]), np.zeros((2, 0)), np.zeros((2, 0)))
+
+
+def test_an_interval_count_too_large_for_memory_is_invalid_grid():
+    # under a 2 GB address-space cap, 2**53 intervals (64 PiB of times) fail
+    # at once; a moderate count could succeed lazily and run for hours
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))\n"
+        "from switchtaylor import GridSpec, errors\n"
+        "try:\n"
+        "    GridSpec(0.0, 1.0, 2**53)\n"
+        "except errors.InvalidGrid as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "the interval count %d does not fit in memory\n" % 2**53
 
 
 def test_grid_nesting_is_bitwise():

@@ -33,6 +33,7 @@ from switchtaylor import (
     errors,
     fit_order,
     fixture,
+    fixture_names,
     format_config,
     get_scheme,
     integrate,
@@ -567,7 +568,46 @@ BAD_CALLS = {
     "parse_config-unbalanced-open": (lambda: parse_config("k = [[1]\n"), "ConfigError"),
     "format_config-bad-key": (lambda: format_config({"1k": 1}), "ConfigError"),
     "format_config-bad-type": (lambda: format_config({"k": None}), "ConfigError"),
+    "exact-negative-label": (lambda: _exact(regimes=((-1,),)), "UnknownRegime"),
+    "exact-zero-label": (lambda: _exact(regimes=((0,),)), "UnknownRegime"),
+    # march refuses a label above the set's regime count before its first step
+    "march-above-m0-before-the-first-step": (
+        lambda: march(get_scheme("euler"), LIN.coefficients, None, np.full((1, 4), 3), *[None] * 4),
+        "UnknownRegime",
+    ),
+    "march-reg2-above-m0": (
+        lambda: _march(table=replace(TABLE, reg2=TABLE.reg2 + 2)),
+        "UnknownRegime",
+    ),
+    "GridSpec-float-n": (lambda: GridSpec(0.0, 1.0, 16.0), "InvalidGrid"),
+    "sample_increments-m-above-2**53": (
+        lambda: sample_increments([0.5], 2**53 + 1, np.random.default_rng(0)),
+        "InvalidGrid",
+    ),
+    "CallableCoefficients-d-above-2**53": (
+        lambda: CallableCoefficients(lambda x, r: x, lambda x, r: [[0.1]], 2**53 + 1, 1),
+        "InvalidCoefficients",
+    ),
+    # an index set holds at most 2**20 letters, the alphabet included
+    "build_scheme_sets-m-above-2**53": (lambda: build_scheme_sets(0.5, 2**70), "InvalidComponent"),
+    "build_scheme_sets-m-beyond-the-letter-bound": (
+        lambda: build_scheme_sets(0.5, 2**40),
+        "InvalidComponent",
+    ),
+    "build_hierarchical_set-permissive-predicate": (
+        lambda: build_hierarchical_set(lambda w: True, 1, 1),
+        "InvalidGamma",
+    ),
 }
+# every jet of the built-in sets refuses a label that is no regime; the
+# rate-table sets also refuse one above their regime count
+for _name in fixture_names():
+    _coeffs = fixture(_name).coefficients
+    for _label in (-1, 0, True) + (() if _coeffs.m0 is None else (_coeffs.m0 + 1,)):
+        BAD_CALLS["jet-%s-label-%r" % (_name, _label)] = (
+            lambda c=_coeffs, r=_label: c.jet(np.ones((1, c.d)), np.array([r]), 0),
+            "UnknownRegime",
+        )
 
 
 @pytest.mark.parametrize("call, error", BAD_CALLS.values(), ids=list(BAD_CALLS))
@@ -622,7 +662,7 @@ def test_closed_form_merge_places_by_position():
 def test_one_module_holds_the_integer_and_real_rules():
     # _values decides what a count, label, time, time grid or array of
     # numbers is; a second copy of a rule drifts from it
-    removed = ("_is_label", "_number", "_floats", "_check_state", "_is_int")
+    removed = ("_is_label", "_number", "_floats", "_check_state", "_is_int", "_is_count", "_count")
     found = []
     for module in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(module.read_text(), filename=str(module))
@@ -635,6 +675,22 @@ def test_one_module_holds_the_integer_and_real_rules():
             name = getattr(node, "name", None) or getattr(node, "id", None)
             if (name or getattr(node, "attr", None)) in removed:
                 found.append("%s:%d names a removed local rule" % (module.name, node.lineno))
+    assert not found, "; ".join(found)
+
+
+def test_fixtures_leave_regime_labels_to_check():
+    # CoefficientSet._check refuses every label outside 1..m0 before a jet or
+    # exact gathers; a fixture that builds UnknownRegime or catches the
+    # gather's IndexError is a second label rule
+    tree = ast.parse((PACKAGE / "fixtures.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        if name == "UnknownRegime":
+            found.append("fixtures.py:%d names UnknownRegime" % node.lineno)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if "IndexError" in {getattr(n, "id", None) for n in ast.walk(node.type)}:
+                found.append("fixtures.py:%d catches IndexError" % node.lineno)
     assert not found, "; ".join(found)
 
 
