@@ -5,8 +5,8 @@ The package provides, in dependency order:
 - ``multi_index``: the word calculus behind the scheme construction and the
   kept/remainder index sets for every order from 0.5 to 3.0 in steps of
   0.5 (the schemes use 0.5, 1.0 and 1.5).
-- ``markov_chain``: finite-state continuous-time chains, their paths and the
-  jump-count martingale statistics.
+- ``markov_chain``: finite-state continuous-time chains, their paths, the
+  jump count on an interval and the state-pair jump martingale.
 - ``noise``: Wiener increments together with their time integrals on a
   uniform grid merged with chain jump times.
 - ``model``: regime-dependent drift/diffusion coefficients and the
@@ -19,7 +19,7 @@ The package provides, in dependency order:
   records they consume.
 - ``convergence``: coupled coarse/reference experiments that estimate the
   strong order on a model, with reproducible seeding.
-- ``config``: flat key-value run configuration files.
+- ``config``: the reader of flat key-value run configuration files.
 - ``cli``: the ``switchtaylor`` command line front end.
 """
 
@@ -45,11 +45,9 @@ from .errors import (
     NonPositiveError,
     NotAGridTime,
     ReferenceNotFiner,
-    SameStatePair,
     StateOutOfRange,
     StepTooLargeForChain,
     SwitchTaylorError,
-    TruncatedNoiseFile,
     UnknownFixture,
     UnknownRegime,
     UnknownScheme,
@@ -66,13 +64,8 @@ from .markov_chain import (
     ChainPath,
     GeneratorMatrix,
     count_jumps,
-    jump_times_in,
-    occupation_time,
-    pair_jump_compensator,
-    pair_jump_count,
     pair_jump_martingale,
     sample_path,
-    write_chain_csv,
 )
 from .model import (
     CallableCoefficients,
@@ -91,8 +84,6 @@ from .noise import (
     GridSpec,
     NoisePath,
     build_noise,
-    dump_noise,
-    load_noise,
     sample_increments,
 )
 from .schemes import (
@@ -117,7 +108,7 @@ from .convergence import (
     run,
     strong_error,
 )
-from .config import format_config, load_config, parse_config, save_config
+from .config import load_config, parse_config
 from .multi_index import (
     EMPTY_INDEX,
     Component,

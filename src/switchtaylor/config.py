@@ -6,21 +6,15 @@ matrices (``generator = [[-1.0, 1.0], [1.0, -1.0]]``).  Blank lines and lines
 starting with ``#`` are ignored.  Keys follow identifier rules and may not
 repeat.  The format needs no quoting, so bare strings cannot contain
 whitespace, brackets, commas, ``=`` or ``#``.
-
-parse and format are mutual inverses on parsed values: formatting a parsed
-mapping and parsing it back yields the same keys, types and values.  Floats
-are written in shortest round-trip form, so the identity is exact.
 """
 
 from __future__ import annotations
 
 import re
 
-from ._files import opened
-from ._values import is_int, is_real
 from .errors import ConfigError
 
-__all__ = ["parse_config", "format_config", "load_config", "save_config"]
+__all__ = ["parse_config", "load_config"]
 
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
@@ -95,33 +89,6 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _format_value(value, key: str) -> str:
-    if isinstance(value, bool):
-        raise ConfigError("%s: booleans are not part of the config format" % key)
-    if is_int(value):
-        return str(int(value))
-    if is_real(value):
-        return repr(float(value))
-    if isinstance(value, str):
-        # bare, so only a string the parser reads back as itself
-        if not (_BARE_RE.match(value) and _parse_value(value, key) == value):
-            raise ConfigError("%s: string %r cannot be written unambiguously" % (key, value))
-        return value
-    if isinstance(value, (list, tuple)):
-        return "[%s]" % ", ".join(_format_value(item, key) for item in value)
-    raise ConfigError("%s: cannot serialize value of type %s" % (key, type(value).__name__))
-
-
-def format_config(mapping) -> str:
-    """Serialize a mapping back to config text, preserving key order."""
-    lines = []
-    for key, value in mapping.items():
-        if not _KEY_RE.match(str(key)):
-            raise ConfigError("invalid config key %r" % (key,))
-        lines.append("%s = %s" % (key, _format_value(value, str(key))))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -130,8 +97,3 @@ def load_config(path) -> dict:
         raise ConfigError("config: cannot read %s (%s)" % (path, exc)) from exc
     return parse_config(text)
 
-
-def save_config(mapping, path) -> None:
-    text = format_config(mapping)
-    with opened(path, "w") as handle:
-        handle.write(text)

@@ -50,11 +50,6 @@ class StateOutOfRange(ValidationError):
     pass
 
 
-class SameStatePair(ValidationError):
-    """Jump-count statistics require two distinct states."""
-    pass
-
-
 class IntervalOutOfRange(ValidationError):
     """Query interval is not inside the sampled path's time span."""
     pass
@@ -70,11 +65,6 @@ class InvalidGrid(ValidationError):
 
 class NotAGridTime(ValidationError):
     """A query time is not a grid point of the sampled noise path."""
-    pass
-
-
-class TruncatedNoiseFile(SwitchTaylorError):
-    """A noise file ends before the sizes its header declares."""
     pass
 
 

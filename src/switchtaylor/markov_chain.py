@@ -5,11 +5,10 @@ continuous, stored as the ordered jump times with the state entered at each
 jump.  Query intervals follow the half-open convention (s, t]: a jump landing
 exactly on the left endpoint belongs to the interval before it.
 
-For a state pair i0 != k0 the number of observed i0 -> k0 transitions on
-(s, t], its predictable compensator q[i0,k0] * (occupation time of i0 taken
-through left limits), and their difference are exposed as
-``pair_jump_count``, ``pair_jump_compensator`` and ``pair_jump_martingale``.
-The difference has zero mean; the bound
+``count_jumps`` counts the jumps on (s, t].  For a state pair i0 != k0,
+``pair_jump_martingale`` is the number of observed i0 -> k0 transitions on
+(s, t] minus its predictable compensator q[i0,k0] * (occupation time of i0
+taken through left limits).  It has zero mean; the bound
 P(at least N jumps on (s,t]) <= (qmax (t-s))^N, with qmax the largest exit
 rate, holds whenever t - s < 1 / (2 qmax).
 
@@ -27,25 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _values
-from ._files import opened
-from .errors import (
-    IntervalOutOfRange,
-    InvalidGenerator,
-    SameStatePair,
-    StateOutOfRange,
-)
+from .errors import IntervalOutOfRange, InvalidGenerator, StateOutOfRange
 
 __all__ = [
     "GeneratorMatrix",
     "ChainPath",
     "sample_path",
     "count_jumps",
-    "jump_times_in",
-    "occupation_time",
-    "pair_jump_count",
-    "pair_jump_compensator",
     "pair_jump_martingale",
-    "write_chain_csv",
 ]
 
 ROW_SUM_TOL = 1e-12
@@ -240,65 +228,25 @@ def count_jumps(path: ChainPath, s: float, t: float) -> int:
     return span.stop - span.start
 
 
-def jump_times_in(path: ChainPath, s: float, t: float) -> np.ndarray:
-    """Jump times on (s, t], in increasing order."""
-    return path.jump_times[_jumps_in(path, s, t)].copy()
-
-
-def occupation_time(path: ChainPath, state: int, s: float, t: float) -> float:
-    """Lebesgue measure of {u in (s, t] : left limit of the state at u is i0}."""
-    inner = path.jump_times[_jumps_in(path, s, t)]
-    _values.label(state, "state", StateOutOfRange)
-    cuts = [s, *inner[inner < t], t]
-    total = 0.0
-    # on (left, right] the left limits equal the state entered at `left`
-    for left, right, entered in zip(cuts, cuts[1:], path.states_at(cuts[:-1])):
-        if entered == state:
-            total += right - left
-    return total
-
-
-def pair_jump_count(path: ChainPath, i0: int, k0: int, s: float, t: float) -> int:
-    """Number of i0 -> k0 transitions on (s, t]; the pair must be distinct."""
-    _values.label(i0, "state", StateOutOfRange)
-    _values.label(k0, "state", StateOutOfRange)
-    if i0 == k0:
-        raise SameStatePair("transition counting needs two distinct states")
-    span = _jumps_in(path, s, t)
-    before = np.concatenate(([path.initial_state], path.states_after))[span]
-    after = path.states_after[span]
-    return int(((before == i0) & (after == k0)).sum())
-
-
-def pair_jump_compensator(
-    generator: GeneratorMatrix, path: ChainPath, i0: int, k0: int, s: float, t: float
-) -> float:
-    """Predictable compensator of the pair count: rate times occupation time."""
-    if i0 == k0:
-        raise SameStatePair("transition counting needs two distinct states")
-    return generator.rate(i0, k0) * occupation_time(path, i0, s, t)
-
-
 def pair_jump_martingale(
     generator: GeneratorMatrix, path: ChainPath, i0: int, k0: int, s: float, t: float
 ) -> float:
-    """Count minus compensator; identically zero for i0 == k0 by convention."""
+    """Number of i0 -> k0 transitions on (s, t] minus their compensator, the
+    rate q[i0,k0] times the occupation time of i0 through left limits;
+    identically zero for i0 == k0 by convention."""
     _values.label(i0, "state", StateOutOfRange, generator.m0)
     _values.label(k0, "state", StateOutOfRange, generator.m0)
     if i0 == k0:
         return 0.0
-    return pair_jump_count(path, i0, k0, s, t) - pair_jump_compensator(
-        generator, path, i0, k0, s, t
-    )
-
-
-def write_chain_csv(path: ChainPath, file) -> None:
-    """Write a path as CSV rows (time, state), starting with the initial state.
-
-    ``file`` may be a filesystem path or a writable text file object.
-    """
-    with opened(file, "w") as out:
-        out.write("time,state\n")
-        out.write("%.17g,%d\n" % (path.t0, path.initial_state))
-        for tau, state in zip(path.jump_times, path.states_after):
-            out.write("%.17g,%d\n" % (tau, state))
+    span = _jumps_in(path, s, t)
+    before = np.concatenate(([path.initial_state], path.states_after))[span]
+    count = int(((before == i0) & (path.states_after[span] == k0)).sum())
+    inner = path.jump_times[span]
+    cuts = [s, *inner[inner < t], t]
+    occupation = 0.0
+    # on (left, right] the left limits equal the state entered at `left`;
+    # the pieces are summed in order from s to t
+    for left, right, entered in zip(cuts, cuts[1:], path.states_at(cuts[:-1])):
+        if entered == i0:
+            occupation += right - left
+    return count - generator.rate(i0, k0) * occupation

@@ -347,12 +347,16 @@ def alphabet(m: int, mu: int) -> tuple[Component, ...]:
 
 
 def _extensions(words, letters):
-    # every admissible word that prepends one of ``letters`` to a word of ``words``
+    # every admissible word that prepends one of ``letters`` to a word of
+    # ``words``; the letters come from ``alphabet`` and ``blocked`` checks the
+    # one new junction, so each word skips MultiIndex's pass over all letters
     for w in words:
         blocked = w.components and w.components[0].is_jump
         for c in letters:
             if not (blocked and c.is_jump):
-                yield MultiIndex((c,) + w.components)
+                extended = object.__new__(MultiIndex)
+                object.__setattr__(extended, "components", (c,) + w.components)
+                yield extended
 
 
 def _bounded(words, held=()) -> list:

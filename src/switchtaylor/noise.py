@@ -39,15 +39,12 @@ stays.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _values
-from ._files import opened
 from .errors import IntervalOutOfRange, InvalidGrid, NonFiniteInput, NotAGridTime
-from .errors import TruncatedNoiseFile
 from .markov_chain import ChainPath
 
 __all__ = [
@@ -56,8 +53,6 @@ __all__ = [
     "window_aggregates",
     "sample_increments",
     "build_noise",
-    "dump_noise",
-    "load_noise",
 ]
 
 _SQRT3 = np.sqrt(3.0)
@@ -249,53 +244,3 @@ def build_noise(
     dw, dz = sample_increments(times[1:] - times[:-1], m, rng)
     return NoisePath(times, dw, dz)
 
-
-_HEADER = struct.Struct("<QQ")
-
-
-def dump_noise(path: NoisePath, file) -> None:
-    """Write a path as little-endian doubles.
-
-    Layout: two uint64 (grid time count, dimensions), the grid times, then
-    dW and dZ row major.
-    """
-    with opened(file, "wb") as out:
-        out.write(_HEADER.pack(path.times.size, path.m))
-        out.write(np.ascontiguousarray(path.times, dtype="<f8").tobytes())
-        out.write(np.ascontiguousarray(path.dw, dtype="<f8").tobytes())
-        out.write(np.ascontiguousarray(path.dz, dtype="<f8").tobytes())
-
-
-def load_noise(file) -> NoisePath:
-    """Read a path written by dump_noise.
-
-    The sizes the header declares are checked against the bytes the file
-    holds before any array is built from them.
-    """
-    with opened(file, "rb") as src:
-        header = src.read(_HEADER.size)
-        body = src.read()
-    if len(header) < _HEADER.size:
-        raise TruncatedNoiseFile(
-            "noise file ends inside the header: expected %d bytes, got %d"
-            % (_HEADER.size, len(header))
-        )
-    n_times, m = _HEADER.unpack(header)
-    if n_times < 2:
-        raise InvalidGrid(
-            "noise file declares %d grid times, a path needs at least 2" % n_times
-        )
-    n = n_times - 1
-    parts = []
-    offset = 0
-    for part, count in (("grid times", n_times), ("dW", n * m), ("dZ", n * m)):
-        got = min(len(body) - offset, 8 * count)
-        if got < 8 * count:
-            raise TruncatedNoiseFile(
-                "noise file ends inside the %s: expected %d bytes, got %d"
-                % (part, 8 * count, got)
-            )
-        parts.append(np.frombuffer(body, dtype="<f8", count=count, offset=offset))
-        offset += 8 * count
-    times, dw, dz = parts
-    return NoisePath(times.copy(), dw.reshape(n, m).copy(), dz.reshape(n, m).copy())

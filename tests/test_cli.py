@@ -510,7 +510,6 @@ VALIDATION_ERRORS = {
     "NonFiniteInput",
     "NotAGridTime",
     "ReferenceNotFiner",
-    "SameStatePair",
     "StateOutOfRange",
     "StepTooLargeForChain",
     "UnknownFixture",
@@ -522,7 +521,6 @@ RUNTIME_ERRORS = {
     "CouplingMismatch",
     "NonFiniteState",
     "NonPositiveError",
-    "TruncatedNoiseFile",
 }
 
 

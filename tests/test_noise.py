@@ -1,10 +1,8 @@
-"""Noise path tests: sampling law, exact aggregation, grid nesting, dump format."""
+"""Noise path tests: sampling law, exact aggregation, grid nesting."""
 
 from __future__ import annotations
 
-import io
 import re
-import struct
 import subprocess
 import sys
 
@@ -13,12 +11,7 @@ import pytest
 
 from switchtaylor import markov_chain as mc
 from switchtaylor import noise
-from switchtaylor.errors import (
-    IntervalOutOfRange,
-    InvalidGrid,
-    NotAGridTime,
-    TruncatedNoiseFile,
-)
+from switchtaylor.errors import IntervalOutOfRange, InvalidGrid, NotAGridTime
 
 
 def test_grid_spec_validation():
@@ -226,55 +219,3 @@ def test_sample_increments_validation():
         noise.sample_increments(np.array([0.1]), 0, rng)
     with pytest.raises(InvalidGrid):
         noise.sample_increments(np.array([0.1]), 2.5, rng)
-
-
-def test_dump_and_load_round_trip():
-    p, _, _ = _path_with_jumps(31)
-    buf = io.BytesIO()
-    noise.dump_noise(p, buf)
-    buf.seek(0)
-    q = noise.load_noise(buf)
-    assert np.array_equal(p.times, q.times)
-    assert np.array_equal(p.dw, q.dw)
-    assert np.array_equal(p.dz, q.dz)
-    # layout: header is two little-endian uint64
-    raw = buf.getvalue()
-    n_times = int.from_bytes(raw[:8], "little")
-    m = int.from_bytes(raw[8:16], "little")
-    assert n_times == p.times.size and m == p.m
-    assert len(raw) == 16 + 8 * (n_times + 2 * (n_times - 1) * m)
-
-
-@pytest.mark.parametrize(
-    "part, cut",
-    [
-        ("header", 10),
-        ("grid times", 16 + 12),
-        ("dZ", -4),
-        # a tuple replaces the header by one that declares more than the file
-        # holds; such sizes must fail before anything is allocated from them
-        pytest.param("grid times", (2**40, 1), id="grid times-2**40 times"),
-        pytest.param("dW", (2, 2**40), id="dW-2**40 dimensions"),
-        pytest.param("grid times", (2**62, 1), id="grid times-2**62 times"),
-    ],
-)
-def test_load_rejects_truncated_files(part, cut):
-    p, _, _ = _path_with_jumps(31)
-    buf = io.BytesIO()
-    noise.dump_noise(p, buf)
-    raw = buf.getvalue()
-    if isinstance(cut, tuple):
-        raw = struct.pack("<QQ", *cut) + raw[16:]
-    else:
-        raw = raw[:cut]
-    with pytest.raises(TruncatedNoiseFile, match="inside the %s: expected" % part):
-        noise.load_noise(io.BytesIO(raw))
-
-
-def test_load_rejects_a_header_without_intervals():
-    with pytest.raises(InvalidGrid, match="declares 0 grid times"):
-        noise.load_noise(io.BytesIO(struct.pack("<QQ", 0, 1)))
-    # grid times 0 and 1 with no Wiener dimension
-    times = np.array([0.0, 1.0], dtype="<f8").tobytes()
-    with pytest.raises(InvalidGrid, match="Wiener dimension"):
-        noise.load_noise(io.BytesIO(struct.pack("<QQ", 2, 0) + times))
