@@ -52,6 +52,7 @@ from .errors import (
     UnknownRegime,
     UnknownScheme,
     ValidationError,
+    WorkerLost,
 )
 from .fixtures import (
     DiagonalLinearCoefficients,

@@ -16,15 +16,15 @@ slope of log2(sqrt(mean error)) against log2(h).
 
 Reproducibility: path i is ``draw_path(model, grid, seed, i)``, whose
 generators derive from SeedSequence((seed, i)), so path values are
-independent of batching; paths are processed one fixed batch of BATCH_PATHS
-after another in one thread, and batch partials are combined by pairwise
-tree summation.  The error variance merges per-batch
+independent of batching; paths are processed in fixed batches of
+BATCH_PATHS, and batch partials are combined by pairwise tree summation in
+batch order.  The error variance merges per-batch
 (count, mean, sum of squared deviations) in the same tree, so the standard
 error stays exact when the errors are large next to their spread.
 Changing BATCH_PATHS itself may move sums by rounding, which is why it is a
-module constant and not a knob.  A thread pool over the batches was
-measured slower than one thread on every study the benchmark runs, so there
-is none.
+module constant and not a knob.  ``run`` may spread the batches over forked
+processes (see ``_forked``); since the tree is the same, so are the reports.
+Threads do not help, because the per-path loop holds the GIL.
 
 Draws are per path and window data per batch.  Each path draws its chain
 and noise, gathers its prefix sums on the finest coarse grid (which nests
@@ -48,6 +48,9 @@ error naming the pass, the level, the step and the path's seed index.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass
 
@@ -65,6 +68,8 @@ from .errors import (
     ReferenceNotFiner,
     StepTooLargeForChain,
     UnknownScheme,
+    ValidationError,
+    WorkerLost,
 )
 from .markov_chain import sample_path
 from .model import ModelSpec, _einsum, check_commutativity
@@ -508,19 +513,132 @@ def _tree_reduce(parts):
     return items[0]
 
 
-def _run_engine(plan, levels, schemes):
+def _share(partial, batches):
+    """(k, partial(k)) for the batches k in turn, up to the first that
+    raises, which ends the list as (k, its exception)."""
+    done = []
+    for k in batches:
+        try:
+            done.append((k, partial(k)))
+        except Exception as exc:
+            done.append((k, exc))
+            break
+    return done
+
+
+def _child(partial, batches, write):
+    """A forked worker: pickles its ``_share`` into the pipe ``write``.  It
+    leaves through ``os._exit`` only, so it never returns into the caller's
+    stack or flushes the caller's stdio; an exit status other than 0 means
+    no complete result."""
+    status = 1
+    try:
+        data = pickle.dumps(_share(partial, batches), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_end(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _forked(partial, paths, workers):
+    """The partials of the batches of ``paths``, in batch order, from
+    ``workers`` processes.  Batch k is computed by process k % workers:
+    process 0 is the caller, which computes its share after forking the
+    others.  A failing batch ends its process's share; the error of the
+    lowest failing batch is raised, as a serial run would raise it, so a
+    child whose batches all lie above a known failure is killed unread.
+    Every child is reaped before this returns or raises, and any raise here
+    kills the children first: one blocked on a full pipe would never exit."""
+    batches = len(paths[::BATCH_PATHS])
+    pids, reads = [], []
+    reaped = 0
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(partial, range(w, batches, workers), write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        done = _share(partial, range(0, batches, workers))
+        low = done[-1][0] if isinstance(done[-1][1], Exception) else batches
+        for w, (pid, read) in enumerate(zip(pids, reads), 1):
+            if w > low:
+                _kill(pid)
+            data = _read_to_end(read)
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            if w > low:
+                continue
+            try:
+                share = pickle.loads(data) if status == 0 else None
+            except Exception:
+                share = None
+            if share is None:
+                lo = w * BATCH_PATHS
+                more = " and every %d paths on" % (workers * BATCH_PATHS)
+                raise WorkerLost(
+                    "the worker process for paths %d to %d%s ended without a complete "
+                    "result (wait status %d)"
+                    % (lo, paths[lo : lo + BATCH_PATHS][-1], more * (w + workers < batches), status)
+                )
+            done += share
+            if isinstance(share[-1][1], Exception):
+                low = min(low, share[-1][0])
+    except BaseException:
+        for pid in pids[reaped:]:
+            _kill(pid)
+        raise
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids[reaped:]:
+            os.waitpid(pid, 0)
+    parts = dict(done)
+    if low < batches:
+        raise parts[low]
+    return [parts[k] for k in range(batches)]
+
+
+def _kill(pid):
+    from signal import SIGKILL  # only a failing forked run needs it
+
+    os.kill(pid, SIGKILL)
+
+
+def _run_engine(plan, levels, schemes, workers=1):
     for name in schemes:
         require_commutativity(plan.model, get_scheme(name).commutativity_order)
     ref_scheme = reference_scheme_for(plan.model)
     grid = GridSpec(0.0, plan.t_end, plan.reference_steps)
     # a batch's index range is made as it runs, so no path count lists them all first
     paths = range(plan.paths)
+    batches = len(paths[::BATCH_PATHS])
+    if sys.platform == "linux":
+        workers = min(workers, batches, len(os.sched_getaffinity(0)))
+    else:
+        workers = 1
+
+    def partial(k):
+        lo = k * BATCH_PATHS
+        return _batch_partial(plan, levels, schemes, ref_scheme, grid, paths[lo : lo + BATCH_PATHS])
+
     # a diverging path is reported by NonFiniteState, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return _tree_reduce(
-            _batch_partial(plan, levels, schemes, ref_scheme, grid, paths[lo : lo + BATCH_PATHS])
-            for lo in paths[::BATCH_PATHS]
-        )
+        if workers > 1:
+            return _tree_reduce(_forked(partial, paths, workers))
+        return _tree_reduce(partial(k) for k in range(batches))
 
 
 def _stats(acc):
@@ -556,12 +674,22 @@ def run(plan: ExperimentPlan, threads: int = 1) -> dict:
 
     The recorded runtime is the wall time of the whole study (the schemes
     share every path, so per-scheme attribution is not meaningful).
-    ``threads`` is accepted for existing callers and has no effect.
+
+    ``threads`` is the number of processes, an integer from 1; a study runs
+    in min(threads, its batch count, the CPUs this process may use) of
+    them.  On Linux the caller forks the others with ``os.fork``, computes
+    its own share of the batches while they compute theirs, and reads their
+    partials back through pipes; elsewhere, or with one process, the
+    batches run one after another in the caller.  The batches are summed in
+    the same tree either way, so the reports are bit-identical at any
+    count, and a failing study raises the error a serial run would.  A fork
+    pickles no plan, so ``CallableCoefficients`` holding lambdas work too.
     Fewer than three coarse levels raise ``InsufficientLevels`` before any draw.
     """
+    workers = count(threads, "threads", ValidationError)
     _check_level_count(len(plan.coarse_steps))
     started = time.perf_counter()
-    acc = _run_engine(plan, list(plan.coarse_steps), list(plan.schemes))
+    acc = _run_engine(plan, list(plan.coarse_steps), list(plan.schemes), workers)
     elapsed = time.perf_counter() - started
     reports = {}
     for name in plan.schemes:

@@ -160,6 +160,11 @@ class CouplingMismatch(SwitchTaylorError):
     pass
 
 
+class WorkerLost(SwitchTaylorError):
+    """A forked worker process of a study ended without a complete result."""
+    pass
+
+
 # ---------------------------------------------------------------------------
 # configuration / CLI
 

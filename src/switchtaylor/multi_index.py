@@ -105,6 +105,13 @@ class Component:
             raise InvalidComponent(
                 "%s letter needs a positive index, got %r" % (self.kind.value, self.index)
             )
+        # the set operations of enumeration hash letters millions of times;
+        # the kind's rank stands in for the kind, so Enum.__hash__ is never
+        # called, and ints hash the same in every process
+        object.__setattr__(self, "_hash", hash((_SORT_RANK[self.kind], self.index)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_jump(self) -> bool:
@@ -156,6 +163,15 @@ def jump_overflow(mu: int) -> Component:
     return Component(ComponentKind.JUMP_OVERFLOW, mu)
 
 
+def _word_hash(components) -> int:
+    # folded from the last letter, so a word's hash follows from its first
+    # letter's and its tail's without a pass over the tail
+    out = hash(())
+    for c in reversed(components):
+        out = hash((c._hash, out))
+    return out
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """An admissible word of letters.
@@ -178,10 +194,15 @@ class MultiIndex:
                 raise ConsecutiveJumpComponents(
                     "adjacent jump letters %s,%s are not admissible" % (a.tag, b.tag)
                 )
+        object.__setattr__(self, "_hash", _word_hash(comps))
 
     @property
     def length(self) -> int:
         return len(self.components)
+
+    def __hash__(self):
+        # set once from the letters, not a field, so the encoded fields stay as they were
+        return self._hash
 
     @property
     def is_empty(self) -> bool:
@@ -356,6 +377,7 @@ def _extensions(words, letters):
             if not (blocked and c.is_jump):
                 extended = object.__new__(MultiIndex)
                 object.__setattr__(extended, "components", (c,) + w.components)
+                object.__setattr__(extended, "_hash", hash((c._hash, w._hash)))
                 yield extended
 
 

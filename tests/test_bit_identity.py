@@ -42,6 +42,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SCHEME_NAMES = ("euler", "milstein", "taylor15")
 # a scheme reference on a short grid
 SCHEME_REFERENCE = dict(t_end=1.0, coarse_steps=(4, 8, 16), reference_steps=256)
+ADDITIVE = ExperimentPlan(
+    model=fixture("additive"), schemes=SCHEME_NAMES, paths=600, seed=7, **SCHEME_REFERENCE
+)
 
 
 def _encode(value) -> bytes:
@@ -81,25 +84,30 @@ def _perfbench_workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-def _study_items():
+def _run_items(threads):
     # the two desk workloads of the benchmark double as the run reports of
     # the closed-form fixtures: 1024 paths, two batches
     import switchtaylor as st
 
     workloads = _perfbench_workloads()
-    for name in ("desk-linear2", "desk-diagonal3", "trajectory-diagonal3"):
+    for name in ("desk-linear2", "desk-diagonal3"):
         workload = workloads[name]
-        result = workload.run(st, workload.prepare(st, 5), 1)
-        if name.startswith("desk"):
-            yield "run.%s" % workload.fixture, _report(result)
+        result = workload.run(st, workload.prepare(st, 5), threads)
+        yield "run.%s" % workload.fixture, _report(result)
         yield "perfbench.%s" % name, workload.digest(result)
-
     # two 512-path batches, so the tree sum merges
-    plan = ExperimentPlan(
-        model=fixture("additive"), schemes=SCHEME_NAMES, paths=600, seed=7, **SCHEME_REFERENCE
+    yield "run.additive", _report(run(ADDITIVE, threads=threads))
+
+
+def _study_items():
+    import switchtaylor as st
+
+    yield from _run_items(1)
+    workload = _perfbench_workloads()["trajectory-diagonal3"]
+    yield "perfbench.trajectory-diagonal3", workload.digest(
+        workload.run(st, workload.prepare(st, 5), 1)
     )
-    yield "run.additive", _report(run(plan))
-    plan = dataclasses.replace(plan, paths=520)
+    plan = dataclasses.replace(ADDITIVE, paths=520)
     for scheme in ("euler", "taylor15"):
         yield "strong_error.additive.%s" % scheme, _encode(strong_error(plan, 256, scheme))
 
@@ -286,6 +294,13 @@ def test_outputs_match_the_committed_digests():
     moved = sorted(name for name in want if got.get(name) != want[name])
     new = sorted(set(got) - set(want))
     assert not moved and not new, "moved: %s; not in the file: %s" % (moved, new)
+
+
+def test_run_reports_match_the_committed_digests_at_two_processes():
+    # run spreads its batches over forked processes; the reports keep their bits
+    want = json.loads(GOLDEN.read_text())["digests"]
+    moved = [name for name, data in _run_items(2) if hashlib.sha256(data).hexdigest() != want[name]]
+    assert not moved, "moved: %s" % moved
 
 
 if __name__ == "__main__":

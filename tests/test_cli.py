@@ -521,6 +521,7 @@ RUNTIME_ERRORS = {
     "CouplingMismatch",
     "NonFiniteState",
     "NonPositiveError",
+    "WorkerLost",
 }
 
 

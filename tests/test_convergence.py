@@ -2,7 +2,9 @@
 
 import importlib
 import math
+import os
 import sys
+import time
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -49,6 +51,7 @@ from switchtaylor.errors import (
     ReferenceNotFiner,
     StepTooLargeForChain,
     UnknownScheme,
+    WorkerLost,
 )
 
 LIN = fixture("linear2")
@@ -771,12 +774,13 @@ class TestRun:
                 assert a.second_moment_peak == b.second_moment_peak
 
     def test_thread_count_does_not_change_results(self, study):
+        # three batches: with two processes the caller takes batches 0 and 2
         plan, reports = study
-        threaded = run(plan, threads=3)
-        for name, rep in reports.items():
-            for a, b in zip(rep.rows, threaded[name].rows):
-                assert a.mean_error == b.mean_error
-                assert a.stderr == b.stderr
+        for threads in (1, 2, 3):
+            again = run(plan, threads=threads)
+            assert set(again) == set(reports)
+            for name, rep in reports.items():
+                assert replace(again[name], runtime=rep.runtime) == rep
 
     def test_fit_needs_three_levels(self, monkeypatch):
         monkeypatch.setattr(convergence, "_run_engine", None)  # refused before any draw
@@ -796,3 +800,107 @@ class TestRun:
         )
         with pytest.raises(CommutativityRequired):
             strong_error(plan, 16)
+
+
+# studies of 1040 paths run three batches; at two processes the caller
+# computes batches 0 and 2 and one forked child batch 1
+forks = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="batches run in forked processes only on Linux with two CPUs or more",
+)
+THREE_BATCHES = dict(t_end=1.0, coarse_steps=(4, 8, 16), reference_steps=256, paths=1040, seed=3)
+
+
+def _planted(monkeypatch, fail):
+    # every batch first runs fail(k), a forked child inherits the patch; the
+    # run raises before it sums, so a batch that passes returns no partial
+    def partial(plan, levels, schemes, ref_scheme, grid, indices):
+        fail(indices[0] // convergence.BATCH_PATHS)
+        return {}
+
+    monkeypatch.setattr(convergence, "_batch_partial", partial)
+
+
+def _raised(threads):
+    with pytest.raises(switchtaylor.SwitchTaylorError) as caught:
+        run(small_plan(**THREE_BATCHES), threads=threads)
+    exc = caught.value
+    return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "row", None)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+@pytest.mark.parametrize("error", [NonFiniteState, CouplingMismatch])
+@pytest.mark.parametrize("failing", [(1,), (2,), (1, 2), (0, 1)], ids=str)
+def test_forked_run_raises_the_lowest_failing_batch_as_a_serial_run(monkeypatch, error, failing):
+    def fail(k):
+        if k in failing:
+            if error is NonFiniteState:
+                raise NonFiniteState("batch %d diverged" % k, step=10 + k, row=20 + k)
+            raise CouplingMismatch("batch %d is not coupled" % k)
+
+    _planted(monkeypatch, fail)
+    serial = _raised(1)
+    assert serial[0] is error and serial[1].startswith("batch %d " % failing[0])
+    assert _raised(2) == serial
+    _assert_no_child_left()
+
+
+@forks
+def test_a_child_that_exits_without_its_result_raises_worker_lost(monkeypatch):
+    caller = os.getpid()
+
+    def fail(k):
+        if k == 1 and os.getpid() != caller:
+            os._exit(3)
+
+    _planted(monkeypatch, fail)
+    with pytest.raises(
+        WorkerLost,
+        match=r"^the worker process for paths 512 to 1023 ended without a complete "
+        r"result \(wait status 768\)$",
+    ):
+        run(small_plan(**THREE_BATCHES), threads=2)
+    _assert_no_child_left()
+
+
+@forks
+def test_an_interrupted_caller_kills_its_children(monkeypatch):
+    caller = os.getpid()
+
+    def fail(k):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    _planted(monkeypatch, fail)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run(small_plan(**THREE_BATCHES), threads=2)
+    assert time.perf_counter() - started < 30
+    _assert_no_child_left()
+
+
+@forks
+def test_forked_run_takes_a_plan_that_does_not_pickle(monkeypatch):
+    # callable coefficients step row by row, so the batches are cut to four paths
+    monkeypatch.setattr(convergence, "BATCH_PATHS", 4)
+    model = ModelSpec(
+        name="callable-linear",
+        generator=LIN.generator,
+        coefficients=CallableCoefficients(
+            lambda x, r: [(-1.0, 0.5)[r - 1] * x[0]],
+            lambda x, r: [[(0.3, 0.8)[r - 1] * x[0]]],
+            1,
+            1,
+        ),
+        x0=[1.0],
+    )
+    plan = small_plan(model=model, schemes=("euler",), **dict(THREE_BATCHES, paths=12))
+    serial, forked = run(plan), run(plan, threads=2)
+    assert replace(forked["euler"], runtime=0.0) == replace(serial["euler"], runtime=0.0)
+    _assert_no_child_left()

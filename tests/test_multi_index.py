@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 import time
 
@@ -363,3 +364,16 @@ def test_sets_as_dict_round_trip_content():
     assert d["diffusion"] == [[], ["1"], ["2"], ["N1"]]
     assert d["drift"] == [[]]
     assert d["diffusion_jump"] == [["N1"]]
+
+
+def test_built_words_hash_as_the_words_they_equal():
+    # enumeration sets each word's hash from its first letter and its tail;
+    # the word rebuilt from its letters, or pickled, must hash the same
+    sets = mi.build_scheme_sets(1.5, 2)
+    for family in (sets.drift, sets.diffusion, sets.drift_remainder, sets.diffusion_remainder):
+        for w in family:
+            rebuilt = mi.MultiIndex(w.components), mi.word(*w.components)
+            for same in rebuilt + (pickle.loads(pickle.dumps(w)),):
+                assert same == w and hash(same) == hash(w)
+    letters = mi.alphabet(2, 3)
+    assert len({hash(c) for c in letters}) == len(letters)

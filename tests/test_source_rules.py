@@ -3,6 +3,8 @@
 import ast
 import enum
 import numbers
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -274,6 +276,13 @@ BAD_CALLS = {
         lambda: ExperimentPlan(LIN, ("euler",), 1.0, 8, 256, 1, 0),
         "InvalidGrid",
     ),
+    **{
+        "run-threads-%r" % (threads,): (
+            lambda t=threads: run(ExperimentPlan(LIN, ("euler",), 1.0, (4, 8, 16), 256, 1, 0), t),
+            "ValidationError",
+        )
+        for threads in (0, -1, 1.5, True, "2")
+    },
     "fit_order-numeric-text-h": (
         lambda: fit_order([("0.5", 1.0), (0.25, 0.5), (0.125, 0.2)]),
         "InvalidGrid",
@@ -604,6 +613,27 @@ def test_bad_inputs_raise_package_errors(call, error):
     with pytest.raises(errors.SwitchTaylorError) as caught:
         call()
     assert type(caught.value).__name__ == error
+
+
+def test_run_names_a_bad_thread_count():
+    # the BAD_CALLS cases above pin the class of each refused count
+    with pytest.raises(errors.ValidationError, match=r"^threads must be an integer from 1"):
+        run(ExperimentPlan(LIN, ("euler",), 1.0, (4, 8, 16), 256, 1, 0), threads=0)
+
+
+def test_import_loads_no_process_pool_module():
+    # multiprocessing costs tens of milliseconds on its first import, which
+    # every set-up would pay; run forks with os.fork instead
+    code = (
+        "import sys; sys.path.insert(0, %r); import switchtaylor; "
+        "print(switchtaylor.__file__); "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        % str(PACKAGE.parent)
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == [str(PACKAGE / "__init__.py"), "[]"]
 
 
 def test_cli_takes_library_error_keys_from_one_table():
