@@ -684,6 +684,8 @@ def run(plan: ExperimentPlan, threads: int = 1) -> dict:
     the same tree either way, so the reports are bit-identical at any
     count, and a failing study raises the error a serial run would.  A fork
     pickles no plan, so ``CallableCoefficients`` holding lambdas work too.
+    A fork copies only the calling thread, so a caller whose other threads
+    may hold locks that a child would need should pass ``threads=1``.
     Fewer than three coarse levels raise ``InsufficientLevels`` before any draw.
     """
     workers = count(threads, "threads", ValidationError)
